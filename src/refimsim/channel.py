@@ -6,6 +6,7 @@ Gains are linear power gains; the per-slot tensor is indexed
 
 import csv
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -90,6 +91,26 @@ def noise_power_w(config, subchannel_bw_hz):
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+# Links per fading tile. At 8 oscillators an oscillator tile and its step tile
+# take 2 x 8 x 4096 x 16 B = 1 MB, so one tile is rotated, summed and squared
+# while it stays in a 2 MB L2 cache.
+TILE_LINKS = 4096
+# Up to 64 terms numpy's pairwise sum keeps four running accumulators; above
+# that it splits recursively, an order FadingState does not reproduce.
+MAX_OSCILLATORS = 64
+
+
+def _tiled(flat, n_tiles, width):
+    """(T, O, width) copy of an (L, O) array, tiled along L; zero padding."""
+    links, oscillators = flat.shape
+    out = np.zeros((n_tiles, oscillators, width), dtype=flat.dtype)
+    full = links // width
+    out[:full] = flat[:full * width].reshape(full, width, oscillators).transpose(0, 2, 1)
+    if full < n_tiles:
+        out[full, :, :links - full * width] = flat[full * width:].T
+    return out
+
+
 class FadingState:
     """Jakes sum-of-sinusoids Rayleigh fading, one process per
     (user, bs, subchannel); E[|h|^2] = 1.
@@ -97,19 +118,50 @@ class FadingState:
     Oscillator arrival angles and phases are randomized per link and
     subchannel, which decorrelates subchannels. Advancing rotates each
     oscillator by its Doppler-dependent step.
+
+    The K*N*S links are stored flattened in tiles of `width` links: `osc`,
+    `omegas` and the cached step are (tiles, O, width) arrays, padded to
+    whole tiles. `advance` rotates one tile, sums its O rows and
+    squares the sum before it moves to the next. The rows are added in the
+    order numpy's pairwise `sum(axis=-1)` uses, so the gains are
+    bit-identical to rotating and summing one (K, N, S, O) array.
     """
 
     def __init__(self, rng, n_users, n_bs, n_subchannels, speeds_mps, carrier_freq_hz,
                  oscillators=8):
-        shape = (n_users, n_bs, n_subchannels, oscillators)
+        if not 1 <= oscillators <= MAX_OSCILLATORS:
+            raise ValueError(f"oscillators must be in [1, {MAX_OSCILLATORS}]")
+        self._shape = (n_users, n_bs, n_subchannels)
+        self._n_links = links = n_users * n_bs * n_subchannels
+        n_tiles = max(1, -(-links // TILE_LINKS))
+        width = max(1, -(-links // n_tiles))
+        shape = (*self._shape, oscillators)
         doppler = 2.0 * np.pi * np.asarray(speeds_mps, dtype=float) * carrier_freq_hz / SPEED_OF_LIGHT
+        link_doppler = np.repeat(doppler, n_bs * n_subchannels)[:, None]
         angles = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-        self.omegas = doppler[:, None, None, None] * np.cos(angles)  # rad/s per oscillator
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-        self.osc = np.exp(1j * phases)
+        self.omegas = _tiled(angles.reshape(links, oscillators), n_tiles, width)
+        del angles
+        np.cos(self.omegas, out=self.omegas)
+        self.omegas *= _tiled(link_doppler, n_tiles, width)  # rad/s per oscillator
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=shape).reshape(links, oscillators)
+        self.osc = np.empty(self.omegas.shape, dtype=complex)
+        self.osc[-1] = 1.0  # padding links
+        for t, osc in enumerate(self.osc):  # exp of a C-ordered tile, no tiled copy
+            ph = phases[t * width:(t + 1) * width].T
+            np.exp(np.multiply(1j, ph, order="C"), out=osc[:, :ph.shape[1]])
+        del phases
         self.scale = 1.0 / np.sqrt(oscillators)
         self._step_dt = None
         self._step = None
+        self._gains = np.empty((n_tiles, width))
+        # Scratch for one tile's sum, with its views made once, not per tile.
+        self._acc = np.empty((4, width), dtype=complex)
+        self._pair = np.empty((2, width), dtype=complex)
+        h, squares = self._pair[0], self._pair[1].view(np.float64)
+        self._views = SimpleNamespace(
+            acc_even=self._acc[0::2], acc_odd=self._acc[1::2], h=h, p1=self._pair[1],
+            h_re_im=h.view(np.float64), squares=squares,
+            re2=squares[0::2], im2=squares[1::2])
 
     def advance(self, dt_s):
         if dt_s < 0:
@@ -117,23 +169,66 @@ class FadingState:
         if dt_s == 0.0:
             return
         if dt_s != self._step_dt:
-            self._step = np.exp(1j * self.omegas * dt_s)
+            if self._step is None:
+                self._step = np.empty_like(self.osc)
+            for om, step in zip(self.omegas, self._step):
+                np.exp(1j * om * dt_s, out=step)
             self._step_dt = dt_s
-        self.osc *= self._step
+        for osc, step, gains in zip(self.osc, self._step, self._gains):
+            osc *= step
+            self._tile_gains(osc, gains)
+
+    def _tile_gains(self, osc, gains):
+        """gains = |h|^2 of one tile of oscillators."""
+        v = self._views
+        self._tile_coefficients(osc)
+        np.square(v.h_re_im, v.squares)
+        np.add(v.re2, v.im2, gains)
+
+    def _tile_coefficients(self, osc):
+        """Scale x the sum of a tile's rows, added in numpy's sum order.
+
+        The result is a view of scratch that the next call overwrites.
+        """
+        v = self._views
+        n = osc.shape[0]
+        if n < 4:  # numpy adds fewer than four terms left to right
+            np.copyto(v.h, osc[0])
+            rest = 1
+        else:  # accumulator j sums rows o = j (mod 4), then (a0 + a1) + (a2 + a3)
+            rest = n - n % 4
+            if rest == 4:
+                np.add(osc[0:4:2], osc[1:4:2], self._pair)
+            else:
+                np.add(osc[0:4], osc[4:8], self._acc)
+                for o in range(8, rest, 4):
+                    self._acc += osc[o:o + 4]
+                np.add(v.acc_even, v.acc_odd, self._pair)
+            np.add(v.h, v.p1, v.h)
+        for o in range(rest, n):
+            v.h += osc[o]
+        # Scaling re and im apart equals numpy's complex * real: its cross
+        # terms are exact zeros, which change at most the sign of a zero.
+        v.h_re_im *= self.scale
+        return v.h
+
+    def _links(self, tiled):
+        """(K, N, S) view of the links in a (tiles, width) array."""
+        return tiled.reshape(-1)[:self._n_links].reshape(self._shape)
 
     def coefficients(self):
         """(K, N, S) complex channel coefficients at the current time."""
-        return self.osc.sum(axis=-1) * self.scale
+        h = np.empty(self._gains.shape, dtype=complex)
+        for osc, h_tile in zip(self.osc, h):
+            h_tile[:] = self._tile_coefficients(osc)
+        return self._links(h)
 
     def power_gains(self):
-        h = self.coefficients()
-        return h.real ** 2 + h.imag ** 2
-
-
-def advance_fading(state, dt_s):
-    """Advance the fading processes by dt_s and return the coefficients."""
-    state.advance(dt_s)
-    return state.coefficients()
+        """(K, N, S) |h|^2 at the current time."""
+        if self._step is None:  # advance has not filled the gains yet
+            for osc, gains in zip(self.osc, self._gains):
+                self._tile_gains(osc, gains)
+        return self._links(self._gains).copy()
 
 
 @dataclass

@@ -71,9 +71,10 @@ def apply_overrides(sc, args):
         over["algorithm"] = args.algo
     if getattr(args, "slots", None) is not None:
         over["slots"] = args.slots
-    if over:
-        sc = dataclasses.replace(sc, **over)
-    return sc.validate()
+    try:
+        return dataclasses.replace(sc, **over).validate()
+    except (ValueError, TypeError) as e:
+        raise ConfigError(str(e)) from e
 
 
 def parse_values(text, axis):

@@ -278,6 +278,7 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
         mobility = topology.WaypointMobility(net, np.full(K, speed_mps), rng_mob)
     positions = None if mobility is None else mobility.positions
     pl_db = channel.path_loss_matrix_db(net, cfg, positions)
+    large_scale = channel.large_scale_linear(pl_db, shadow)
 
     allowed = allowed_subchannels(net, sc)
     budgets = np.array([b.max_power_w for b in net.base_stations])
@@ -311,8 +312,8 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
     for t in range(sc.slots):
         if mobility is not None and mobility.advance(dt):
             pl_db = channel.path_loss_matrix_db(net, cfg, mobility.positions)
+            large_scale = channel.large_scale_linear(pl_db, shadow)
         fading.advance(dt)
-        large_scale = channel.large_scale_linear(pl_db, shadow)
         gains = large_scale[:, :, None] * fading.power_gains()
 
         weights = states.weights()
@@ -389,8 +390,7 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
         prev_powers = committed
 
     throughput = accum / measured
-    final_ls = channel.large_scale_linear(pl_db, shadow)
-    is_edge = topology.classify_edge_users(net, final_ls, sc.edge_threshold_db)
+    is_edge = topology.classify_edge_users(net, large_scale, sc.edge_threshold_db)
     return RunResult(
         scenario=sc, config_hash=sc.config_hash(),
         throughput_bps=throughput,

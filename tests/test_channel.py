@@ -3,7 +3,7 @@ import pytest
 from scipy.special import j0
 
 from refimsim.channel import (
-    FadingState, PropagationConfig, advance_fading, dump_snapshot_csv,
+    MAX_OSCILLATORS, TILE_LINKS, FadingState, PropagationConfig, dump_snapshot_csv,
     large_scale_linear, noise_power_w, path_loss_db, path_loss_matrix_db,
     sample_shadowing, shadowing_matrix_db, snapshot, wall_count,
 )
@@ -101,13 +101,15 @@ class TestJakesFading:
         st = self._single_link(0.0)
         h0 = st.coefficients().copy()
         for _ in range(5):
-            h = advance_fading(st, 1e-3)
+            st.advance(1e-3)
+            h = st.coefficients()
         assert np.allclose(h, h0)
 
     def test_zero_dt_leaves_state_unchanged(self):
         st = self._single_link(3 / 3.6)
         h0 = st.coefficients().copy()
-        assert np.allclose(advance_fading(st, 0.0), h0)
+        st.advance(0.0)
+        assert np.allclose(st.coefficients(), h0)
 
     def test_unit_mean_power(self):
         # long-horizon Monte Carlo: mean |h|^2 within 3% of 1
@@ -151,6 +153,84 @@ class TestJakesFading:
         a.advance(1e-3)
         b.advance(1e-3)
         assert np.array_equal(a.coefficients(), b.coefficients())
+
+
+class _UntiledFading:
+    """Reference Jakes state: one (K, N, S, O) array, rotated and summed whole."""
+
+    def __init__(self, seed, n_users, n_bs, n_subchannels, speeds_mps, oscillators):
+        rng = np.random.default_rng(seed)
+        shape = (n_users, n_bs, n_subchannels, oscillators)
+        doppler = 2.0 * np.pi * speeds_mps * 2e9 / 299792458.0
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+        self.omegas = doppler[:, None, None, None] * np.cos(angles)
+        self.osc = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=shape))
+        self.scale = 1.0 / np.sqrt(oscillators)
+
+    def advance(self, dt_s):
+        self.osc *= np.exp(1j * self.omegas * dt_s)
+
+    def coefficients(self):
+        return self.osc.sum(axis=-1) * self.scale
+
+    def power_gains(self):
+        h = self.coefficients()
+        return h.real ** 2 + h.imag ** 2
+
+
+class TestTiledFading:
+    # (K, N, S): 24 links fit in one tile; 8569 links need three tiles of
+    # 2857 with two padding links in the last.
+    SIZES = [(3, 2, 4), (41, 11, 19)]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("oscillators", [1, 3, 4, 5, 8, 12])
+    def test_bit_identical_to_untiled(self, size, oscillators):
+        K, N, S = size
+        speeds = np.random.default_rng(K).uniform(0.0, 30.0, K)
+        ref = _UntiledFading(4, K, N, S, speeds, oscillators)
+        st = FadingState(np.random.default_rng(4), K, N, S, speeds, 2e9, oscillators)
+        n_tiles, _, width = st.osc.shape
+        if K * N * S < TILE_LINKS:
+            assert n_tiles == 1
+        else:
+            assert n_tiles > 1 and n_tiles * width > K * N * S
+        assert np.array_equal(st.coefficients(), ref.coefficients())
+        assert np.array_equal(st.power_gains(), ref.power_gains())
+        for slot in range(20):
+            dt = 1e-3 if slot < 10 else 2.5e-3
+            ref.advance(dt)
+            st.advance(dt)
+            assert np.array_equal(st.coefficients(), ref.coefficients())
+            assert np.array_equal(st.power_gains(), ref.power_gains())
+
+    def test_zero_dt_is_a_no_op(self):
+        st = FadingState(np.random.default_rng(1), 5, 3, 4, np.full(5, 20.0), 2e9)
+        st.advance(1e-3)
+        h0, g0 = st.coefficients(), st.power_gains()
+        st.advance(0.0)
+        assert np.array_equal(st.coefficients(), h0)
+        assert np.array_equal(st.power_gains(), g0)
+
+    def test_negative_dt_rejected(self):
+        st = FadingState(np.random.default_rng(1), 2, 2, 2, np.full(2, 1.0), 2e9)
+        with pytest.raises(ValueError):
+            st.advance(-1e-3)
+
+    @pytest.mark.parametrize("oscillators", [0, MAX_OSCILLATORS + 1])
+    def test_oscillator_count_out_of_range_rejected(self, oscillators):
+        with pytest.raises(ValueError):
+            FadingState(np.random.default_rng(1), 2, 2, 2, np.full(2, 1.0), 2e9, oscillators)
+
+    def test_returned_arrays_do_not_alias_state(self):
+        st = FadingState(np.random.default_rng(1), 5, 3, 4, np.full(5, 20.0), 2e9)
+        st.advance(1e-3)
+        h, g = st.coefficients(), st.power_gains()
+        h0, g0 = h.copy(), g.copy()
+        h[...] = 0.0
+        g[...] = -1.0
+        assert np.array_equal(st.coefficients(), h0)
+        assert np.array_equal(st.power_gains(), g0)
 
 
 class TestSnapshot:

@@ -118,6 +118,13 @@ class TestRunCommand:
         assert "error" in capsys.readouterr().err
 
 
+    def test_override_failing_validation_exit_1_no_outputs(self, tmp_path, capsys):
+        # two-cell warms up for 500 slots, so --slots 50 breaks warmup < slots
+        out = tmp_path / "never"
+        assert main(["run", "two-cell", "--slots", "50", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
 class TestSweepCommand:
     def test_row_per_value(self, tmp_path):
         out = tmp_path / "s"

@@ -48,15 +48,17 @@ def path_loss_db(model, distance_m, config=None):
     raise ValueError(f"unknown path loss model {model!r}")
 
 
-def wall_count(bs, user):
-    """Wall crossings on a link: 0 inside one home or fully outdoor, else 1."""
-    bs_home = bs.home_id if bs.tier == TIER_FEMTO else None
-    user_home = user.home_id if user.indoor else None
-    if bs_home is None and user_home is None:
-        return 0
-    if bs_home is not None and bs_home == user_home:
-        return 0
-    return 1
+def wall_mask(network):
+    """(K, N) bool: links crossing one wall. None cross it inside one home or
+    fully outdoors; every other link with an indoor end crosses one."""
+    bs_home = [b.home_id if b.tier == TIER_FEMTO else None for b in network.base_stations]
+    user_home = [u.home_id if u.indoor else None for u in network.users]
+    bs_in = np.array([h is not None for h in bs_home], dtype=bool)
+    user_in = np.array([h is not None for h in user_home], dtype=bool)
+    bs_ids = np.array([-1 if h is None else h for h in bs_home])
+    user_ids = np.array([-1 if h is None else h for h in user_home])
+    same_home = bs_in[None, :] & user_in[:, None] & (user_ids[:, None] == bs_ids[None, :])
+    return (bs_in[None, :] | user_in[:, None]) & ~same_home
 
 
 def path_loss_matrix_db(network, config, positions=None):
@@ -66,9 +68,7 @@ def path_loss_matrix_db(network, config, positions=None):
     for n, bs in enumerate(network.base_stations):
         model = "indoor" if bs.tier == TIER_FEMTO else "macro"
         pl[:, n] = path_loss_db(model, d[:, n], config)
-        for u in network.users:
-            if wall_count(bs, u):
-                pl[u.id, n] += config.penetration_loss_db
+    pl[wall_mask(network)] += config.penetration_loss_db
     return pl
 
 

@@ -93,6 +93,12 @@ class Scenario:
             raise ValueError("deployment_fraction must be in [0, 1]")
         if self.ref_count < 0:
             raise ValueError("ref_count must be >= 0")
+        if not 0.0 < self.ewma_beta <= 1.0:
+            raise ValueError("ewma_beta must be in (0, 1]")
+        if self.feedback_period_slots < 1:
+            raise ValueError("feedback_period_slots must be >= 1")
+        if self.femto_feedback_period_slots < 0:
+            raise ValueError("femto_feedback_period_slots must be >= 0")
         return self
 
     def to_dict(self):
@@ -323,11 +329,12 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
             p_eval = power.initial_power(sc.initial_power_rule, budgets, masks,
                                          prev=prev_powers, rng=rng_pow, slot=t)
 
-        total_eval = np.einsum("kms,ms->ks", gains, p_eval)
-        own = gains[kidx, serving, :] * p_eval[serving, :]
-        gamma = own / (total_eval - own + noise)
-        rates_eval = bw_sub * np.log2(1.0 + gamma / gap)
-        sched = scheduling.schedule_users(cells, weights, rates_eval, allowed=allowed)
+        if sc.algorithm != "general":  # general schedules inside its own loop
+            total_eval = np.einsum("kms,ms->ks", gains, p_eval)
+            own = gains[kidx, serving, :] * p_eval[serving, :]
+            gamma = own / (total_eval - own + noise)
+            rates_eval = bw_sub * np.log2(1.0 + gamma / gap)
+            sched = scheduling.schedule_users(cells, weights, rates_eval, allowed=allowed)
 
         taxes = None
         if sc.algorithm == "refim":
@@ -350,11 +357,12 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
         if sc.algorithm == "eq":
             committed = eq_powers
         elif sc.algorithm == "general":
-            sched, committed = power.general_algorithm(
+            sched, committed, iters = power.general_algorithm(
                 cells, gains, weights, noise, net.neighbor_sets, budgets, masks,
                 p_eval, sched_iters=sc.sched_loops, power_iters=sc.power_loops,
                 ref_count=sc.ref_count, subchannel_bw_hz=bw_sub, sinr_gap=gap,
-                allowed=allowed)
+                allowed=allowed, return_iters=True)
+            iter_max = max(iter_max, iters)
         else:
             w_ns, g_ns, sig_ns = power.scheduled_arrays(gains, sched, weights, noise)
             intf_ns = power.measured_interference(gains, p_eval, sched, noise,

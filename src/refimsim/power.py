@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scheduling import NO_USER
+from .topology import pad_neighbor_sets
 
 LN2 = math.log(2.0)
 
@@ -91,12 +92,6 @@ def kkt_power(weight, lam, tax, intf_noise_w, own_gain, mask):
         level = np.where(denom > 0, weight / np.where(denom > 0, denom, 1.0), np.inf)
     p = level - np.asarray(intf_noise_w, dtype=float) / np.asarray(own_gain, dtype=float)
     return np.clip(p, 0.0, mask)
-
-
-def default_lambda_max(weights, own_gains, noise_w):
-    """Smallest multiplier scale forcing every subchannel to zero power."""
-    return float(np.max(np.asarray(weights) * np.asarray(own_gains)
-                        / (np.asarray(noise_w) * LN2)))
 
 
 def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, masks,
@@ -268,36 +263,40 @@ def wf_step(bs, sched, prev_powers, gains, weights, noise_w, budget, masks):
 
 
 def _ground_truth_references(cells, sched, gains, weights, noise_w, neighbor_sets,
-                             powers, ref_count):
-    """(N, S) taxation recomputed from current ground truth (general algorithm)."""
-    N, S = sched.shape
-    taxes = np.zeros((N, S))
-    if ref_count == 0:
-        return taxes
-    for n in range(N):
-        for s in range(S):
-            cands = []
-            for m in neighbor_sets[n]:
-                k = sched[m, s]
-                if k == NO_USER:
-                    continue
-                cands.append((gains[k, n, s], m, k))
-            cands.sort(key=lambda c: -c[0])
-            for cross, m, k in cands[:ref_count]:
-                taxes[n, s] += taxation_term(weights[k], k, n, m, gains, powers,
-                                             noise_w, s)
-    return taxes
+                             powers, ref_count, total=None):
+    """(N, S) taxation recomputed from current ground truth (general algorithm).
+
+    References are ranked by reference.rank_references, as on the table path,
+    but on exact current-slot values: F0 is the cross gain, F1 the weight, F2
+    the serving-link received power and F3 the rest of `total` (the received
+    power at `powers`, computed here when not given) plus noise.
+    """
+    from .reference import rank_references  # local to avoid cycle
+
+    if total is None:
+        total = np.einsum("kms,ms->ks", gains, powers)
+    nbr = pad_neighbor_sets(neighbor_sets)
+    sel, idx, users = rank_references(nbr, sched[nbr], gains, ref_count)
+    s = idx[1]
+    m = sel.ref_bs[idx]
+    signal = gains[users, m, s] * powers[m, s]
+    sel.f1[idx] = np.asarray(weights)[users]
+    sel.f2[idx] = signal
+    sel.f3[idx] = total[users, s] - signal + noise_w[users, s]
+    return sel.taxes()
 
 
 def general_algorithm(cells, gains, weights, noise_w, neighbor_sets, budgets, masks,
                       init_powers, sched_iters=1, power_iters=1, ref_count=1,
-                      subchannel_bw_hz=1.0, sinr_gap=1.0, p_tol=1e-6, allowed=None):
+                      subchannel_bw_hz=1.0, sinr_gap=1.0, p_tol=1e-6, allowed=None,
+                      return_iters=False):
     """Looped joint scheduling + power allocation for one slot.
 
     Outer loop: reschedule and re-abstract the neighborhood at the current
     powers; inner loop: refresh taxation/interference and re-allocate until
     the powers stop moving or the cap is hit. Caps (1,1) reproduce the
-    loop-free step-by-step pipeline.
+    loop-free step-by-step pipeline. Returns (sched, powers), plus the
+    largest bisection iteration count over the slot when return_iters.
     """
     from .scheduling import schedule_users, sinr_matrix, rate  # local to avoid cycle
 
@@ -310,6 +309,7 @@ def general_algorithm(cells, gains, weights, noise_w, neighbor_sets, budgets, ma
 
     p = np.array(init_powers, dtype=float)
     sched = None
+    iter_max = 0
     for _ in range(sched_iters):
         gamma = sinr_matrix(gains, p, serving, noise_w)
         rates = rate(gamma, sinr_gap, subchannel_bw_hz)
@@ -320,13 +320,17 @@ def general_algorithm(cells, gains, weights, noise_w, neighbor_sets, budgets, ma
         w, g, sig = scheduled_arrays(gains, sched, weights, noise_w)
         masks_eff = np.where(sched == NO_USER, 0.0, masks)
         for _ in range(power_iters):
+            total = np.einsum("kms,ms->ks", gains, p)
             taxes = _ground_truth_references(cells, sched, gains, weights, noise_w,
-                                             neighbor_sets, p, ref_count)
-            intf = measured_interference(gains, p, sched, noise_w)
-            p_new, _, _ = allocate_bisection_batch(w, taxes, intf, g, budgets,
-                                                   masks_eff, noise_w=sig)
+                                             neighbor_sets, p, ref_count, total=total)
+            intf = measured_interference(gains, p, sched, noise_w, total=total)
+            p_new, _, iters = allocate_bisection_batch(w, taxes, intf, g, budgets,
+                                                       masks_eff, noise_w=sig)
+            iter_max = max(iter_max, int(iters.max()))
             delta = float(np.max(np.abs(p_new - p))) if p.size else 0.0
             p = p_new
             if delta < p_tol:
                 break
+    if return_iters:
+        return sched, p, iter_max
     return sched, p

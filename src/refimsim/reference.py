@@ -8,7 +8,7 @@ per-slot exchange is the scheduled-user indices; femto cells are
 represented to outsiders by one fixed user.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -219,23 +219,61 @@ def select_reference(network, bs, views, tables, count):
     Returns a single-row ReferenceSelection; its taxes(0) is the (S,)
     taxation vector for this BS.
     """
-    S = network.subchannel_count
-    out = _empty_selection(1, S, max(count, 1))
-    if count > 0:
-        _select_into(network, bs, views, tables, count, out, 0)
-    return out
+    enabled = np.arange(network.n_bs) == bs
+    full = select_references(network, views, tables, count, enabled=enabled)
+    return ReferenceSelection(*(getattr(full, f.name)[bs:bs + 1] for f in fields(full)))
 
 
 def select_references(network, views, tables, count, enabled=None):
-    """ReferenceSelection for every BS at once (engine path)."""
-    N, S = network.n_bs, network.subchannel_count
-    out = _empty_selection(N, S, max(count, 1))
-    if count > 0:
-        for n in range(N):
-            if enabled is not None and not enabled[n]:
-                continue
-            _select_into(network, n, views, tables, count, out, n)
-    return out
+    """ReferenceSelection for every BS at once (engine path).
+
+    Each viewer reads the view of its class (femto viewers read femto_view)
+    and ranks the published candidates by their cross gain toward itself;
+    rows of BSs that are not `enabled` stay empty.
+    """
+    nbr = network.neighbor_index
+    femto = np.array([b.tier == TIER_FEMTO for b in network.base_stations])
+    cand = views.macro_view[nbr]                       # (N, B, S)
+    cand[femto] = views.femto_view[nbr[femto]]
+    usable = tables.pub_valid[cand]
+    if enabled is not None:
+        usable &= np.asarray(enabled, dtype=bool)[:, None, None]
+    cand = np.where(usable, cand, NO_USER)
+    sel, idx, users = rank_references(nbr, cand, tables.pub_f0, count)
+    s = idx[1]
+    sel.f1[idx] = tables.pub_f1[users]
+    sel.f2[idx] = tables.pub_f2[users, s]
+    sel.f3[idx] = tables.pub_f3[users, s]
+    return sel
+
+
+def rank_references(nbr, cand, cross_gains, count):
+    """Keep the `count` strongest candidates per (viewer, subchannel).
+
+    nbr: (N, B) neighbor ids padded with -1. cand: (N, B, S) candidate user
+    of each neighbor, NO_USER where there is none. cross_gains: (K, N, S)
+    gain of user k toward BS n; candidates are ranked by their gain toward
+    the viewer, and ties keep neighbor order (stable sort).
+
+    Returns (selection, (n, s, m), users): the selection has ref_bs, ref_user
+    and f0 set and f1-f3 at their defaults; (n, s, m) index its valid
+    entries in C order and users holds the reference user of each, so the
+    caller fills f1-f3 from its own source.
+    """
+    N, _, S = cand.shape
+    valid = (cand != NO_USER) & (nbr >= 0)[:, :, None]
+    ksafe = np.where(valid, cand, 0)
+    cross = cross_gains[ksafe, np.arange(N)[:, None, None], np.arange(S)]
+    key = np.where(valid, cross, -np.inf)
+    order = np.argsort(-key, axis=1, kind="stable")[:, :count]   # (N, M, S)
+    n, s, m = np.nonzero(np.take_along_axis(valid, order, axis=1).transpose(0, 2, 1))
+    b = order[n, m, s]                           # neighbor position of each reference
+    users = ksafe[n, b, s]
+    sel = _empty_selection(N, S, max(count, 1))
+    sel.ref_bs[n, s, m] = nbr[n, b]
+    sel.ref_user[n, s, m] = users
+    sel.f0[n, s, m] = cross[n, b, s]
+    return sel, (n, s, m), users
 
 
 def _empty_selection(N, S, M):
@@ -245,32 +283,3 @@ def _empty_selection(N, S, M):
         f0=np.zeros((N, S, M)), f1=np.zeros((N, S, M)),
         f2=np.ones((N, S, M)), f3=np.ones((N, S, M)),
     )
-
-
-def _select_into(network, n, views, tables, count, out, row):
-    if count == 0:
-        return
-    nbrs = network.neighbor_sets[n]
-    if not nbrs:
-        return
-    view = views.for_viewer(network, n)
-    cand = view[nbrs, :]                       # (B, S) candidate user per neighbor
-    present = cand != NO_USER
-    ksafe = np.where(present, cand, 0)
-    valid = present & tables.pub_valid[ksafe]
-    cross = tables.pub_f0[ksafe, n, np.arange(cand.shape[1])[None, :]]
-    cross = np.where(valid, cross, -np.inf)
-    order = np.argsort(-cross, axis=0, kind="stable")  # strongest victim first
-    top = order[:count]                        # (M, S) neighbor positions
-    scols = np.arange(cand.shape[1])[None, :]
-    chosen_valid = np.take_along_axis(valid, top, axis=0)
-    nbr_ids = np.asarray(nbrs)[top]
-    users = ksafe[top, scols]
-    for m in range(top.shape[0]):
-        ok = chosen_valid[m]
-        out.ref_bs[row, ok, m] = nbr_ids[m, ok]
-        out.ref_user[row, ok, m] = users[m, ok]
-        out.f0[row, ok, m] = tables.pub_f0[users[m, ok], n, scols[0, ok]]
-        out.f1[row, ok, m] = tables.pub_f1[users[m, ok]]
-        out.f2[row, ok, m] = tables.pub_f2[users[m, ok], scols[0, ok]]
-        out.f3[row, ok, m] = tables.pub_f3[users[m, ok], scols[0, ok]]

@@ -4,6 +4,7 @@ Positions are in meters on a flat 2-D plane. A Network is built once and
 treated as immutable afterwards; mobility keeps its own position state.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -96,6 +97,15 @@ class DiscRegion:
         return (self.center[0] + rho * math.cos(theta), self.center[1] + rho * math.sin(theta))
 
 
+def pad_neighbor_sets(neighbor_sets):
+    """(N, B) int array of each BS's neighbor ids in order, padded with -1."""
+    width = max((len(nbrs) for nbrs in neighbor_sets), default=0)
+    out = np.full((len(neighbor_sets), width), -1, dtype=int)
+    for n, nbrs in enumerate(neighbor_sets):
+        out[n, :len(nbrs)] = nbrs
+    return out
+
+
 @dataclass
 class Network:
     """Immutable layout: stations, users, neighbor sets, spectrum grid."""
@@ -124,6 +134,13 @@ class Network:
     @property
     def n_users(self):
         return len(self.users)
+
+    @functools.cached_property
+    def neighbor_index(self):
+        """(N, B) neighbor ids padded with -1; B is the largest neighbor set."""
+        index = pad_neighbor_sets(self.neighbor_sets)
+        index.flags.writeable = False
+        return index
 
     def users_of(self, n):
         """Sorted user ids associated with BS n (the cell's user set)."""

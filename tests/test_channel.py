@@ -5,7 +5,7 @@ from scipy.special import j0
 from refimsim.channel import (
     MAX_OSCILLATORS, TILE_LINKS, FadingState, PropagationConfig, dump_snapshot_csv,
     large_scale_linear, noise_power_w, path_loss_db, path_loss_matrix_db,
-    sample_shadowing, shadowing_matrix_db, snapshot, wall_count,
+    sample_shadowing, shadowing_matrix_db, snapshot, wall_mask,
 )
 from refimsim.topology import BaseStation, Network, User, build_hex_grid, place_users
 
@@ -33,11 +33,14 @@ class TestPathLoss:
         outdoor = User(id=0, position=(1, 1), serving_bs=0)
         same_home = User(id=1, position=(6, 0), serving_bs=1, indoor=True, home_id=3)
         other_home = User(id=2, position=(9, 0), serving_bs=1, indoor=True, home_id=4)
-        assert wall_count(macro, outdoor) == 0
-        assert wall_count(macro, same_home) == 1
-        assert wall_count(femto, same_home) == 0
-        assert wall_count(femto, other_home) == 1
-        assert wall_count(femto, outdoor) == 1
+        net = Network(base_stations=[macro, femto], users=[outdoor, same_home, other_home],
+                      neighbor_sets=[[1], [0]], subchannel_count=1, bandwidth_hz=1e7)
+        walls = wall_mask(net)
+        assert not walls[outdoor.id, macro.id]
+        assert walls[same_home.id, macro.id]
+        assert not walls[same_home.id, femto.id]
+        assert walls[other_home.id, femto.id]
+        assert walls[outdoor.id, femto.id]
 
     def test_monotone_in_distance(self):
         d = np.sort(np.random.default_rng(0).uniform(1.0, 5000.0, size=50))

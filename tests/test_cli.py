@@ -125,6 +125,17 @@ class TestRunCommand:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("doc", [{"preset": "two-cell", "ewma_beta": 0},
+                                     {"feedback_period_slots": 0}])
+    def test_invalid_field_in_config_exit_1_no_outputs(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "never"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestSweepCommand:
     def test_row_per_value(self, tmp_path):
         out = tmp_path / "s"

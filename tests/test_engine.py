@@ -147,6 +147,7 @@ class TestRun:
                                 slots=10, warmup_slots=2))
         assert res.constraint_violations == 0
         assert res.gat_bps > 0
+        assert 1 <= res.bisection_iter_max <= res.bisection_iter_bound
 
     def test_initial_power_rules_run(self):
         for rule in ("uniform", "random", "previous"):

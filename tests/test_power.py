@@ -261,6 +261,68 @@ def general_instance(seed, n_bs=2, n_sub=2, upc=2):
     return cells, gains, noise, weights, budgets, masks, nbrs
 
 
+def looped_ground_truth_taxes(sched, gains, weights, noise, neighbor_sets, powers,
+                              ref_count):
+    """N x S x neighbor ground-truth taxation loop the batch kernel replaced."""
+    N, S = sched.shape
+    taxes = np.zeros((N, S))
+    if ref_count == 0:
+        return taxes
+    for n in range(N):
+        for s in range(S):
+            cands = []
+            for m in neighbor_sets[n]:
+                k = sched[m, s]
+                if k == NO_USER:
+                    continue
+                cands.append((gains[k, n, s], m, k))
+            cands.sort(key=lambda c: -c[0])
+            for cross, m, k in cands[:ref_count]:
+                taxes[n, s] += taxation_term(weights[k], k, n, m, gains, powers, noise, s)
+    return taxes
+
+
+class TestGroundTruthReferences:
+    """_ground_truth_references against the loop it replaced."""
+
+    def _instance(self, seed, ties):
+        from refimsim.engine import Scenario, allowed_subchannels, build_network
+        from refimsim.scheduling import rate, schedule_users, sinr_matrix
+        # macros and femtos split the spectrum, so every BS has NO_USER entries
+        sc = Scenario(kind="hetnet", rings=1, femtos_per_macro=2, macro_users_per_cell=3,
+                      femto_users_per_cell=2, subchannels=6, seed=seed,
+                      spectrum_policy="splitting", macro_subchannels=3)
+        net = build_network(sc)
+        rng = np.random.default_rng(seed)
+        K, N, S = net.n_users, net.n_bs, sc.subchannels
+        if ties:  # three gain levels: many candidates tie on cross gain
+            gains = rng.integers(1, 4, size=(K, N, S)) / 3.0
+        else:
+            gains = rng.lognormal(-2.0, 1.0, size=(K, N, S))
+        noise = np.full((K, S), 0.05)
+        weights = rng.uniform(0.2, 2.0, size=K)
+        powers = rng.uniform(0.1, 1.0, size=(N, S))
+        cells = net.cells()
+        serving = np.array([u.serving_bs for u in net.users])
+        rates = rate(sinr_matrix(gains, powers, serving, noise))
+        sched = schedule_users(cells, weights, rates, allowed=allowed_subchannels(net, sc))
+        assert np.all((sched == NO_USER).any(axis=1))
+        return cells, sched, gains, weights, noise, net.neighbor_sets, powers
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_loop(self, seed, ties):
+        cells, sched, gains, weights, noise, nbrs, powers = self._instance(seed, ties)
+        for ref_count in range(4):
+            got = power._ground_truth_references(cells, sched, gains, weights, noise,
+                                                 nbrs, powers, ref_count)
+            want = looped_ground_truth_taxes(sched, gains, weights, noise, nbrs, powers,
+                                             ref_count)
+            assert got.shape == want.shape
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 class TestGeneralAlgorithm:
     def test_caps_validated(self):
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(0)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from refimsim.engine import build_network
 from refimsim.power import taxation_term
+from refimsim.presets import get_preset
 from refimsim.reference import (
     CandidateTables, FeedbackConfig, exchange_scheduled_indices,
     refresh_candidate_tables, representative_users, select_reference,
@@ -291,6 +293,108 @@ class TestSelection:
                 for s in range(net.subchannel_count):
                     if sel.ref_bs[n, s, 0] >= 0:
                         assert sel.ref_bs[n, s, 0] in net.neighbor_sets[n]
+
+
+def looped_select_references(network, views, tables, count, enabled=None):
+    """Per-BS reference selection loop the batch kernel replaced (reference)."""
+    N, S = network.n_bs, network.subchannel_count
+    M = max(count, 1)
+    out = {"ref_bs": np.full((N, S, M), -1), "ref_user": np.full((N, S, M), NO_USER),
+           "f0": np.zeros((N, S, M)), "f1": np.zeros((N, S, M)),
+           "f2": np.ones((N, S, M)), "f3": np.ones((N, S, M))}
+    for n in range(N):
+        nbrs = network.neighbor_sets[n]
+        if count == 0 or not nbrs or (enabled is not None and not enabled[n]):
+            continue
+        cand = views.for_viewer(network, n)[nbrs, :]
+        present = cand != NO_USER
+        ksafe = np.where(present, cand, 0)
+        valid = present & tables.pub_valid[ksafe]
+        cross = tables.pub_f0[ksafe, n, np.arange(S)[None, :]]
+        cross = np.where(valid, cross, -np.inf)
+        top = np.argsort(-cross, axis=0, kind="stable")[:count]
+        scols = np.arange(S)[None, :]
+        chosen_valid = np.take_along_axis(valid, top, axis=0)
+        nbr_ids = np.asarray(nbrs)[top]
+        users = ksafe[top, scols]
+        for m in range(top.shape[0]):
+            ok = chosen_valid[m]
+            u, sc = users[m, ok], scols[0, ok]
+            out["ref_bs"][n, ok, m] = nbr_ids[m, ok]
+            out["ref_user"][n, ok, m] = u
+            out["f0"][n, ok, m] = tables.pub_f0[u, n, sc]
+            out["f1"][n, ok, m] = tables.pub_f1[u]
+            out["f2"][n, ok, m] = tables.pub_f2[u, sc]
+            out["f3"][n, ok, m] = tables.pub_f3[u, sc]
+    return out
+
+
+def random_tables(net, rng, tie_levels=None):
+    """Published tables with random records; with tie_levels, cross gains
+    take only that many distinct values, so rankings tie often."""
+    K, N, S = net.n_users, net.n_bs, net.subchannel_count
+    tables = CandidateTables(net)
+    if tie_levels is None:
+        tables.pub_f0 = rng.lognormal(-2.0, 1.0, size=(K, N, S))
+    else:
+        tables.pub_f0 = rng.integers(1, tie_levels + 1, size=(K, N, S)) / tie_levels
+    tables.pub_f1 = rng.uniform(0.2, 2.0, size=K)
+    tables.pub_f2 = rng.uniform(0.1, 1.0, size=(K, S))
+    tables.pub_f3 = rng.uniform(0.1, 1.0, size=(K, S))
+    tables.pub_valid = rng.random(K) < 0.8
+    return tables
+
+
+def random_schedule(net, rng, idle_frac=0.2):
+    """(N, S) random cell member per (bs, subchannel); some idle (NO_USER)."""
+    cells = net.cells()
+    sched = np.array([rng.choice(ids, size=net.subchannel_count) for ids in cells])
+    return np.where(rng.random(sched.shape) < idle_frac, NO_USER, sched)
+
+
+class TestBatchSelection:
+    """select_references against the per-BS loop it replaced, field by field."""
+
+    FIELDS = ("ref_bs", "ref_user", "f0", "f1", "f2", "f3")
+
+    def _check(self, net, fb, seed, tie_levels=None):
+        rng = np.random.default_rng(seed)
+        tables = random_tables(net, rng, tie_levels)
+        sched = random_schedule(net, rng)
+        views = exchange_scheduled_indices(net, sched, 0, fb)
+        for enabled in (None, rng.random(net.n_bs) < 0.7):
+            for count in range(4):
+                got = select_references(net, views, tables, count, enabled=enabled)
+                want = looped_select_references(net, views, tables, count, enabled)
+                for name in self.FIELDS:
+                    assert np.array_equal(getattr(got, name), want[name]), (name, count)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hex19_matches_loop(self, seed):
+        net = build_network(get_preset("hex19"))
+        self._check(net, FeedbackConfig(), seed)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_hetnet10_without_overhearing_matches_loop(self, seed):
+        net = build_network(get_preset("hetnet10"))
+        self._check(net, FeedbackConfig(femto_overhear=False), seed)
+
+    @pytest.mark.parametrize("net_name", ["hex19", "hetnet10"])
+    def test_tied_cross_gains_keep_neighbor_order(self, net_name):
+        net = build_network(get_preset(net_name))
+        self._check(net, FeedbackConfig(femto_overhear=False), 7, tie_levels=2)
+
+    def test_bs_without_neighbors(self):
+        base = protocol_network(n_sub=3)
+        net = Network(base_stations=base.base_stations, users=base.users,
+                      neighbor_sets=[[], [0, 2], [1]], subchannel_count=3,
+                      bandwidth_hz=10e6)
+        for seed in range(4):
+            self._check(net, FeedbackConfig(), seed, tie_levels=3)
+        lonely = Network(base_stations=base.base_stations, users=base.users,
+                         neighbor_sets=[[], [], []], subchannel_count=3,
+                         bandwidth_hz=10e6)
+        self._check(lonely, FeedbackConfig(), 0)
 
 
 class TestProtocolDeterminism:

@@ -361,7 +361,7 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
                 cells, gains, weights, noise, net.neighbor_sets, budgets, masks,
                 p_eval, sched_iters=sc.sched_loops, power_iters=sc.power_loops,
                 ref_count=sc.ref_count, subchannel_bw_hz=bw_sub, sinr_gap=gap,
-                allowed=allowed, return_iters=True)
+                allowed=allowed)
             iter_max = max(iter_max, iters)
         else:
             w_ns, g_ns, sig_ns = power.scheduled_arrays(gains, sched, weights, noise)

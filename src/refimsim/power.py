@@ -262,20 +262,18 @@ def wf_step(bs, sched, prev_powers, gains, weights, noise_w, budget, masks):
                       budget, masks, enabled=False)
 
 
-def _ground_truth_references(cells, sched, gains, weights, noise_w, neighbor_sets,
-                             powers, ref_count, total=None):
+def _ground_truth_references(sched, gains, weights, noise_w, nbr, powers, total,
+                             ref_count):
     """(N, S) taxation recomputed from current ground truth (general algorithm).
 
     References are ranked by reference.rank_references, as on the table path,
     but on exact current-slot values: F0 is the cross gain, F1 the weight, F2
-    the serving-link received power and F3 the rest of `total` (the received
-    power at `powers`, computed here when not given) plus noise.
+    the serving-link received power and F3 the rest of `total` (the (K, S)
+    received power at `powers`) plus noise. nbr is the (N, B) padded
+    neighbor index.
     """
     from .reference import rank_references  # local to avoid cycle
 
-    if total is None:
-        total = np.einsum("kms,ms->ks", gains, powers)
-    nbr = pad_neighbor_sets(neighbor_sets)
     sel, idx, users = rank_references(nbr, sched[nbr], gains, ref_count)
     s = idx[1]
     m = sel.ref_bs[idx]
@@ -288,15 +286,14 @@ def _ground_truth_references(cells, sched, gains, weights, noise_w, neighbor_set
 
 def general_algorithm(cells, gains, weights, noise_w, neighbor_sets, budgets, masks,
                       init_powers, sched_iters=1, power_iters=1, ref_count=1,
-                      subchannel_bw_hz=1.0, sinr_gap=1.0, p_tol=1e-6, allowed=None,
-                      return_iters=False):
+                      subchannel_bw_hz=1.0, sinr_gap=1.0, p_tol=1e-6, allowed=None):
     """Looped joint scheduling + power allocation for one slot.
 
     Outer loop: reschedule and re-abstract the neighborhood at the current
     powers; inner loop: refresh taxation/interference and re-allocate until
     the powers stop moving or the cap is hit. Caps (1,1) reproduce the
-    loop-free step-by-step pipeline. Returns (sched, powers), plus the
-    largest bisection iteration count over the slot when return_iters.
+    loop-free step-by-step pipeline. Returns (sched, powers, iter_max), the
+    last being the largest bisection iteration count over the slot.
     """
     from .scheduling import schedule_users, sinr_matrix, rate  # local to avoid cycle
 
@@ -307,6 +304,7 @@ def general_algorithm(cells, gains, weights, noise_w, neighbor_sets, budgets, ma
         for k in ids:
             serving[k] = n
 
+    nbr = pad_neighbor_sets(neighbor_sets)
     p = np.array(init_powers, dtype=float)
     sched = None
     iter_max = 0
@@ -321,8 +319,8 @@ def general_algorithm(cells, gains, weights, noise_w, neighbor_sets, budgets, ma
         masks_eff = np.where(sched == NO_USER, 0.0, masks)
         for _ in range(power_iters):
             total = np.einsum("kms,ms->ks", gains, p)
-            taxes = _ground_truth_references(cells, sched, gains, weights, noise_w,
-                                             neighbor_sets, p, ref_count, total=total)
+            taxes = _ground_truth_references(sched, gains, weights, noise_w, nbr, p,
+                                             total, ref_count)
             intf = measured_interference(gains, p, sched, noise_w, total=total)
             p_new, _, iters = allocate_bisection_batch(w, taxes, intf, g, budgets,
                                                        masks_eff, noise_w=sig)
@@ -331,6 +329,4 @@ def general_algorithm(cells, gains, weights, noise_w, neighbor_sets, budgets, ma
             p = p_new
             if delta < p_tol:
                 break
-    if return_iters:
-        return sched, p, iter_max
-    return sched, p
+    return sched, p, iter_max

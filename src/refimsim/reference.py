@@ -14,7 +14,7 @@ import numpy as np
 
 from .power import taxation_from_feedback
 from .scheduling import NO_USER
-from .topology import TIER_FEMTO, classify_edge_users
+from .topology import TIER_FEMTO, classify_edge_users, pad_neighbor_sets
 
 
 @dataclass
@@ -231,7 +231,7 @@ def select_references(network, views, tables, count, enabled=None):
     and ranks the published candidates by their cross gain toward itself;
     rows of BSs that are not `enabled` stay empty.
     """
-    nbr = network.neighbor_index
+    nbr = pad_neighbor_sets(network.neighbor_sets)
     femto = np.array([b.tier == TIER_FEMTO for b in network.base_stations])
     cand = views.macro_view[nbr]                       # (N, B, S)
     cand[femto] = views.femto_view[nbr[femto]]

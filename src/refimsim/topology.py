@@ -4,7 +4,6 @@ Positions are in meters on a flat 2-D plane. A Network is built once and
 treated as immutable afterwards; mobility keeps its own position state.
 """
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -134,13 +133,6 @@ class Network:
     @property
     def n_users(self):
         return len(self.users)
-
-    @functools.cached_property
-    def neighbor_index(self):
-        """(N, B) neighbor ids padded with -1; B is the largest neighbor set."""
-        index = pad_neighbor_sets(self.neighbor_sets)
-        index.flags.writeable = False
-        return index
 
     def users_of(self, n):
         """Sorted user ids associated with BS n (the cell's user set)."""

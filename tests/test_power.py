@@ -11,6 +11,7 @@ from refimsim.power import (
 )
 from refimsim.reference import ReferenceSelection
 from refimsim.scheduling import NO_USER
+from refimsim.topology import pad_neighbor_sets
 
 
 def random_alloc_inputs(seed, n_sub=8):
@@ -313,9 +314,11 @@ class TestGroundTruthReferences:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_loop(self, seed, ties):
         cells, sched, gains, weights, noise, nbrs, powers = self._instance(seed, ties)
+        nbr = pad_neighbor_sets(nbrs)
+        total = np.einsum("kms,ms->ks", gains, powers)
         for ref_count in range(4):
-            got = power._ground_truth_references(cells, sched, gains, weights, noise,
-                                                 nbrs, powers, ref_count)
+            got = power._ground_truth_references(sched, gains, weights, noise, nbr,
+                                                 powers, total, ref_count)
             want = looped_ground_truth_taxes(sched, gains, weights, noise, nbrs, powers,
                                              ref_count)
             assert got.shape == want.shape
@@ -336,8 +339,8 @@ class TestGeneralAlgorithm:
         p0 = initial_power("uniform", budgets, masks)
         hs = []
         for i in (1, 2, 3, 4):
-            sched, p = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
-                                         masks, p0, sched_iters=i, power_iters=2)
+            sched, p, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
+                                            masks, p0, sched_iters=i, power_iters=2)
             hs.append(evaluate_objective(gains, noise, weights, p, sched))
         assert all(hs[j + 1] >= hs[j] - 1e-9 for j in range(len(hs) - 1))
 
@@ -345,10 +348,10 @@ class TestGeneralAlgorithm:
     def test_more_loops_never_hurt_from_uniform_start(self, seed):
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(seed)
         p0 = initial_power("uniform", budgets, masks)
-        s1, p1 = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
-                                   masks, p0, 1, 1)
-        s3, p3 = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
-                                   masks, p0, 3, 3)
+        s1, p1, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
+                                      masks, p0, 1, 1)
+        s3, p3, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
+                                      masks, p0, 3, 3)
         h1 = evaluate_objective(gains, noise, weights, p1, s1)
         h3 = evaluate_objective(gains, noise, weights, p3, s3)
         assert h3 >= h1 - 1e-9
@@ -357,14 +360,15 @@ class TestGeneralAlgorithm:
         from refimsim.scheduling import rate, schedule_users, sinr_matrix
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(2)
         p0 = initial_power("uniform", budgets, masks)
-        sched_g, p_g = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
-                                         masks, p0, 1, 1)
+        sched_g, p_g, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
+                                            masks, p0, 1, 1)
         serving = np.array([0, 0, 1, 1])
         rates = rate(sinr_matrix(gains, p0, serving, noise))
         sched = schedule_users(cells, weights, rates)
         assert np.array_equal(sched_g, sched)
-        taxes = power._ground_truth_references(cells, sched, gains, weights, noise,
-                                               nbrs, p0, 1)
+        total = np.einsum("kms,ms->ks", gains, p0)
+        taxes = power._ground_truth_references(sched, gains, weights, noise,
+                                               pad_neighbor_sets(nbrs), p0, total, 1)
         w, g, sig = scheduled_arrays(gains, sched, weights, noise)
         intf = measured_interference(gains, p0, sched, noise)
         p_manual, _, _ = allocate_bisection_batch(w, taxes, intf, g, budgets, masks,
@@ -375,6 +379,6 @@ class TestGeneralAlgorithm:
     def test_emitted_powers_feasible(self, seed):
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(seed, n_bs=2)
         p0 = initial_power("uniform", budgets, masks)
-        _, p = general_algorithm(cells, gains, weights, noise, nbrs, budgets, masks,
-                                 p0, 3, 3)
+        _, p, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets, masks,
+                                    p0, 3, 3)
         PowerMatrix(p, budgets, masks).validate()

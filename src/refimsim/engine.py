@@ -229,6 +229,7 @@ class RunResult:
     avg_power_w: np.ndarray           # (N, S) mean committed power
     bisection_iter_max: int
     bisection_iter_bound: int
+    bisection_budget_misses: int      # BS-slots with lambda > 0 off the budget by >= delta
     constraint_violations: int
     power_trace: list = field(default_factory=list)
     schedule_trace: list = field(default_factory=list)
@@ -249,6 +250,7 @@ class RunResult:
             "aat_bps": self.aat_bps,
             "bisection_iter_max": self.bisection_iter_max,
             "bisection_iter_bound": self.bisection_iter_bound,
+            "bisection_budget_misses": self.bisection_budget_misses,
             "constraint_violations": self.constraint_violations,
         }
 
@@ -305,6 +307,7 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
     power_sum = np.zeros((N, S))
     measured = 0
     iter_max = 0
+    budget_misses = 0
     violations = 0
     power_trace = []
     schedule_trace = []
@@ -356,8 +359,9 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
 
         if sc.algorithm == "eq":
             committed = eq_powers
+            lam = None
         elif sc.algorithm == "general":
-            sched, committed, iters = power.general_algorithm(
+            sched, committed, lam, iters = power.general_algorithm(
                 cells, gains, weights, noise, net.neighbor_sets, budgets, masks,
                 p_eval, sched_iters=sc.sched_loops, power_iters=sc.power_loops,
                 ref_count=sc.ref_count, subchannel_bw_hz=bw_sub, sinr_gap=gap,
@@ -370,9 +374,11 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
             masks_eff = np.where(sched == NO_USER, 0.0, masks)
             if taxes is None:
                 taxes = np.zeros((N, S))
-            committed, _, iters = power.allocate_bisection_batch(
+            committed, lam, iters = power.allocate_bisection_batch(
                 w_ns, taxes, intf_ns, g_ns, budgets, masks_eff, noise_w=sig_ns)
             iter_max = max(iter_max, int(iters.max()))
+        if lam is not None:
+            budget_misses += power.budget_misses(committed, lam, budgets)
 
         violations += power.PowerMatrix(committed, budgets, masks).violations()
         scheduled = sched != NO_USER
@@ -408,6 +414,7 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
         accumulated_rate_bps=accum, measured_slots=measured,
         serve_counts=serve_counts, avg_power_w=power_sum / measured,
         bisection_iter_max=iter_max, bisection_iter_bound=power.BISECTION_ITER_BOUND,
+        bisection_budget_misses=budget_misses,
         constraint_violations=violations,
         power_trace=power_trace, schedule_trace=schedule_trace,
         protocol_trace=protocol_trace or [],

@@ -32,7 +32,7 @@ def settle_algorithm(algo, gains, noise_w, cells, weights, budgets, masks,
         p = power.initial_power("uniform", budgets, masks)
         sched = None
         for _ in range(iters):
-            sched, p, _ = power.general_algorithm(
+            sched, p, _, _ = power.general_algorithm(
                 cells, gains, weights, noise_w, neighbor_sets, budgets, masks, p,
                 sched_iters=1, power_iters=1, ref_count=ref_count,
                 subchannel_bw_hz=subchannel_bw_hz, sinr_gap=sinr_gap)

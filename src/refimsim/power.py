@@ -80,27 +80,58 @@ def taxation_term(weight_ref, ref_user, taxed_bs, serving_bs, gains, powers, noi
     return taxation_from_feedback(weight_ref, g[taxed_bs], signal, intf_noise)
 
 
+def _kkt_into(out, weights, floor, masks):
+    """In place: out <- clip(weights/out - floor, 0, masks).
+
+    On entry out holds the denominators lam*ln2 + t, all > 0; floor is
+    (I+sigma)/g. This is the one place the KKT formula is written.
+    """
+    np.divide(weights, out, out=out)
+    out -= floor
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, masks, out=out)
+
+
+def _kkt(lam, weights, taxes, floor, masks):
+    """KKT powers for a denominator lam*ln2 + t of any sign.
+
+    A denominator that is not > 0 (lam = 0 with t = 0) means an unbounded
+    water level: the weight there is replaced by inf over a unit denominator,
+    and the mask clip is the only thing bounding the result.
+    """
+    denom = lam * LN2 + taxes
+    unbounded = ~(denom > 0)
+    out = np.empty(np.broadcast_shapes(np.shape(denom), np.shape(weights), np.shape(floor),
+                                       np.shape(masks)))
+    out[...] = np.where(unbounded, 1.0, denom)
+    return _kkt_into(out, np.where(unbounded, np.inf, weights), floor, masks)
+
+
 def kkt_power(weight, lam, tax, intf_noise_w, own_gain, mask):
     """Clipped KKT fixed point: [w/(lam*ln2 + t) - (I+sigma)/g] in [0, mask].
 
     lam = 0 with t = 0 means an unbounded water level; the mask clip is the
     only thing bounding the result then.
     """
-    weight = np.asarray(weight, dtype=float)
-    denom = lam * LN2 + np.asarray(tax, dtype=float)
-    with np.errstate(divide="ignore"):
-        level = np.where(denom > 0, weight / np.where(denom > 0, denom, 1.0), np.inf)
-    p = level - np.asarray(intf_noise_w, dtype=float) / np.asarray(own_gain, dtype=float)
-    return np.clip(p, 0.0, mask)
+    floor = np.asarray(intf_noise_w, dtype=float) / np.asarray(own_gain, dtype=float)
+    return _kkt(lam, np.asarray(weight, dtype=float), np.asarray(tax, dtype=float), floor,
+                np.asarray(mask, dtype=float))
 
 
 def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, masks,
                              noise_w=None, lambda_max=None):
     """Lockstep bisection over N base stations at once.
 
-    weights/taxes/intf_noise/own_gains/masks: (N, S); budgets: (N,).
-    Returns (p (N, S), lam (N,), iters (N,)). Iterations per BS never exceed
+    weights/taxes/intf_noise/own_gains/masks: (N, S); budgets: (N,); taxes
+    must be >= 0 and lambda_max, when given, > 0. Returns (p (N, S),
+    lam (N,), iters (N,)). Iterations per BS never exceed
     BISECTION_ITER_BOUND.
+
+    Only the rows still searching are evaluated: a row leaves the working
+    arrays the iteration it meets its budget within delta. With taxes >= 0
+    and lam > 0 every denominator lam*ln2 + t is positive, so the loop needs
+    no unbounded-level case; p is evaluated once at the end from each row's
+    final lam.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     taxes = np.atleast_2d(np.asarray(taxes, dtype=float))
@@ -110,68 +141,74 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
     budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
     if np.any(budgets <= 0):
         raise ValueError("budgets must be > 0")
-    N = weights.shape[0]
+    if np.any(taxes < 0):
+        raise ValueError("taxes must be >= 0")
+    if lambda_max is not None and not lambda_max > 0:
+        raise ValueError("lambda_max must be > 0")
+    N, S = weights.shape
     noise_floor = intf_noise if noise_w is None else np.atleast_2d(np.asarray(noise_w, dtype=float))
-
-    def eval_p(lam):
-        return kkt_power(weights, lam[:, None], taxes, intf_noise, own_gains, masks)
+    floor = intf_noise / own_gains
 
     delta = BUDGET_RTOL * budgets
-    p = eval_p(np.zeros(N))
-    sums = p.sum(axis=1)
+    p = _kkt(0.0, weights, taxes, floor, masks)
     lam = np.zeros(N)
     iters = np.zeros(N, dtype=int)
-    active = sums > budgets + delta
-    if not active.any():
+    searching = np.flatnonzero(p.sum(axis=1) > budgets + delta)
+    if searching.size == 0:
         return p, lam, iters
 
+    w, t, fl, m = (a[searching] for a in (weights, taxes, floor, masks))
+    b, d = budgets[searching], delta[searching]
     if lambda_max is None:
         with np.errstate(divide="ignore"):
-            hi = np.max(weights * own_gains / (noise_floor * LN2), axis=1)
+            hi = np.max(w * own_gains[searching] / (noise_floor[searching] * LN2), axis=1)
     else:
-        hi = np.full(N, float(lambda_max))
+        hi = np.full(searching.size, float(lambda_max))
     # ensure the upper bracket undershoots the budget everywhere
     for _ in range(_MAX_BRACKET_DOUBLINGS):
-        over = active & (eval_p(hi).sum(axis=1) > budgets)
+        over = _kkt(hi[:, None], w, t, fl, m).sum(axis=1) > b
         if not over.any():
             break
         hi = np.where(over, hi * 2.0, hi)
     else:
         raise RuntimeError("bisection bracket failure: sum p(lambda_max) > budget")
 
-    lo = np.zeros(N)
+    rows = searching
+    lo = np.zeros(rows.size)
+    buf = np.empty((rows.size, S))
     for it in range(1, BISECTION_ITER_BOUND + 1):
         mid = 0.5 * (lo + hi)
-        pm = eval_p(mid)
-        sm = pm.sum(axis=1)
-        hit = active & (np.abs(sm - budgets) < delta)
-        p[hit] = pm[hit]
-        lam[hit] = mid[hit]
-        iters[hit] = it
-        active &= ~hit
-        if not active.any():
-            return p, lam, iters
-        go_up = active & (sm > budgets)
+        np.add((mid * LN2)[:, None], t, out=buf)
+        sm = np.add.reduce(_kkt_into(buf, w, fl, m), axis=1)
+        hit = np.abs(sm - b) < d
+        if hit.any():
+            lam[rows[hit]] = mid[hit]
+            iters[rows[hit]] = it
+            keep = ~hit
+            if not keep.any():
+                break
+            rows, lo, hi, mid, sm, w, t, fl, m, b, d = (
+                a[keep] for a in (rows, lo, hi, mid, sm, w, t, fl, m, b, d))
+            buf = buf[:rows.size]
+        go_up = sm > b
         lo = np.where(go_up, mid, lo)
-        hi = np.where(active & ~go_up, mid, hi)
+        hi = np.where(go_up, hi, mid)
+    else:
+        # interval exhausted: take the feasible (undershooting) endpoint
+        lam[rows] = hi
+        iters[rows] = BISECTION_ITER_BOUND
 
-    # interval exhausted: take the feasible (undershooting) endpoint
-    pend = eval_p(hi)
-    p[active] = pend[active]
-    lam[active] = hi[active]
-    iters[active] = BISECTION_ITER_BOUND
+    denom = lam[searching, None] * LN2 + taxes[searching]
+    p[searching] = _kkt_into(denom, weights[searching], floor[searching], masks[searching])
     return p, lam, iters
 
 
-def allocate_bisection(weights, taxes, intf_noise, own_gains, budget, masks,
-                       noise_w=None, lambda_max=None):
-    """Single-BS allocation; see allocate_bisection_batch. Returns (p, lam, iters)."""
-    p, lam, iters = allocate_bisection_batch(
-        weights[None, :], taxes[None, :], intf_noise[None, :], own_gains[None, :],
-        np.array([budget]), masks[None, :],
-        noise_w=None if noise_w is None else noise_w[None, :],
-        lambda_max=lambda_max)
-    return p[0], float(lam[0]), int(iters[0])
+def budget_misses(p, lam, budgets):
+    """Count of BSs whose bisection ended with lam > 0 but whose power misses
+    the budget by at least delta = BUDGET_RTOL * budget (the interval ran out
+    before the budget was met)."""
+    miss = np.abs(p.sum(axis=1) - budgets) >= BUDGET_RTOL * budgets
+    return int(np.count_nonzero((lam > 0) & miss))
 
 
 def initial_power(strategy, budgets, masks, prev=None, rng=None, slot=0):
@@ -251,9 +288,10 @@ def refim_step(bs, sched, references, prev_powers, gains, weights, noise_w,
     if enabled and references is not None:
         taxes = references.taxes(bs)
     masks_row = np.where(row == NO_USER, 0.0, np.asarray(masks, dtype=float))
-    p, lam, iters = allocate_bisection(w[0], taxes, intf, g[0], budget, masks_row,
-                                       noise_w=sig[0])
-    return p, lam, iters
+    p, lam, iters = allocate_bisection_batch(w, taxes[None, :], intf[None, :], g,
+                                             np.array([budget]), masks_row[None, :],
+                                             noise_w=sig)
+    return p[0], float(lam[0]), int(iters[0])
 
 
 def wf_step(bs, sched, prev_powers, gains, weights, noise_w, budget, masks):
@@ -292,8 +330,9 @@ def general_algorithm(cells, gains, weights, noise_w, neighbor_sets, budgets, ma
     Outer loop: reschedule and re-abstract the neighborhood at the current
     powers; inner loop: refresh taxation/interference and re-allocate until
     the powers stop moving or the cap is hit. Caps (1,1) reproduce the
-    loop-free step-by-step pipeline. Returns (sched, powers, iter_max), the
-    last being the largest bisection iteration count over the slot.
+    loop-free step-by-step pipeline. Returns (sched, powers, lam, iter_max):
+    lam is the budget multiplier of the bisection that produced `powers`,
+    iter_max the largest bisection iteration count over the slot.
     """
     from .scheduling import schedule_users, sinr_matrix, rate  # local to avoid cycle
 
@@ -309,7 +348,8 @@ def general_algorithm(cells, gains, weights, noise_w, neighbor_sets, budgets, ma
     sched = None
     iter_max = 0
     for _ in range(sched_iters):
-        gamma = sinr_matrix(gains, p, serving, noise_w)
+        total = np.einsum("kms,ms->ks", gains, p)
+        gamma = sinr_matrix(gains, p, serving, noise_w, total=total)
         rates = rate(gamma, sinr_gap, subchannel_bw_hz)
         new_sched = schedule_users(cells, weights, rates, allowed=allowed)
         if sched is not None and np.array_equal(new_sched, sched):
@@ -317,16 +357,17 @@ def general_algorithm(cells, gains, weights, noise_w, neighbor_sets, budgets, ma
         sched = new_sched
         w, g, sig = scheduled_arrays(gains, sched, weights, noise_w)
         masks_eff = np.where(sched == NO_USER, 0.0, masks)
-        for _ in range(power_iters):
-            total = np.einsum("kms,ms->ks", gains, p)
+        for i in range(power_iters):
+            if i > 0:
+                total = np.einsum("kms,ms->ks", gains, p)
             taxes = _ground_truth_references(sched, gains, weights, noise_w, nbr, p,
                                              total, ref_count)
             intf = measured_interference(gains, p, sched, noise_w, total=total)
-            p_new, _, iters = allocate_bisection_batch(w, taxes, intf, g, budgets,
-                                                       masks_eff, noise_w=sig)
+            p_new, lam, iters = allocate_bisection_batch(w, taxes, intf, g, budgets,
+                                                         masks_eff, noise_w=sig)
             iter_max = max(iter_max, int(iters.max()))
             delta = float(np.max(np.abs(p_new - p))) if p.size else 0.0
             p = p_new
             if delta < p_tol:
                 break
-    return sched, p, iter_max
+    return sched, p, lam, iter_max

@@ -19,9 +19,14 @@ def sinr(gains, powers, user, bs, subchannel, noise_w):
     return signal / (interference + noise_w[user, subchannel])
 
 
-def sinr_matrix(gains, powers, serving, noise_w):
-    """(K, S) SINR of every user toward its serving BS at the given powers."""
-    total = np.einsum("kms,ms->ks", gains, powers)
+def sinr_matrix(gains, powers, serving, noise_w, total=None):
+    """(K, S) SINR of every user toward its serving BS at the given powers.
+
+    `total` short-circuits the received-power einsum when the caller already
+    has it.
+    """
+    if total is None:
+        total = np.einsum("kms,ms->ks", gains, powers)
     own = gains[np.arange(gains.shape[0]), serving, :] * powers[serving, :]
     return own / (total - own + noise_w)
 

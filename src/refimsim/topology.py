@@ -528,21 +528,35 @@ class WaypointMobility:
                 self.waypoints[u.id] = network.regions[u.serving_bs].sample(rng)
 
     def advance(self, dt_s):
-        moved = False
-        for u in self.network.users:
-            v = self.speeds[u.id]
-            if v <= 0:
-                continue
-            moved = True
-            step = v * dt_s
-            while step > 0:
-                delta = self.waypoints[u.id] - self.positions[u.id]
-                dist = float(np.hypot(delta[0], delta[1]))
-                if dist <= step:
-                    self.positions[u.id] = self.waypoints[u.id]
-                    step -= dist
-                    self.waypoints[u.id] = self.network.regions[u.serving_bs].sample(self.rng)
-                else:
-                    self.positions[u.id] += delta * (step / dist)
-                    step = 0.0
-        return moved
+        """Move every user with speed > 0 by speed * dt_s along its path.
+
+        Users that stay short of their waypoint move in one array step; the
+        few that reach it walk the scalar path in ascending user id, so the
+        waypoint draws come from rng in the same order as a per-user loop.
+        """
+        moving = self.speeds > 0
+        if not moving.any():
+            return False
+        step = self.speeds * dt_s
+        delta = self.waypoints - self.positions
+        dist = np.hypot(delta[:, 0], delta[:, 1])
+        walking = moving & (step > 0)
+        glide = walking & (dist > step)
+        self.positions[glide] += delta[glide] * (step[glide] / dist[glide])[:, None]
+        for k in np.flatnonzero(walking & ~glide):
+            self._walk(k, step[k])
+        return True
+
+    def _walk(self, k, step):
+        """Walk user k a distance step, drawing a new waypoint at each arrival."""
+        region = self.network.regions[self.network.users[k].serving_bs]
+        while step > 0:
+            delta = self.waypoints[k] - self.positions[k]
+            dist = float(np.hypot(delta[0], delta[1]))
+            if dist <= step:
+                self.positions[k] = self.waypoints[k]
+                step -= dist
+                self.waypoints[k] = region.sample(self.rng)
+            else:
+                self.positions[k] += delta * (step / dist)
+                step = 0.0

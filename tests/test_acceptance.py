@@ -17,7 +17,7 @@ from refimsim import channel, engine, power, topology
 from refimsim.cli import main as cli_main
 from refimsim.oracle import GridSpec, brute_force
 from refimsim.oracle_compare import settle_algorithm
-from refimsim.power import allocate_bisection, refim_step, wf_step
+from refimsim.power import refim_step, wf_step
 from refimsim.presets import get_preset
 from refimsim.reference import ReferenceSelection
 from refimsim.scheduling import NO_USER, rate, schedule_users, sinr_matrix

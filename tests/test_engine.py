@@ -142,6 +142,14 @@ class TestRun:
             assert res.constraint_violations == 0
             assert res.bisection_iter_max <= res.bisection_iter_bound
 
+    def test_bisection_budget_misses(self):
+        assert run(tiny_scenario(algorithm="eq")).summary()["bisection_budget_misses"] == 0
+        for algo in ("refim", "general"):
+            a = run(tiny_scenario(algorithm=algo, slots=15, warmup_slots=5)).summary()
+            b = run(tiny_scenario(algorithm=algo, slots=15, warmup_slots=5)).summary()
+            assert a["bisection_budget_misses"] == b["bisection_budget_misses"]
+            assert 0 <= a["bisection_budget_misses"] <= 15 * a["base_stations"]
+
     def test_general_algorithm_runs(self):
         res = run(tiny_scenario(algorithm="general", sched_loops=2, power_loops=2,
                                 slots=10, warmup_slots=2))

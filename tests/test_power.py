@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refimsim import power
 from refimsim.oracle import evaluate_objective
 from refimsim.power import (
-    BISECTION_ITER_BOUND, PowerMatrix, allocate_bisection,
-    allocate_bisection_batch, equal_power, general_algorithm, initial_power,
+    BISECTION_ITER_BOUND, PowerMatrix, allocate_bisection_batch, equal_power, general_algorithm, initial_power,
     kkt_power, measured_interference, refim_step, scheduled_arrays,
     taxation_from_feedback, taxation_term, wf_step,
 )
@@ -85,10 +87,18 @@ class TestKktPower:
         assert np.all(np.diff(p) <= 1e-15)
 
 
+def one_row(weights, taxes, intf_noise, own_gains, budget, masks):
+    """allocate_bisection_batch on a single BS; returns (p (S,), lam, iters)."""
+    p, lam, iters = allocate_bisection_batch(
+        weights[None, :], taxes[None, :], intf_noise[None, :], own_gains[None, :],
+        np.array([budget]), masks[None, :])
+    return p[0], float(lam[0]), int(iters[0])
+
+
 class TestBisection:
     def test_closed_form_waterfilling(self):
         # water level mu solves sum(mu - a_s) = budget: mu = 2, p = [1.5, 1.0]
-        p, lam, iters = allocate_bisection(
+        p, lam, iters = one_row(
             weights=np.array([1.0, 1.0]), taxes=np.zeros(2),
             intf_noise=np.array([0.5, 1.0]), own_gains=np.ones(2),
             budget=2.5, masks=np.full(2, np.inf))
@@ -97,20 +107,20 @@ class TestBisection:
         assert lam == pytest.approx(1.0 / (2.0 * np.log(2)), rel=1e-4)
 
     def test_symmetric_split(self):
-        p, _, _ = allocate_bisection(np.ones(2), np.zeros(2), np.full(2, 0.4),
-                                     np.ones(2), 2.0, np.full(2, np.inf))
+        p, _, _ = one_row(np.ones(2), np.zeros(2), np.full(2, 0.4),
+                          np.ones(2), 2.0, np.full(2, np.inf))
         assert np.allclose(p, [1.0, 1.0], atol=1e-5)
 
     def test_budget_exceeds_masks(self):
-        p, lam, iters = allocate_bisection(np.ones(3), np.zeros(3), np.full(3, 0.1),
-                                           np.ones(3), 100.0, np.full(3, 0.5))
+        p, lam, iters = one_row(np.ones(3), np.zeros(3), np.full(3, 0.1),
+                                np.ones(3), 100.0, np.full(3, 0.5))
         assert np.allclose(p, 0.5)
         assert lam == 0.0 and iters == 0
 
     @pytest.mark.parametrize("seed", range(30))
     def test_feasible_and_bounded(self, seed):
         weights, taxes, intf, gains, budget, masks = random_alloc_inputs(seed)
-        p, lam, iters = allocate_bisection(weights, taxes, intf, gains, budget, masks)
+        p, lam, iters = one_row(weights, taxes, intf, gains, budget, masks)
         pm = PowerMatrix(p[None, :], np.array([budget]), masks[None, :])
         pm.validate()
         assert iters <= BISECTION_ITER_BOUND
@@ -138,8 +148,145 @@ class TestBisection:
         B = np.array([r[4] for r in rows]); M = np.stack([r[5] for r in rows])
         P, lams, iters = allocate_bisection_batch(W, T, I, G, B, M)
         for i, (w, t, f, g, b, m) in enumerate(rows):
-            p1, l1, it1 = allocate_bisection(w, t, f, g, b, m)
+            p1, l1, it1 = one_row(w, t, f, g, b, m)
             assert np.allclose(P[i], p1, atol=1e-12)
+
+
+def reference_kkt(weight, lam, tax, intf_noise_w, own_gain, mask):
+    """The KKT evaluation as written before the in-place kernel."""
+    weight = np.asarray(weight, dtype=float)
+    denom = lam * power.LN2 + np.asarray(tax, dtype=float)
+    with np.errstate(divide="ignore"):
+        level = np.where(denom > 0, weight / np.where(denom > 0, denom, 1.0), np.inf)
+    p = level - np.asarray(intf_noise_w, dtype=float) / np.asarray(own_gain, dtype=float)
+    return np.clip(p, 0.0, mask)
+
+
+def reference_bisection(weights, taxes, intf_noise, own_gains, budgets, masks,
+                        noise_w=None, lambda_max=None):
+    """The lockstep bisection as written before the lean loop: every row is
+    evaluated every iteration and p is copied out at each hit."""
+    N = weights.shape[0]
+    noise_floor = intf_noise if noise_w is None else noise_w
+
+    def eval_p(lam):
+        return reference_kkt(weights, lam[:, None], taxes, intf_noise, own_gains, masks)
+
+    delta = power.BUDGET_RTOL * budgets
+    p = eval_p(np.zeros(N))
+    lam = np.zeros(N)
+    iters = np.zeros(N, dtype=int)
+    active = p.sum(axis=1) > budgets + delta
+    if not active.any():
+        return p, lam, iters
+    if lambda_max is None:
+        with np.errstate(divide="ignore"):
+            hi = np.max(weights * own_gains / (noise_floor * power.LN2), axis=1)
+    else:
+        hi = np.full(N, float(lambda_max))
+    for _ in range(60):
+        over = active & (eval_p(hi).sum(axis=1) > budgets)
+        if not over.any():
+            break
+        hi = np.where(over, hi * 2.0, hi)
+    else:
+        raise RuntimeError("bracket")
+    lo = np.zeros(N)
+    for it in range(1, BISECTION_ITER_BOUND + 1):
+        mid = 0.5 * (lo + hi)
+        pm = eval_p(mid)
+        sm = pm.sum(axis=1)
+        hit = active & (np.abs(sm - budgets) < delta)
+        p[hit] = pm[hit]
+        lam[hit] = mid[hit]
+        iters[hit] = it
+        active &= ~hit
+        if not active.any():
+            return p, lam, iters
+        go_up = active & (sm > budgets)
+        lo = np.where(go_up, mid, lo)
+        hi = np.where(active & ~go_up, mid, hi)
+    pend = eval_p(hi)
+    p[active] = pend[active]
+    lam[active] = hi[active]
+    iters[active] = BISECTION_ITER_BOUND
+    return p, lam, iters
+
+
+def random_batch(seed, n_bs, n_sub, inf_masks, slack, with_noise):
+    """(N, S) bisection inputs: some zero taxes, some unscheduled (zero-mask,
+    zero-weight) entries and whole rows, optionally infinite masks, a separate
+    noise floor, or budgets no row can reach."""
+    rng = np.random.default_rng(seed)
+    shape = (n_bs, n_sub)
+    weights = rng.uniform(0.01, 10.0, size=shape)
+    taxes = rng.uniform(0.0, 3.0, size=shape) * (rng.uniform(size=shape) < 0.6)
+    intf = rng.uniform(1e-3, 2.0, size=shape)
+    gains = 10.0 ** rng.uniform(-2.0, 2.0, size=shape)
+    masks = np.full(shape, np.inf) if inf_masks else rng.uniform(0.05, 5.0, size=shape)
+    unscheduled = rng.uniform(size=shape) < 0.2
+    unscheduled[rng.uniform(size=n_bs) < 0.2] = True
+    weights[unscheduled] = 0.0
+    masks[unscheduled] = 0.0
+    budgets = rng.uniform(0.1, 20.0, size=n_bs)
+    if slack:
+        budgets = np.where(np.isinf(masks), 0.0, masks).sum(axis=1) * 2.0 + 1.0
+        masks[np.isinf(masks)] = 1.0
+    noise = intf * rng.uniform(0.1, 1.0, size=shape) if with_noise else None
+    return weights, taxes, intf, gains, budgets, masks, noise
+
+
+class TestLeanBisection:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), n_bs=st.integers(1, 7),
+           n_sub=st.sampled_from([1, 2, 3, 7, 8, 9, 16, 17, 40]),
+           inf_masks=st.booleans(), slack=st.booleans(), with_noise=st.booleans(),
+           lambda_max=st.sampled_from([None, 1e-9, 1e-3, 1.0, 1e6]))
+    def test_bit_identical_to_reference(self, seed, n_bs, n_sub, inf_masks, slack,
+                                        with_noise, lambda_max):
+        args = random_batch(seed, n_bs, n_sub, inf_masks, slack, with_noise)
+        *inputs, noise = args
+        try:
+            want = reference_bisection(*inputs, noise_w=noise, lambda_max=lambda_max)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                allocate_bisection_batch(*inputs, noise_w=noise, lambda_max=lambda_max)
+            return
+        got = allocate_bisection_batch(*inputs, noise_w=noise, lambda_max=lambda_max)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    def test_bracket_doubling_and_all_slack_batch(self):
+        # bracket doubling: a tiny lambda_max overshoots every searching row
+        args = random_batch(3, 4, 16, False, False, False)
+        p, lam, iters = allocate_bisection_batch(*args[:-1], lambda_max=1e-9)
+        assert np.any(lam > 1e-9 * 2.0 ** 10)
+        # all rows slack: nothing is searched, lambda stays 0
+        p, lam, iters = allocate_bisection_batch(*random_batch(3, 4, 16, False, True,
+                                                               False)[:-1])
+        assert not lam.any() and not iters.any()
+
+    @pytest.mark.parametrize("bad", [-1e-12, -1.0])
+    def test_negative_taxes_rejected(self, bad):
+        weights, taxes, intf, gains, budgets, masks, _ = random_batch(0, 3, 4, False,
+                                                                      False, False)
+        taxes[1, 2] = bad
+        with pytest.raises(ValueError):
+            allocate_bisection_batch(weights, taxes, intf, gains, budgets, masks)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_nonpositive_lambda_max_rejected(self, bad):
+        args = random_batch(0, 3, 4, False, False, False)[:-1]
+        with pytest.raises(ValueError):
+            allocate_bisection_batch(*args, lambda_max=bad)
+
+    def test_budget_misses_counts_only_positive_lambda_off_budget(self):
+        budgets = np.array([1.0, 2.0, 4.0])
+        p = np.array([[0.5, 0.5], [0.9, 0.9], [1.0, 1.0]])
+        lam = np.array([0.3, 0.2, 0.0])
+        # row 0 meets its budget, row 1 misses it with lambda > 0, row 2 is slack
+        assert power.budget_misses(p, lam, budgets) == 1
 
 
 class TestInitialPower:
@@ -339,7 +486,7 @@ class TestGeneralAlgorithm:
         p0 = initial_power("uniform", budgets, masks)
         hs = []
         for i in (1, 2, 3, 4):
-            sched, p, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
+            sched, p, _, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
                                             masks, p0, sched_iters=i, power_iters=2)
             hs.append(evaluate_objective(gains, noise, weights, p, sched))
         assert all(hs[j + 1] >= hs[j] - 1e-9 for j in range(len(hs) - 1))
@@ -348,9 +495,9 @@ class TestGeneralAlgorithm:
     def test_more_loops_never_hurt_from_uniform_start(self, seed):
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(seed)
         p0 = initial_power("uniform", budgets, masks)
-        s1, p1, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
+        s1, p1, _, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
                                       masks, p0, 1, 1)
-        s3, p3, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
+        s3, p3, _, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
                                       masks, p0, 3, 3)
         h1 = evaluate_objective(gains, noise, weights, p1, s1)
         h3 = evaluate_objective(gains, noise, weights, p3, s3)
@@ -360,7 +507,7 @@ class TestGeneralAlgorithm:
         from refimsim.scheduling import rate, schedule_users, sinr_matrix
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(2)
         p0 = initial_power("uniform", budgets, masks)
-        sched_g, p_g, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
+        sched_g, p_g, _, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
                                             masks, p0, 1, 1)
         serving = np.array([0, 0, 1, 1])
         rates = rate(sinr_matrix(gains, p0, serving, noise))
@@ -379,6 +526,6 @@ class TestGeneralAlgorithm:
     def test_emitted_powers_feasible(self, seed):
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(seed, n_bs=2)
         p0 = initial_power("uniform", budgets, masks)
-        _, p, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets, masks,
+        _, p, _, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets, masks,
                                     p0, 3, 3)
         PowerMatrix(p, budgets, masks).validate()

@@ -43,6 +43,8 @@ class TestSinr:
         for k in range(6):
             for s in range(2):
                 assert mat[k, s] == pytest.approx(sinr(gains, powers, k, serving[k], s, noise))
+        total = np.einsum("kms,ms->ks", gains, powers)
+        assert np.array_equal(sinr_matrix(gains, powers, serving, noise, total=total), mat)
 
 
 class TestRate:

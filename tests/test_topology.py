@@ -255,6 +255,42 @@ class TestRegionsAndMobility:
         for k in range(5):
             assert net.regions[0].contains(*mob.positions[k])
 
+    @pytest.mark.parametrize("speed,dt", [(10.0, 0.1), (30.0, 1.0), (40.0, 60.0)])
+    def test_vectorized_advance_matches_per_user_loop(self, speed, dt):
+        # 40 m/s over 60 s is 2.4 km a step in 500 m cells: several arrivals each
+        net = place_users(build_hex_grid(1, 500.0), {"macro": 6}, rng_seed=0)
+        speeds = np.full(net.n_users, speed)
+        speeds[::4] = 0.0
+        mob = WaypointMobility(net, speeds, np.random.default_rng(7))
+        ref = WaypointMobility(net, speeds, np.random.default_rng(7))
+
+        def reference_advance(m, dt_s):
+            """The per-user loop advance replaced by the array step."""
+            moved = False
+            for u in m.network.users:
+                v = m.speeds[u.id]
+                if v <= 0:
+                    continue
+                moved = True
+                step = v * dt_s
+                while step > 0:
+                    delta = m.waypoints[u.id] - m.positions[u.id]
+                    dist = float(np.hypot(delta[0], delta[1]))
+                    if dist <= step:
+                        m.positions[u.id] = m.waypoints[u.id]
+                        step -= dist
+                        m.waypoints[u.id] = m.network.regions[u.serving_bs].sample(m.rng)
+                    else:
+                        m.positions[u.id] += delta * (step / dist)
+                        step = 0.0
+            return moved
+
+        for _ in range(150):
+            assert mob.advance(dt) == reference_advance(ref, dt)
+            assert np.array_equal(mob.positions, ref.positions)
+            assert np.array_equal(mob.waypoints, ref.waypoints)
+        assert ref.rng.bit_generator.state == mob.rng.bit_generator.state
+
     def test_zero_speed_users_never_move(self):
         net = place_users(build_hex_grid(0, 500.0), {"macro": 3}, rng_seed=0)
         mob = WaypointMobility(net, np.zeros(3), np.random.default_rng(1))

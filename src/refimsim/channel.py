@@ -22,7 +22,7 @@ class PropagationConfig:
     indoor_pathloss_a: float = 37.0
     indoor_pathloss_b: float = 32.0
     penetration_loss_db: float = 10.0
-    shadowing_sigma_db: dict = field(default_factory=lambda: {"macro": 8.0, "pico": 8.0, "femto": 4.0})
+    shadowing_sigma_db: dict = field(default_factory=lambda: {"macro": 8.0, "femto": 4.0})
     carrier_freq_hz: float = 2e9
     noise_psd_dbm_hz: float = -174.0
     noise_figure_db: float = 9.0

@@ -52,12 +52,9 @@ def load_scenario(spec):
     unknown = set(doc) - _SCENARIO_FIELDS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in _TUPLE_FIELDS & set(doc):
-        doc[key] = tuple(tuple(z.items()) for z in doc[key]) if key == "zones" \
-            else tuple(doc[key])
-    if "zones" in doc:
-        doc["zones"] = tuple(dict(z) for z in doc["zones"])
     try:
+        for key in _TUPLE_FIELDS & set(doc):
+            doc[key] = tuple(dict(z) for z in doc[key]) if key == "zones" else tuple(doc[key])
         return dataclasses.replace(base, **doc).validate()
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e

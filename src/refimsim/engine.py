@@ -7,13 +7,13 @@ schedule -> exchange indices -> select references -> taxation -> bisection
 
 import hashlib
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, asdict, field, replace
 
 import numpy as np
 
 from . import channel, power, reference, scheduling, topology
-from .scheduling import NO_USER
 
 ALGORITHMS = ("eq", "wf", "refim", "general")
 KINDS = ("hex", "two_cell", "hetnet", "mixed_density")
@@ -91,8 +91,22 @@ class Scenario:
             raise ValueError("macro_subchannels must be in [0, subchannels]")
         if not 0.0 <= self.deployment_fraction <= 1.0:
             raise ValueError("deployment_fraction must be in [0, 1]")
-        if self.ref_count < 0:
-            raise ValueError("ref_count must be >= 0")
+        if self.subchannels < 1:
+            raise ValueError("subchannels must be >= 1")
+        if min(self.macro_users_per_cell, self.femto_users_per_cell, self.users_per_group) < 1:
+            raise ValueError("user counts must be >= 1")
+        if self.rings < 0 or self.femtos_per_macro < 0:
+            raise ValueError("rings and femtos_per_macro must be >= 0")
+        if not (self.bandwidth_hz > 0 and self.slot_duration_s > 0):
+            raise ValueError("bandwidth_hz and slot_duration_s must be > 0")
+        if not self.user_speed_kmh >= 0:
+            raise ValueError("user_speed_kmh must be >= 0")
+        if not self.sinr_gap_db >= 0:
+            raise ValueError("sinr_gap_db must be >= 0")
+        if self.sched_loops < 1 or self.power_loops < 1:
+            raise ValueError("sched_loops and power_loops must be >= 1")
+        if not isinstance(self.ref_count, numbers.Integral) or self.ref_count < 0:
+            raise ValueError("ref_count must be an integer >= 0")
         if not 0.0 < self.ewma_beta <= 1.0:
             raise ValueError("ewma_beta must be in (0, 1]")
         if self.feedback_period_slots < 1:
@@ -115,7 +129,6 @@ class Scenario:
     def propagation(self):
         return channel.PropagationConfig(
             shadowing_sigma_db={"macro": self.shadowing_sigma_macro_db,
-                                "pico": self.shadowing_sigma_macro_db,
                                 "femto": self.shadowing_sigma_femto_db},
             carrier_freq_hz=self.carrier_freq_hz,
             noise_figure_db=self.noise_figure_db,
@@ -312,9 +325,6 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
     power_trace = []
     schedule_trace = []
     protocol_trace = [] if collect_protocol_trace else None
-    rows = np.arange(N)[:, None]
-    cols = np.arange(S)[None, :]
-    kidx = np.arange(K)
     is_macro_nbr = [[m for m in net.neighbor_sets[n] if tiers[m] != topology.TIER_FEMTO]
                     for n in range(N)]
 
@@ -334,12 +344,11 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
 
         if sc.algorithm != "general":  # general schedules inside its own loop
             total_eval = np.einsum("kms,ms->ks", gains, p_eval)
-            own = gains[kidx, serving, :] * p_eval[serving, :]
-            gamma = own / (total_eval - own + noise)
-            rates_eval = bw_sub * np.log2(1.0 + gamma / gap)
+            gamma = scheduling.sinr_matrix(gains, p_eval, serving, noise, total=total_eval)
+            rates_eval = scheduling.rate(gamma, gap, bw_sub)
             sched = scheduling.schedule_users(cells, weights, rates_eval, allowed=allowed)
 
-        taxes = None
+        taxes = np.zeros((N, S))
         if sc.algorithm == "refim":
             tables.accumulate(gains, p_eval, noise, weights, serving, total=total_eval)
             reference.refresh_candidate_tables(net, tables, t, fb_cfg,
@@ -368,27 +377,17 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
                 allowed=allowed)
             iter_max = max(iter_max, iters)
         else:
-            w_ns, g_ns, sig_ns = power.scheduled_arrays(gains, sched, weights, noise)
-            intf_ns = power.measured_interference(gains, p_eval, sched, noise,
-                                                  total=total_eval)
-            masks_eff = np.where(sched == NO_USER, 0.0, masks)
-            if taxes is None:
-                taxes = np.zeros((N, S))
-            committed, lam, iters = power.allocate_bisection_batch(
-                w_ns, taxes, intf_ns, g_ns, budgets, masks_eff, noise_w=sig_ns)
+            committed, lam, iters = power.allocate(gains, p_eval, sched, weights, noise, taxes,
+                                                   budgets, masks, total=total_eval)
             iter_max = max(iter_max, int(iters.max()))
         if lam is not None:
             budget_misses += power.budget_misses(committed, lam, budgets)
 
         violations += power.PowerMatrix(committed, budgets, masks).violations()
-        scheduled = sched != NO_USER
-        ksafe = np.where(scheduled, sched, 0)
-        member_ok = serving[ksafe] == rows
-        violations += int(np.count_nonzero(scheduled & ~member_ok))
+        scheduled, ksafe, rows, cols = scheduling.scheduled_index(sched)
+        violations += int(np.count_nonzero(scheduled & (serving[ksafe] != rows)))
 
-        total_comm = np.einsum("kms,ms->ks", gains, committed)
-        served = scheduling.served_rates(gains, committed, sched, noise, gap, bw_sub,
-                                         total=total_comm)
+        served = scheduling.served_rates(gains, committed, sched, noise, gap, bw_sub)
         states.update(served)
 
         if t >= sc.warmup_slots:

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scheduling import served_rates
+
 MAX_BS = 3
 MAX_SUBCHANNELS = 2
 MAX_USERS_PER_CELL = 2
@@ -41,17 +43,8 @@ def evaluate_objective(gains, noise_w, weights, powers, sched, subchannel_bw_hz=
                        sinr_gap=1.0):
     """Weighted sum rate of a (powers, schedule) pair; the shared scorer for
     oracle and algorithm outputs."""
-    total = np.einsum("kms,ms->ks", gains, powers)
-    h = 0.0
-    for n in range(sched.shape[0]):
-        for s in range(sched.shape[1]):
-            k = sched[n, s]
-            if k < 0:
-                continue
-            signal = gains[k, n, s] * powers[n, s]
-            gamma = signal / (total[k, s] - signal + noise_w[k, s])
-            h += weights[k] * subchannel_bw_hz * np.log2(1.0 + gamma / sinr_gap)
-    return float(h)
+    rates = served_rates(gains, powers, sched, noise_w, sinr_gap, subchannel_bw_hz)
+    return float(np.asarray(weights, dtype=float) @ rates)
 
 
 def enumerate_schedules(cells, n_sub):

@@ -5,7 +5,7 @@ import numpy as np
 
 from . import power
 from .oracle import brute_force, evaluate_objective, GridSpec
-from .scheduling import rate, schedule_users, sinr_matrix
+from .scheduling import rate, schedule_users, serving_vector, sinr_matrix
 
 
 def settle_algorithm(algo, gains, noise_w, cells, weights, budgets, masks,
@@ -18,14 +18,9 @@ def settle_algorithm(algo, gains, noise_w, cells, weights, budgets, masks,
     """
     N, S = masks.shape
     budgets = np.asarray(budgets, dtype=float)
-    serving = np.zeros(gains.shape[0], dtype=int)
-    for n, ids in enumerate(cells):
-        for k in ids:
-            serving[k] = n
-
     if algo == "eq":
         p = np.stack([power.equal_power(budgets[n], masks[n]) for n in range(N)])
-        gamma = sinr_matrix(gains, p, serving, noise_w)
+        gamma = sinr_matrix(gains, p, serving_vector(cells, gains.shape[0]), noise_w)
         sched = schedule_users(cells, np.asarray(weights), rate(gamma, sinr_gap, subchannel_bw_hz))
     elif algo in ("wf", "refim"):
         ref_count = 1 if algo == "refim" else 0

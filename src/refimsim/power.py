@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheduling import NO_USER
+from . import scheduling
+from .scheduling import NO_USER, link_state, scheduled_index
 from .topology import pad_neighbor_sets
 
 LN2 = math.log(2.0)
@@ -24,6 +25,8 @@ BUDGET_RTOL = 1e-6
 LAMBDA_RTOL = 1e-9
 BISECTION_ITER_BOUND = math.ceil(math.log2(1.0 / LAMBDA_RTOL))
 _MAX_BRACKET_DOUBLINGS = 60
+# general_algorithm's inner loop stops once no power moves by this much (W)
+P_TOL = 1e-6
 
 
 @dataclass
@@ -246,58 +249,32 @@ def measured_interference(gains, powers, sched, noise_w, total=None):
     the mask is zero there). `total` short-circuits the received-power
     einsum when the caller already has it.
     """
-    N, S = sched.shape
-    if total is None:
-        total = np.einsum("kms,ms->ks", gains, powers)
-    scheduled = sched != NO_USER
-    ksafe = np.where(scheduled, sched, 0)
-    rows = np.arange(N)[:, None]
-    cols = np.arange(S)[None, :]
-    own = gains[ksafe, rows, cols] * powers
-    out = total[ksafe, cols] - own + noise_w[ksafe, cols]
-    return np.where(scheduled, out, 1.0)
+    scheduled, user, bs, sub = scheduled_index(sched)
+    _, intf_noise = link_state(gains, powers, noise_w, user, bs, sub, total)
+    return np.where(scheduled, intf_noise, 1.0)
 
 
 def scheduled_arrays(gains, sched, weights, noise_w):
     """Per-(bs, subchannel) weight, own gain and noise of the scheduled user."""
-    N, S = sched.shape
-    scheduled = sched != NO_USER
-    ksafe = np.where(scheduled, sched, 0)
-    rows = np.arange(N)[:, None]
-    cols = np.arange(S)[None, :]
-    w = np.where(scheduled, np.asarray(weights)[ksafe], 0.0)
-    g = np.where(scheduled, gains[ksafe, rows, cols], 1.0)
-    sig = np.where(scheduled, noise_w[ksafe, cols], 1.0)
+    scheduled, user, bs, sub = scheduled_index(sched)
+    w = np.where(scheduled, np.asarray(weights)[user], 0.0)
+    g = np.where(scheduled, gains[user, bs, sub], 1.0)
+    sig = np.where(scheduled, noise_w[user, sub], 1.0)
     return w, g, sig
 
 
-def refim_step(bs, sched, references, prev_powers, gains, weights, noise_w,
-               budget, masks, enabled=True):
-    """One slot of the reference-based allocation for a single BS.
+def allocate(gains, powers, sched, weights, noise_w, taxes, budgets, masks, total=None):
+    """One power step for every BS: the KKT allocation for its scheduled
+    users, with their interference measured at `powers`.
 
-    Interference at the scheduled users and the taxation are both evaluated
-    at the frozen previous-slot powers; one scheduling pass and one bisection,
-    no intra-slot loops. With no references (or enabled=False) this is
-    selfish water-filling.
+    taxes: (N, S), zero for selfish water-filling. Unscheduled pairs get a
+    zero mask. `total` is the (K, S) received power at `powers`, when the
+    caller has it. Returns (p, lam, iters) of allocate_bisection_batch.
     """
-    S = prev_powers.shape[1]
-    row = np.asarray(sched[bs], dtype=int)
-    intf = measured_interference(gains, prev_powers, row[None, :], noise_w)[0]
-    w, g, sig = scheduled_arrays(gains, row[None, :], weights, noise_w)
-    taxes = np.zeros(S)
-    if enabled and references is not None:
-        taxes = references.taxes(bs)
-    masks_row = np.where(row == NO_USER, 0.0, np.asarray(masks, dtype=float))
-    p, lam, iters = allocate_bisection_batch(w, taxes[None, :], intf[None, :], g,
-                                             np.array([budget]), masks_row[None, :],
-                                             noise_w=sig)
-    return p[0], float(lam[0]), int(iters[0])
-
-
-def wf_step(bs, sched, prev_powers, gains, weights, noise_w, budget, masks):
-    """Selfish water-filling: the taxation-free reduction of refim_step."""
-    return refim_step(bs, sched, None, prev_powers, gains, weights, noise_w,
-                      budget, masks, enabled=False)
+    w, g, sig = scheduled_arrays(gains, sched, weights, noise_w)
+    intf = measured_interference(gains, powers, sched, noise_w, total=total)
+    masks = np.where(sched == NO_USER, 0.0, masks)
+    return allocate_bisection_batch(w, taxes, intf, g, budgets, masks, noise_w=sig)
 
 
 def _ground_truth_references(sched, gains, weights, noise_w, nbr, powers, total,
@@ -313,61 +290,50 @@ def _ground_truth_references(sched, gains, weights, noise_w, nbr, powers, total,
     from .reference import rank_references  # local to avoid cycle
 
     sel, idx, users = rank_references(nbr, sched[nbr], gains, ref_count)
-    s = idx[1]
-    m = sel.ref_bs[idx]
-    signal = gains[users, m, s] * powers[m, s]
     sel.f1[idx] = np.asarray(weights)[users]
-    sel.f2[idx] = signal
-    sel.f3[idx] = total[users, s] - signal + noise_w[users, s]
+    sel.f2[idx], sel.f3[idx] = link_state(gains, powers, noise_w, users, sel.ref_bs[idx],
+                                          idx[1], total)
     return sel.taxes()
 
 
 def general_algorithm(cells, gains, weights, noise_w, neighbor_sets, budgets, masks,
                       init_powers, sched_iters=1, power_iters=1, ref_count=1,
-                      subchannel_bw_hz=1.0, sinr_gap=1.0, p_tol=1e-6, allowed=None):
+                      subchannel_bw_hz=1.0, sinr_gap=1.0, allowed=None):
     """Looped joint scheduling + power allocation for one slot.
 
     Outer loop: reschedule and re-abstract the neighborhood at the current
     powers; inner loop: refresh taxation/interference and re-allocate until
-    the powers stop moving or the cap is hit. Caps (1,1) reproduce the
-    loop-free step-by-step pipeline. Returns (sched, powers, lam, iter_max):
-    lam is the budget multiplier of the bisection that produced `powers`,
-    iter_max the largest bisection iteration count over the slot.
+    the powers move by less than P_TOL or the cap is hit. Caps (1,1)
+    reproduce the loop-free step-by-step pipeline. Returns (sched, powers,
+    lam, iter_max): lam is the budget multiplier of the bisection that
+    produced `powers`, iter_max the largest bisection iteration count over
+    the slot.
     """
-    from .scheduling import schedule_users, sinr_matrix, rate  # local to avoid cycle
-
     if sched_iters < 1 or power_iters < 1:
         raise ValueError("iteration caps must be >= 1")
-    serving = np.zeros(gains.shape[0], dtype=int)
-    for n, ids in enumerate(cells):
-        for k in ids:
-            serving[k] = n
-
+    serving = scheduling.serving_vector(cells, gains.shape[0])
     nbr = pad_neighbor_sets(neighbor_sets)
     p = np.array(init_powers, dtype=float)
     sched = None
     iter_max = 0
     for _ in range(sched_iters):
         total = np.einsum("kms,ms->ks", gains, p)
-        gamma = sinr_matrix(gains, p, serving, noise_w, total=total)
-        rates = rate(gamma, sinr_gap, subchannel_bw_hz)
-        new_sched = schedule_users(cells, weights, rates, allowed=allowed)
+        gamma = scheduling.sinr_matrix(gains, p, serving, noise_w, total=total)
+        rates = scheduling.rate(gamma, sinr_gap, subchannel_bw_hz)
+        new_sched = scheduling.schedule_users(cells, weights, rates, allowed=allowed)
         if sched is not None and np.array_equal(new_sched, sched):
             break
         sched = new_sched
-        w, g, sig = scheduled_arrays(gains, sched, weights, noise_w)
-        masks_eff = np.where(sched == NO_USER, 0.0, masks)
         for i in range(power_iters):
             if i > 0:
                 total = np.einsum("kms,ms->ks", gains, p)
             taxes = _ground_truth_references(sched, gains, weights, noise_w, nbr, p,
                                              total, ref_count)
-            intf = measured_interference(gains, p, sched, noise_w, total=total)
-            p_new, lam, iters = allocate_bisection_batch(w, taxes, intf, g, budgets,
-                                                         masks_eff, noise_w=sig)
+            p_new, lam, iters = allocate(gains, p, sched, weights, noise_w, taxes, budgets,
+                                         masks, total=total)
             iter_max = max(iter_max, int(iters.max()))
             delta = float(np.max(np.abs(p_new - p))) if p.size else 0.0
             p = p_new
-            if delta < p_tol:
+            if delta < P_TOL:
                 break
     return sched, p, lam, iter_max

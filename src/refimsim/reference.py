@@ -8,12 +8,12 @@ per-slot exchange is the scheduled-user indices; femto cells are
 represented to outsiders by one fixed user.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .power import taxation_from_feedback
-from .scheduling import NO_USER
+from .scheduling import NO_USER, link_state
 from .topology import TIER_FEMTO, classify_edge_users, pad_neighbor_sets
 
 
@@ -50,7 +50,7 @@ def representative_users(network):
 @dataclass
 class NeighborViews:
     """Per-viewer-class effective scheduled indices of every target BS."""
-    macro_view: np.ndarray  # (N, S) what a macro/pico viewer sees
+    macro_view: np.ndarray  # (N, S) what a macro viewer sees
     femto_view: np.ndarray  # (N, S) what a femto viewer sees
 
     def for_viewer(self, network, viewer):
@@ -97,15 +97,12 @@ class CandidateTables:
 
     def accumulate(self, gains, powers, noise_w, weights, serving, total=None):
         """Per-slot user measurements at the evaluation powers."""
-        if total is None:
-            total = np.einsum("kms,ms->ks", gains, powers)
-        K = gains.shape[0]
-        idx = np.arange(K)
-        f2 = gains[idx, serving, :] * powers[serving, :]
+        signal, intf_noise = link_state(gains, powers, noise_w, np.arange(gains.shape[0]),
+                                        serving, slice(None), total)
         self.acc_f0 += gains
         self.acc_f1 += weights
-        self.acc_f2 += f2
-        self.acc_f3 += total - f2 + noise_w
+        self.acc_f2 += signal
+        self.acc_f3 += intf_noise
         self.acc_count += 1
 
     def publish(self, bs_users, slot):
@@ -210,18 +207,6 @@ class ReferenceSelection:
             t[v] = taxation_from_feedback(self.f1[v], self.f0[v], self.f2[v], self.f3[v])
         total = t.sum(axis=2)
         return total if bs is None else total[bs]
-
-
-def select_reference(network, bs, views, tables, count):
-    """Rank the neighbors' scheduled users by published cross gain toward
-    `bs` and keep the strongest `count` of them, per subchannel.
-
-    Returns a single-row ReferenceSelection; its taxes(0) is the (S,)
-    taxation vector for this BS.
-    """
-    enabled = np.arange(network.n_bs) == bs
-    full = select_references(network, views, tables, count, enabled=enabled)
-    return ReferenceSelection(*(getattr(full, f.name)[bs:bs + 1] for f in fields(full)))
 
 
 def select_references(network, views, tables, count, enabled=None):

@@ -19,16 +19,25 @@ def sinr(gains, powers, user, bs, subchannel, noise_w):
     return signal / (interference + noise_w[user, subchannel])
 
 
-def sinr_matrix(gains, powers, serving, noise_w, total=None):
-    """(K, S) SINR of every user toward its serving BS at the given powers.
+def link_state(gains, powers, noise_w, user, bs, sub, total=None):
+    """Signal and interference-plus-noise of the links bs -> user on sub.
 
-    `total` short-circuits the received-power einsum when the caller already
-    has it.
+    user, bs and sub index gains[user, bs, sub]: broadcastable index arrays,
+    or sub = slice(None) for every subchannel of (user, bs) pairs. `total`
+    is the (K, S) received power at `powers`; the einsum is computed here
+    when the caller does not have it.
     """
     if total is None:
         total = np.einsum("kms,ms->ks", gains, powers)
-    own = gains[np.arange(gains.shape[0]), serving, :] * powers[serving, :]
-    return own / (total - own + noise_w)
+    signal = gains[user, bs, sub] * powers[bs, sub]
+    return signal, total[user, sub] - signal + noise_w[user, sub]
+
+
+def sinr_matrix(gains, powers, serving, noise_w, total=None):
+    """(K, S) SINR of every user toward its serving BS at the given powers."""
+    signal, intf_noise = link_state(gains, powers, noise_w, np.arange(gains.shape[0]),
+                                    serving, slice(None), total)
+    return signal / intf_noise
 
 
 def rate(gamma, gap=1.0, subchannel_bw_hz=1.0):
@@ -86,21 +95,31 @@ def validate_schedule(sched, cells):
                 raise ValueError(f"user {k} scheduled by BS {n} but not associated")
 
 
+def scheduled_index(sched):
+    """(scheduled, user, bs, sub) for an (N, S) schedule: the mask of pairs
+    with a scheduled user and the broadcastable link index of every pair,
+    user 0 standing in where nobody is scheduled."""
+    N, S = sched.shape
+    scheduled = sched != NO_USER
+    return scheduled, np.where(scheduled, sched, 0), np.arange(N)[:, None], np.arange(S)
+
+
+def serving_vector(cells, n_users):
+    """(K,) serving BS of each user, from the per-BS member lists."""
+    serving = np.zeros(n_users, dtype=int)
+    for n, ids in enumerate(cells):
+        for k in ids:
+            serving[k] = n
+    return serving
+
+
 def served_rates(gains, powers, sched, noise_w, gap=1.0, subchannel_bw_hz=1.0, total=None):
     """(K,) per-user sum rate actually served under the committed powers."""
-    K = gains.shape[0]
-    N, S = sched.shape
-    if total is None:
-        total = np.einsum("kms,ms->ks", gains, powers)
-    scheduled = sched != NO_USER
-    ksafe = np.where(scheduled, sched, 0)
-    rows = np.arange(N)[:, None]
-    cols = np.arange(S)[None, :]
-    signal = gains[ksafe, rows, cols] * powers
-    gamma = signal / (total[ksafe, cols] - signal + noise_w[ksafe, cols])
-    r = subchannel_bw_hz * np.log2(1.0 + gamma / gap)
-    out = np.zeros(K)
-    np.add.at(out, ksafe[scheduled], r[scheduled])
+    scheduled, user, bs, sub = scheduled_index(sched)
+    signal, intf_noise = link_state(gains, powers, noise_w, user, bs, sub, total)
+    r = rate(signal / intf_noise, gap, subchannel_bw_hz)
+    out = np.zeros(gains.shape[0])
+    np.add.at(out, user[scheduled], r[scheduled])
     return out
 
 

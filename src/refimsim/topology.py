@@ -11,11 +11,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 TIER_MACRO = "macro"
-TIER_PICO = "pico"
 TIER_FEMTO = "femto"
 
 # tier-consistent transmit power defaults (43 dBm macro, 15 dBm femto)
-DEFAULT_POWER_DBM = {TIER_MACRO: 43.0, TIER_PICO: 30.0, TIER_FEMTO: 15.0}
+DEFAULT_POWER_DBM = {TIER_MACRO: 43.0, TIER_FEMTO: 15.0}
 
 # axial lattice steps to the six adjacent hex cells
 _HEX_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
@@ -23,10 +22,6 @@ _HEX_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
 def dbm_to_watts(dbm):
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(watts):
-    return 10.0 * np.log10(watts) + 30.0
 
 
 @dataclass(frozen=True)

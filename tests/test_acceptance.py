@@ -17,7 +17,6 @@ from refimsim import channel, engine, power, topology
 from refimsim.cli import main as cli_main
 from refimsim.oracle import GridSpec, brute_force
 from refimsim.oracle_compare import settle_algorithm
-from refimsim.power import refim_step, wf_step
 from refimsim.presets import get_preset
 from refimsim.reference import ReferenceSelection
 from refimsim.scheduling import NO_USER, rate, schedule_users, sinr_matrix
@@ -167,12 +166,12 @@ def test_criterion_03_waterfilling_reduction():
             ref_user=np.full((n_bs, n_sub, 1), NO_USER),
             f0=np.zeros((n_bs, n_sub, 1)), f1=np.zeros((n_bs, n_sub, 1)),
             f2=np.ones((n_bs, n_sub, 1)), f3=np.ones((n_bs, n_sub, 1)))
-        for n in range(n_bs):
-            p_ref, _, _ = refim_step(n, sched, empty, prev, gains, weights, noise,
-                                     1.5, np.full(n_sub, 1.5))
-            p_wf, _, _ = wf_step(n, sched, prev, gains, weights, noise,
-                                 1.5, np.full(n_sub, 1.5))
-            worst = max(worst, float(np.abs(p_ref - p_wf).max()))
+        budgets, masks = np.full(n_bs, 1.5), np.full((n_bs, n_sub), 1.5)
+        p_ref, _, _ = power.allocate(gains, prev, sched, weights, noise, empty.taxes(),
+                                     budgets, masks)
+        p_wf, _, _ = power.allocate(gains, prev, sched, weights, noise,
+                                    np.zeros((n_bs, n_sub)), budgets, masks)
+        worst = max(worst, float(np.abs(p_ref - p_wf).max()))
     _line(3, f"max |p_refim(no refs) - p_wf| over 100 instances = {worst:.2e} W")
     assert worst < 1e-9
 

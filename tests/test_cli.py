@@ -126,7 +126,12 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("doc", [{"preset": "two-cell", "ewma_beta": 0},
-                                     {"feedback_period_slots": 0}])
+                                     {"feedback_period_slots": 0}] + [
+        {"preset": "two-cell", **field} for field in (
+            {"zones": [1]}, {"center_band_m": 5}, {"subchannels": 0},
+            {"users_per_group": 0}, {"sinr_gap_db": -1}, {"ref_count": 1.5},
+            {"algorithm": "general", "sched_loops": 0}, {"bandwidth_hz": -1},
+            {"user_speed_kmh": -3}, {"slot_duration_s": 0})])
     def test_invalid_field_in_config_exit_1_no_outputs(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))

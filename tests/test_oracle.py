@@ -8,6 +8,7 @@ from refimsim.oracle import (
     enumerate_schedules, evaluate_objective,
 )
 from refimsim.oracle_compare import compare_to_oracle, settle_algorithm
+from refimsim.scheduling import NO_USER
 
 
 def hand_example():
@@ -40,6 +41,41 @@ def random_toy(seed, n_bs=2, n_sub=2):
     masks = np.ones((n_bs, n_sub))
     nbrs = [[m for m in range(n_bs) if m != n] for n in range(n_bs)]
     return gains, noise, cells, weights, budgets, masks, nbrs
+
+
+def looped_objective(gains, noise_w, weights, powers, sched, subchannel_bw_hz=1.0,
+                     sinr_gap=1.0):
+    """Per-(bs, subchannel) loop that evaluate_objective replaced (reference)."""
+    total = np.einsum("kms,ms->ks", gains, powers)
+    h = 0.0
+    for n in range(sched.shape[0]):
+        for s in range(sched.shape[1]):
+            k = sched[n, s]
+            if k < 0:
+                continue
+            signal = gains[k, n, s] * powers[n, s]
+            gamma = signal / (total[k, s] - signal + noise_w[k, s])
+            h += weights[k] * subchannel_bw_hz * np.log2(1.0 + gamma / sinr_gap)
+    return float(h)
+
+
+class TestObjective:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_looped_objective(self, seed):
+        rng = np.random.default_rng(seed)
+        n_bs, n_sub, upc = 3, 4, 3
+        K = n_bs * upc
+        gains = rng.lognormal(-1.0, 1.0, size=(K, n_bs, n_sub))
+        noise = rng.uniform(0.05, 0.3, size=(K, n_sub))
+        weights = rng.uniform(0.2, 3.0, size=K)
+        powers = rng.uniform(0.0, 1.0, size=(n_bs, n_sub))
+        sched = np.stack([rng.choice(np.arange(n * upc, (n + 1) * upc), size=n_sub)
+                          for n in range(n_bs)])
+        sched[rng.random(sched.shape) < 0.25] = NO_USER
+        bw, gap = float(rng.uniform(1e4, 1e6)), float(rng.uniform(1.0, 4.0))
+        got = evaluate_objective(gains, noise, weights, powers, sched, bw, gap)
+        want = looped_objective(gains, noise, weights, powers, sched, bw, gap)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestBruteForce:

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from refimsim import power
 from refimsim.oracle import evaluate_objective
 from refimsim.power import (
-    BISECTION_ITER_BOUND, PowerMatrix, allocate_bisection_batch, equal_power, general_algorithm, initial_power,
-    kkt_power, measured_interference, refim_step, scheduled_arrays,
-    taxation_from_feedback, taxation_term, wf_step,
+    BISECTION_ITER_BOUND, PowerMatrix, allocate, allocate_bisection_batch, equal_power,
+    general_algorithm, initial_power, kkt_power, measured_interference, scheduled_arrays,
+    taxation_from_feedback, taxation_term,
 )
 from refimsim.reference import ReferenceSelection
 from refimsim.scheduling import NO_USER
@@ -329,6 +329,14 @@ def make_step_instance(seed, n_bs=2, n_sub=4, upc=2):
     return cells, gains, noise, weights, prev, sched, budget, masks
 
 
+def step_powers(sched, taxes, prev, gains, weights, noise, budget, masks):
+    """Every BS's power step at one shared budget and (S,) mask."""
+    N, S = sched.shape
+    p, _, _ = allocate(gains, prev, sched, weights, noise, taxes, np.full(N, budget),
+                       np.broadcast_to(masks, (N, S)))
+    return p
+
+
 class TestRefimStep:
     @pytest.mark.parametrize("seed", range(10))
     def test_no_references_reduces_to_waterfilling(self, seed):
@@ -337,9 +345,9 @@ class TestRefimStep:
             ref_bs=np.full((2, 4, 1), -1), ref_user=np.full((2, 4, 1), NO_USER),
             f0=np.zeros((2, 4, 1)), f1=np.zeros((2, 4, 1)),
             f2=np.ones((2, 4, 1)), f3=np.ones((2, 4, 1)))
-        p_ref, _, _ = refim_step(0, sched, empty, prev, gains, weights, noise,
-                                 budget, masks)
-        p_wf, _, _ = wf_step(0, sched, prev, gains, weights, noise, budget, masks)
+        p_ref = step_powers(sched, empty.taxes(), prev, gains, weights, noise, budget, masks)[0]
+        p_wf = step_powers(sched, np.zeros((2, 4)), prev, gains, weights, noise, budget,
+                           masks)[0]
         assert np.array_equal(p_ref, p_wf)
 
     def test_disabled_bs_ignores_references(self, ):
@@ -348,12 +356,13 @@ class TestRefimStep:
             ref_bs=np.ones((2, 4, 1), dtype=int), ref_user=np.full((2, 4, 1), 3),
             f0=np.full((2, 4, 1), 0.8), f1=np.ones((2, 4, 1)),
             f2=np.ones((2, 4, 1)), f3=np.ones((2, 4, 1)))
-        p_off, _, _ = refim_step(0, sched, refs, prev, gains, weights, noise,
-                                 budget, masks, enabled=False)
-        p_wf, _, _ = wf_step(0, sched, prev, gains, weights, noise, budget, masks)
+        taxes_off = refs.taxes()
+        taxes_off[~np.array([False, True])] = 0.0  # BS 0 disabled, as in engine.run
+        p_off = step_powers(sched, taxes_off, prev, gains, weights, noise, budget, masks)[0]
+        p_wf = step_powers(sched, np.zeros((2, 4)), prev, gains, weights, noise, budget,
+                           masks)[0]
         assert np.array_equal(p_off, p_wf)
-        p_on, _, _ = refim_step(0, sched, refs, prev, gains, weights, noise,
-                                budget, masks, enabled=True)
+        p_on = step_powers(sched, refs.taxes(), prev, gains, weights, noise, budget, masks)[0]
         assert not np.array_equal(p_on, p_wf)
 
     def test_isolated_flat_channel_equal_split(self):
@@ -362,8 +371,8 @@ class TestRefimStep:
         noise = np.full((1, n_sub), 0.1)
         sched = np.zeros((1, n_sub), dtype=int)
         prev = np.full((1, n_sub), 0.25)
-        p, _, _ = wf_step(0, sched, prev, gains, np.array([1.0]), noise, 2.0,
-                          np.full(n_sub, 2.0))
+        p = step_powers(sched, np.zeros((1, n_sub)), prev, gains, np.array([1.0]), noise, 2.0,
+                        np.full(n_sub, 2.0))[0]
         assert np.allclose(p, 0.5, atol=1e-5)
 
 

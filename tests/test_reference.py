@@ -6,8 +6,7 @@ from refimsim.power import taxation_term
 from refimsim.presets import get_preset
 from refimsim.reference import (
     CandidateTables, FeedbackConfig, exchange_scheduled_indices,
-    refresh_candidate_tables, representative_users, select_reference,
-    select_references,
+    refresh_candidate_tables, representative_users, select_references,
 )
 from refimsim.scheduling import NO_USER
 from refimsim.topology import BaseStation, Network, User
@@ -81,9 +80,15 @@ class TestExchange:
         sched = np.array([[0, 1], [4, 3], [6, 7]])
         cfg = FeedbackConfig(femto_overhear=False)
         views = exchange_scheduled_indices(net2, sched, 0, cfg)
-        sel = select_reference(net2, 2, views, tables, count=1)
+        sel = select_one(net2, 2, views, tables, count=1)
         assert not sel.valid().any()
-        assert np.all(sel.taxes(0) == 0.0)
+        assert np.all(sel.taxes(2) == 0.0)
+
+
+def select_one(network, bs, views, tables, count):
+    """Reference selection with only `bs` enabled; the other rows stay empty."""
+    return select_references(network, views, tables, count,
+                             enabled=np.arange(network.n_bs) == bs)
 
 
 class TestCandidateTables:
@@ -218,7 +223,7 @@ class TestSelection:
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         sched = np.array([[0, 0], [4, 4], [6, 6]])
         views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
-        sel = select_reference(net, 0, views, tables, count=1)
+        sel = select_one(net, 0, views, tables, count=1)
         assert np.all(sel.ref_bs[0, :, 0] == 2)
         assert np.all(sel.ref_user[0, :, 0] == 6)
 
@@ -227,7 +232,7 @@ class TestSelection:
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         sched = np.array([[0, 0], [4, 4], [6, 6]])
         views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
-        sel = select_reference(net, 0, views, tables, count=0)
+        sel = select_one(net, 0, views, tables, count=0)
         assert not sel.valid().any()
         assert np.all(sel.taxes(0) == 0.0)
 
@@ -236,8 +241,8 @@ class TestSelection:
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         sched = np.array([[0, 0], [4, 4], [6, 6]])
         views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
-        one = select_reference(net, 0, views, tables, count=1)
-        both = select_reference(net, 0, views, tables, count=2)
+        one = select_one(net, 0, views, tables, count=1)
+        both = select_one(net, 0, views, tables, count=2)
         assert both.valid()[0].sum() == 4  # two refs on each of two subchannels
         per_ref = []
         for m in range(2):
@@ -261,7 +266,7 @@ class TestSelection:
         refresh_candidate_tables(net, tables, 0, FeedbackConfig())
         sched = np.tile(np.arange(7)[:, None], (1, 2))  # one user per cell
         views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
-        sel = select_reference(net, 0, views, tables, count=6)
+        sel = select_one(net, 0, views, tables, count=6)
         assert sel.valid()[0].sum() == 6 * 2  # all six neighbors, both subchannels
         for s in range(2):
             expected = sum(
@@ -276,7 +281,7 @@ class TestSelection:
         tables.withdraw([6, 7])  # femto record vanishes
         sched = np.array([[0, 0], [4, 4], [6, 6]])
         views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
-        sel = select_reference(net, 0, views, tables, count=1)
+        sel = select_one(net, 0, views, tables, count=1)
         assert np.all(sel.ref_bs[0, :, 0] == 1)  # falls back to the other macro
 
     def test_reference_always_in_neighbor_set(self):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refimsim.oracle import enumerate_schedules, evaluate_objective
+from refimsim.power import taxation_from_feedback, taxation_term
 from refimsim.scheduling import (
-    NO_USER, UserStates, pf_weights, rate, schedule_users, served_rates, sinr,
-    sinr_matrix, update_throughput, validate_schedule,
+    NO_USER, UserStates, link_state, pf_weights, rate, schedule_users, scheduled_index,
+    served_rates, serving_vector, sinr, sinr_matrix, update_throughput, validate_schedule,
 )
 
 
@@ -45,6 +47,55 @@ class TestSinr:
                 assert mat[k, s] == pytest.approx(sinr(gains, powers, k, serving[k], s, noise))
         total = np.einsum("kms,ms->ks", gains, powers)
         assert np.array_equal(sinr_matrix(gains, powers, serving, noise, total=total), mat)
+
+
+class TestLinkState:
+    """link_state in the three index forms its callers use, against the
+    scalar references sinr and taxation_term."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), n_bs=st.integers(1, 4), n_sub=st.integers(1, 4),
+           upc=st.integers(1, 3), with_total=st.booleans())
+    def test_forms_match_scalar_references(self, seed, n_bs, n_sub, upc, with_total):
+        cells, gains, noise, weights, powers = random_instance(seed, n_bs, n_sub, upc)
+        rng = np.random.default_rng([seed, 1])
+        powers[rng.random(powers.shape) < 0.2] = 0.0
+        K = gains.shape[0]
+        serving = serving_vector(cells, K)
+        total = np.einsum("kms,ms->ks", gains, powers) if with_total else None
+
+        # per user, toward its serving BS (sinr_matrix, CandidateTables.accumulate)
+        signal, intf = link_state(gains, powers, noise, np.arange(K), serving, slice(None),
+                                  total)
+        assert signal.shape == intf.shape == (K, n_sub)
+        for k in range(K):
+            for s in range(n_sub):
+                want = sinr(gains, powers, k, serving[k], s, noise)
+                assert signal[k, s] / intf[k, s] == pytest.approx(want, rel=1e-12)
+
+        # per scheduled user of each (bs, subchannel) (served_rates, measured_interference)
+        sched = np.stack([rng.choice(ids, size=n_sub) for ids in cells])
+        sched[rng.random(sched.shape) < 0.2] = NO_USER
+        scheduled, user, bs, sub = scheduled_index(sched)
+        signal, intf = link_state(gains, powers, noise, user, bs, sub, total)
+        assert signal.shape == intf.shape == (n_bs, n_sub)
+        for n in range(n_bs):
+            for s in range(n_sub):
+                if scheduled[n, s]:
+                    want = sinr(gains, powers, sched[n, s], n, s, noise)
+                    assert signal[n, s] / intf[n, s] == pytest.approx(want, rel=1e-12)
+
+        # per reference, flat index arrays (the general algorithm's ground truth)
+        refs = rng.integers(0, K, size=8)
+        subs = rng.integers(0, n_sub, size=8)
+        signal, intf = link_state(gains, powers, noise, refs, serving[refs], subs, total)
+        for i, (k, s) in enumerate(zip(refs, subs)):
+            for n in range(n_bs):
+                if n == serving[k]:
+                    continue
+                got = taxation_from_feedback(weights[k], gains[k, n, s], signal[i], intf[i])
+                want = taxation_term(weights[k], k, n, serving[k], gains, powers, noise, s)
+                assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestRate:

@@ -97,6 +97,15 @@ class Scenario:
             raise ValueError("user counts must be >= 1")
         if self.rings < 0 or self.femtos_per_macro < 0:
             raise ValueError("rings and femtos_per_macro must be >= 0")
+        if self.kind == "two_cell":
+            (c_lo, c_hi), (e_lo, e_hi) = self.center_band_m, self.edge_band_m
+            if not 0 < c_lo < c_hi <= e_lo < e_hi < self.bs_distance_m:
+                raise ValueError("bands must satisfy 0 < center lo < center hi <= edge lo "
+                                 "< edge hi < bs_distance_m")
+        for z in map(dict, self.zones):
+            if set(z) != {"cols", "rows", "spacing_m"} or min(z["cols"], z["rows"]) < 1 \
+                    or not z["spacing_m"] > 0:
+                raise ValueError("each zone needs cols >= 1, rows >= 1 and spacing_m > 0")
         if not (self.bandwidth_hz > 0 and self.slot_duration_s > 0):
             raise ValueError("bandwidth_hz and slot_duration_s must be > 0")
         if not self.user_speed_kmh >= 0:

@@ -131,7 +131,8 @@ class TestRunCommand:
             {"zones": [1]}, {"center_band_m": 5}, {"subchannels": 0},
             {"users_per_group": 0}, {"sinr_gap_db": -1}, {"ref_count": 1.5},
             {"algorithm": "general", "sched_loops": 0}, {"bandwidth_hz": -1},
-            {"user_speed_kmh": -3}, {"slot_duration_s": 0})])
+            {"user_speed_kmh": -3}, {"slot_duration_s": 0}, {"center_band_m": [5]},
+            {"edge_band_m": [300, 900]}, {"kind": "mixed_density", "zones": [{"cols": 2}]})])
     def test_invalid_field_in_config_exit_1_no_outputs(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))

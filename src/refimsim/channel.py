@@ -4,13 +4,12 @@ Gains are linear power gains; the per-slot tensor is indexed
 (user, bs, subchannel). Noise is linear Watts per (user, subchannel).
 """
 
-import csv
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
-from .topology import TIER_FEMTO
+from .topology import TIER_FEMTO, WaypointMobility
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -231,51 +230,48 @@ class FadingState:
         return self._links(self._gains).copy()
 
 
-@dataclass
-class GainSnapshot:
-    """Per-slot linear channel state: gains (K, N, S), noise (K, S)."""
-    gains: np.ndarray
-    noise_w: np.ndarray
-    slot: int
-
-    def __post_init__(self):
-        if np.any(self.gains <= 0):
-            raise ValueError("all gains must be > 0")
-        if np.any(self.noise_w <= 0):
-            raise ValueError("all noise powers must be > 0")
-
-    def mean_gains(self):
-        return self.gains.mean(axis=2)
-
-
 def large_scale_linear(pl_db, shadow_db):
     """Linear gain 10^(-(PL+SH)/10) from loss and shadowing in dB."""
     return 10.0 ** (-(np.asarray(pl_db) + np.asarray(shadow_db)) / 10.0)
 
 
-def snapshot(network, config, fading, shadow_db, slot, positions=None, pl_db=None):
-    """Assemble the slot's GainSnapshot; pure given the fading state.
+class Channel:
+    """A run's channel: shadowing, Jakes fading and optional user mobility,
+    each drawn from its own child of the scenario seed.
 
-    pl_db short-circuits the path loss recomputation when positions are
-    static; callers advancing mobility pass fresh positions instead.
+    `large_scale` is the (K, N) path loss and shadowing gain at the current
+    user positions; `noise` is the (K, S) noise power in Watts.
     """
-    if pl_db is None:
-        pl_db = path_loss_matrix_db(network, config, positions)
-    ls = large_scale_linear(pl_db, shadow_db)
-    gains = ls[:, :, None] * fading.power_gains()
-    bw_sub = network.bandwidth_hz / network.subchannel_count
-    noise = np.full((network.n_users, network.subchannel_count),
-                    noise_power_w(config, bw_sub))
-    return GainSnapshot(gains=gains, noise_w=noise, slot=slot)
 
+    def __init__(self, scenario, network):
+        _, sh_seed, fad_seed, _, mob_seed, _ = np.random.SeedSequence(scenario.seed).spawn(6)
+        self.network = network
+        self.config = cfg = scenario.propagation()
+        K, N, S = network.n_users, network.n_bs, network.subchannel_count
+        speeds = np.full(K, scenario.user_speed_kmh / 3.6)
+        self.shadow_db = shadowing_matrix_db(network, cfg, np.random.default_rng(sh_seed))
+        self.fading = FadingState(np.random.default_rng(fad_seed), K, N, S, speeds,
+                                  cfg.carrier_freq_hz, cfg.oscillators)
+        self.mobility = None
+        if scenario.mobile_users:
+            self.mobility = WaypointMobility(network, speeds, np.random.default_rng(mob_seed))
+        self._update_large_scale()
+        self.noise = np.full((K, S), noise_power_w(cfg, network.bandwidth_hz / S))
 
-def dump_snapshot_csv(snap, path):
-    """Debug dump: one row per (user, bs, subchannel) gain."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["user", "bs", "subchannel", "gain"])
-        K, N, S = snap.gains.shape
-        for k in range(K):
-            for n in range(N):
-                for s in range(S):
-                    w.writerow([k, n, s, repr(float(snap.gains[k, n, s]))])
+    def _update_large_scale(self):
+        positions = None if self.mobility is None else self.mobility.positions
+        pl_db = path_loss_matrix_db(self.network, self.config, positions)
+        self.large_scale = large_scale_linear(pl_db, self.shadow_db)
+
+    def advance(self, dt_s):
+        """Move the users (path loss is recomputed only if they moved), then
+        advance the fading."""
+        if self.mobility is not None and self.mobility.advance(dt_s):
+            self._update_large_scale()
+        self.fading.advance(dt_s)
+
+    def gains(self):
+        """(K, N, S) linear gains at the current time, a fresh array."""
+        gains = self.fading.power_gains()
+        gains *= self.large_scale[:, :, None]
+        return gains

@@ -189,22 +189,14 @@ def cmd_sweep(args):
 def cmd_oracle(args):
     sc = apply_overrides(load_scenario(args.config), args)
     net = engine.build_network(sc)
-    cfg = sc.propagation()
-    ss = np.random.SeedSequence(sc.seed)
-    _, sh_ss, fad_ss, _, _, _ = ss.spawn(6)
-    shadow = channel.shadowing_matrix_db(net, cfg, np.random.default_rng(sh_ss))
-    fading = channel.FadingState(np.random.default_rng(fad_ss), net.n_users, net.n_bs,
-                                 net.subchannel_count,
-                                 np.full(net.n_users, sc.user_speed_kmh / 3.6),
-                                 cfg.carrier_freq_hz, cfg.oscillators)
-    snap = channel.snapshot(net, cfg, fading, shadow, slot=0)
+    chan = channel.Channel(sc, net)
     budgets = np.array([b.max_power_w for b in net.base_stations])
     masks = np.array([[b.mask_w] * net.subchannel_count for b in net.base_stations])
     weights = np.ones(net.n_users)
     bw_sub = net.bandwidth_hz / net.subchannel_count
-    scores = compare_to_oracle(snap.gains, snap.noise_w, net.cells(), weights,
+    scores = compare_to_oracle(chan.gains(), chan.noise, net.cells(), weights,
                                budgets, masks, net.neighbor_sets, levels=args.levels,
-                               subchannel_bw_hz=bw_sub, sinr_gap=cfg.sinr_gap)
+                               subchannel_bw_hz=bw_sub, sinr_gap=chan.config.sinr_gap)
     h_star = scores["oracle"]
     print(f"{'algorithm':<10}{'objective':>16}{'ratio':>10}")
     print(f"{'oracle':<10}{h_star:>16.6g}{100.0:>9.2f}%")

@@ -1,15 +1,14 @@
 """Per-slot simulation loop, metrics (GAT/AET/AAT), scenario sweeps.
 
-Slot order: advance fading/mobility -> snapshot -> initial powers ->
+Slot order: advance the channel (mobility, fading) -> gains -> initial powers ->
 schedule -> exchange indices -> select references -> taxation -> bisection
 -> commit -> served rates -> EWMA update -> metric accumulation.
 """
 
 import hashlib
 import json
-import numbers
 import warnings
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field, fields, replace
 
 import numpy as np
 
@@ -19,6 +18,11 @@ ALGORITHMS = ("eq", "wf", "refim", "general")
 KINDS = ("hex", "two_cell", "hetnet", "mixed_density")
 POLICIES = ("sharing", "splitting")
 INITIAL_RULES = ("uniform", "random", "previous")
+
+# Value types a Scenario field accepts, by the type of its default; a bool
+# passes as neither an int nor a float.
+_FIELD_KINDS = {bool: (bool,), int: (int, np.integer),
+                float: (int, float, np.integer, np.floating)}
 
 DEFAULT_ZONES = (
     {"cols": 5, "rows": 3, "spacing_m": 900.0},    # urban
@@ -76,6 +80,12 @@ class Scenario:
     utility_alpha: float = 1.0
 
     def validate(self):
+        for f in fields(self):
+            value, default = getattr(self, f.name), f.default
+            kinds = _FIELD_KINDS.get(type(default))
+            if kinds and (not isinstance(value, kinds)
+                          or isinstance(value, bool) != isinstance(default, bool)):
+                raise ValueError(f"{f.name} must be {type(default).__name__}, got {value!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.algorithm not in ALGORITHMS:
@@ -114,14 +124,22 @@ class Scenario:
             raise ValueError("sinr_gap_db must be >= 0")
         if self.sched_loops < 1 or self.power_loops < 1:
             raise ValueError("sched_loops and power_loops must be >= 1")
-        if not isinstance(self.ref_count, numbers.Integral) or self.ref_count < 0:
-            raise ValueError("ref_count must be an integer >= 0")
+        if self.ref_count < 0:
+            raise ValueError("ref_count must be >= 0")
         if not 0.0 < self.ewma_beta <= 1.0:
             raise ValueError("ewma_beta must be in (0, 1]")
         if self.feedback_period_slots < 1:
             raise ValueError("feedback_period_slots must be >= 1")
         if self.femto_feedback_period_slots < 0:
             raise ValueError("femto_feedback_period_slots must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not (self.inter_site_distance_m > 0 and self.home_size_m > 0
+                and self.carrier_freq_hz > 0 and self.initial_throughput_bps > 0):
+            raise ValueError("inter_site_distance_m, home_size_m, carrier_freq_hz and "
+                             "initial_throughput_bps must be > 0")
+        if not (self.shadowing_sigma_macro_db >= 0 and self.shadowing_sigma_femto_db >= 0):
+            raise ValueError("shadowing sigmas must be >= 0")
         return self
 
     def to_dict(self):
@@ -282,7 +300,6 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
     """Simulate one scenario end to end; deterministic in scenario.seed."""
     sc = scenario.validate()
     net = build_network(sc)
-    cfg = sc.propagation()
     fb_cfg = sc.feedback()
     K, N, S = net.n_users, net.n_bs, net.subchannel_count
     cells = net.cells()
@@ -290,33 +307,19 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
         if not ids:
             raise ValueError("every cell must have at least one user")
     serving = np.array([u.serving_bs for u in net.users], dtype=int)
+    users = np.arange(K)
     tiers = [net.base_stations[n].tier for n in range(N)]
 
-    ss = np.random.SeedSequence(sc.seed)
-    _, rng_sh_ss, rng_fad_ss, rng_pow_ss, rng_mob_ss, _ = ss.spawn(6)
-    rng_sh = np.random.default_rng(rng_sh_ss)
-    rng_fad = np.random.default_rng(rng_fad_ss)
-    rng_pow = np.random.default_rng(rng_pow_ss)
-    rng_mob = np.random.default_rng(rng_mob_ss)
-
-    speed_mps = sc.user_speed_kmh / 3.6
-    shadow = channel.shadowing_matrix_db(net, cfg, rng_sh)
-    fading = channel.FadingState(rng_fad, K, N, S, np.full(K, speed_mps),
-                                 cfg.carrier_freq_hz, cfg.oscillators)
-    mobility = None
-    if sc.mobile_users:
-        mobility = topology.WaypointMobility(net, np.full(K, speed_mps), rng_mob)
-    positions = None if mobility is None else mobility.positions
-    pl_db = channel.path_loss_matrix_db(net, cfg, positions)
-    large_scale = channel.large_scale_linear(pl_db, shadow)
+    rng_pow = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(6)[3])
+    chan = channel.Channel(sc, net)
+    noise = chan.noise
 
     allowed = allowed_subchannels(net, sc)
     budgets = np.array([b.max_power_w for b in net.base_stations])
     masks = np.array([[b.mask_w] * S for b in net.base_stations]) * allowed
     enabled = np.array([b.refim_enabled for b in net.base_stations])
     bw_sub = sc.bandwidth_hz / S
-    gap = cfg.sinr_gap
-    noise = np.full((K, S), channel.noise_power_w(cfg, bw_sub))
+    gap = chan.config.sinr_gap
     dt = sc.slot_duration_s
 
     eq_powers = np.stack([power.equal_power(budgets[n], masks[n]) for n in range(N)])
@@ -338,11 +341,8 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
                     for n in range(N)]
 
     for t in range(sc.slots):
-        if mobility is not None and mobility.advance(dt):
-            pl_db = channel.path_loss_matrix_db(net, cfg, mobility.positions)
-            large_scale = channel.large_scale_linear(pl_db, shadow)
-        fading.advance(dt)
-        gains = large_scale[:, :, None] * fading.power_gains()
+        chan.advance(dt)
+        gains = chan.gains()
 
         weights = states.weights()
         if sc.algorithm == "eq":
@@ -353,15 +353,16 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
 
         if sc.algorithm != "general":  # general schedules inside its own loop
             total_eval = np.einsum("kms,ms->ks", gains, p_eval)
-            gamma = scheduling.sinr_matrix(gains, p_eval, serving, noise, total=total_eval)
-            rates_eval = scheduling.rate(gamma, gap, bw_sub)
+            signal, intf_noise = scheduling.link_state(gains, p_eval, noise, users, serving,
+                                                       slice(None), total_eval)
+            rates_eval = scheduling.rate(signal / intf_noise, gap, bw_sub)
             sched = scheduling.schedule_users(cells, weights, rates_eval, allowed=allowed)
 
         taxes = np.zeros((N, S))
         if sc.algorithm == "refim":
-            tables.accumulate(gains, p_eval, noise, weights, serving, total=total_eval)
+            tables.accumulate(gains, weights, signal, intf_noise)
             reference.refresh_candidate_tables(net, tables, t, fb_cfg,
-                                               mean_gains=large_scale, enabled=enabled,
+                                               mean_gains=chan.large_scale, enabled=enabled,
                                                trace=protocol_trace)
             views = reference.exchange_scheduled_indices(net, sched, t, fb_cfg)
             refs = reference.select_references(net, views, tables, fb_cfg.ref_count,
@@ -412,7 +413,7 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
         prev_powers = committed
 
     throughput = accum / measured
-    is_edge = topology.classify_edge_users(net, large_scale, sc.edge_threshold_db)
+    is_edge = topology.classify_edge_users(net, chan.large_scale, sc.edge_threshold_db)
     return RunResult(
         scenario=sc, config_hash=sc.config_hash(),
         throughput_bps=throughput,

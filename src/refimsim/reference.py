@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .power import taxation_from_feedback
-from .scheduling import NO_USER, link_state
+from .scheduling import NO_USER
 from .topology import TIER_FEMTO, classify_edge_users, pad_neighbor_sets
 
 
@@ -53,11 +53,6 @@ class NeighborViews:
     macro_view: np.ndarray  # (N, S) what a macro viewer sees
     femto_view: np.ndarray  # (N, S) what a femto viewer sees
 
-    def for_viewer(self, network, viewer):
-        if network.base_stations[viewer].tier == TIER_FEMTO:
-            return self.femto_view
-        return self.macro_view
-
 
 def exchange_scheduled_indices(network, sched, slot, config):
     """Per-slot index exchange with the femto simplifications.
@@ -95,10 +90,10 @@ class CandidateTables:
         self.pub_valid = np.zeros(K, dtype=bool)
         self.last_update = np.full(K, -1, dtype=int)
 
-    def accumulate(self, gains, powers, noise_w, weights, serving, total=None):
-        """Per-slot user measurements at the evaluation powers."""
-        signal, intf_noise = link_state(gains, powers, noise_w, np.arange(gains.shape[0]),
-                                        serving, slice(None), total)
+    def accumulate(self, gains, weights, signal, intf_noise):
+        """Add one slot's measurements: gains (K, N, S), weights (K,) and the
+        (K, S) serving-link signal and interference-plus-noise at the
+        evaluation powers."""
         self.acc_f0 += gains
         self.acc_f1 += weights
         self.acc_f2 += signal
@@ -128,21 +123,6 @@ class CandidateTables:
         self.acc_f2[ids] = 0.0
         self.acc_f3[ids] = 0.0
         self.acc_count[ids] = 0
-
-    def record(self, user):
-        """One user's published candidate record (introspection/tests)."""
-        return {
-            "f0": self.pub_f0[user].copy(),
-            "f1": float(self.pub_f1[user]),
-            "f2": self.pub_f2[user].copy(),
-            "f3": self.pub_f3[user].copy(),
-            "valid": bool(self.pub_valid[user]),
-            "last_update_slot": int(self.last_update[user]),
-        }
-
-    def staleness(self, slot):
-        """(K,) slots since last publish (only meaningful where pub_valid)."""
-        return slot - self.last_update
 
 
 def refresh_candidate_tables(network, tables, slot, config, mean_gains=None,

@@ -85,16 +85,6 @@ def schedule_users(cells, weights, rate_ks, allowed=None):
     return sched
 
 
-def validate_schedule(sched, cells):
-    """Each scheduled user belongs to its cell; one user per (bs, subchannel)
-    holds by construction of the (N, S) layout."""
-    for n, row in enumerate(np.asarray(sched)):
-        members = set(cells[n])
-        for k in row:
-            if k != NO_USER and k not in members:
-                raise ValueError(f"user {k} scheduled by BS {n} but not associated")
-
-
 def scheduled_index(sched):
     """(scheduled, user, bs, sub) for an (N, S) schedule: the mask of pairs
     with a scheduled user and the broadcastable link index of every pair,

@@ -4,7 +4,6 @@ Positions are in meters on a flat 2-D plane. A Network is built once and
 treated as immutable afterwards; mobility keeps its own position state.
 """
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -155,79 +154,6 @@ class Network:
             d = np.minimum(d, np.linalg.norm(up[:, None, :] - shifted[None, :, :], axis=2))
         return d
 
-    def to_document(self):
-        """Plain-dict form of the layout for replay (documented in README)."""
-        return {
-            "subchannel_count": self.subchannel_count,
-            "bandwidth_hz": self.bandwidth_hz,
-            "wrap_vectors": [list(v) for v in self.wrap_vectors],
-            "base_stations": [
-                {
-                    "id": b.id, "tier": b.tier, "position": list(b.position),
-                    "max_power_w": b.max_power_w, "mask_w": b.mask_w,
-                    "refim_enabled": b.refim_enabled,
-                    "home_id": b.home_id,
-                    "home_center": list(b.home_center) if b.home_center else None,
-                }
-                for b in self.base_stations
-            ],
-            "users": [
-                {
-                    "id": u.id, "position": list(u.position), "serving_bs": u.serving_bs,
-                    "speed_mps": u.speed_mps, "indoor": u.indoor, "home_id": u.home_id,
-                }
-                for u in self.users
-            ],
-            "neighbor_sets": [list(nbrs) for nbrs in self.neighbor_sets],
-            "regions": [_region_to_doc(r) for r in self.regions],
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_document(), sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        bs = [
-            BaseStation(
-                id=d["id"], tier=d["tier"], position=tuple(d["position"]),
-                max_power_w=d["max_power_w"], mask_w=d["mask_w"],
-                refim_enabled=d["refim_enabled"], home_id=d["home_id"],
-                home_center=tuple(d["home_center"]) if d["home_center"] else None,
-            )
-            for d in doc["base_stations"]
-        ]
-        users = [
-            User(
-                id=d["id"], position=tuple(d["position"]), serving_bs=d["serving_bs"],
-                speed_mps=d["speed_mps"], indoor=d["indoor"], home_id=d["home_id"],
-            )
-            for d in doc["users"]
-        ]
-        return cls(
-            base_stations=bs, users=users,
-            neighbor_sets=[list(x) for x in doc["neighbor_sets"]],
-            subchannel_count=doc["subchannel_count"], bandwidth_hz=doc["bandwidth_hz"],
-            regions=[_region_from_doc(r) for r in doc["regions"]],
-            wrap_vectors=tuple(tuple(v) for v in doc["wrap_vectors"]),
-        )
-
-
-def _region_to_doc(r):
-    if isinstance(r, HexRegion):
-        return {"kind": "hex", "center": list(r.center), "isd_m": r.isd_m}
-    if isinstance(r, DiscRegion):
-        return {"kind": "disc", "center": list(r.center), "radius_m": r.radius_m}
-    raise TypeError(f"unknown region {r!r}")
-
-
-def _region_from_doc(d):
-    if d["kind"] == "hex":
-        return HexRegion(center=tuple(d["center"]), isd_m=d["isd_m"])
-    if d["kind"] == "disc":
-        return DiscRegion(center=tuple(d["center"]), radius_m=d["radius_m"])
-    raise ValueError(f"unknown region kind {d['kind']}")
-
 
 def _axial_to_xy(q, r, isd):
     return (isd * (q + r / 2.0), isd * (math.sqrt(3.0) / 2.0) * r)
@@ -235,10 +161,6 @@ def _axial_to_xy(q, r, isd):
 
 def _rotate60(q, r):
     return (-r, q + r)
-
-
-def hex_cell_count(rings):
-    return 1 + 3 * rings * (rings + 1)
 
 
 def build_hex_grid(rings, inter_site_distance_m, wrap=False, subchannels=16,
@@ -329,18 +251,15 @@ def build_linear_two_cell(bs_distance_m, center_band_m, edge_band_m, users_per_g
                    subchannel_count=subchannels, bandwidth_hz=bandwidth_hz, regions=regions)
 
 
-def two_cell_edge_user_ids(network):
-    """Ids of the edge-band groups (second group of each cell by construction)."""
-    per_cell = network.n_users // 2
-    g = per_cell // 2
-    return sorted(list(range(g, per_cell)) + list(range(per_cell + g, 2 * per_cell)))
-
-
 DEPLOYMENT_CASES = ("single", "symmetric-pair", "asymmetric-pair")
+# Anchor draws per femto placement before build_heterogeneous gives up.
+MAX_PLACEMENT_ATTEMPTS = 1000
+# Mixed-density BSs sit off their grid points by up to this fraction of the spacing.
+JITTER_FRAC = 0.15
 
 
 def build_heterogeneous(macro, femtos_per_macro, deployment_mix=None, home_size_m=20.0,
-                        rng_seed=0, power_dbm=None, max_attempts=1000):
+                        rng_seed=0, power_dbm=None):
     """Drop femto BSs into each macro cell.
 
     Cases: single home, two adjacent homes with BSs at home centers
@@ -377,7 +296,7 @@ def build_heterogeneous(macro, femtos_per_macro, deployment_mix=None, home_size_
             case = "single" if remaining == 1 else cases[int(rng.choice(len(cases), p=probs))]
 
             ok = False
-            for _ in range(max_attempts):
+            for _ in range(MAX_PLACEMENT_ATTEMPTS):
                 anchor = region.sample(rng)
                 theta = rng.uniform(0.0, 2.0 * math.pi)
                 u = (math.cos(theta), math.sin(theta))
@@ -399,7 +318,7 @@ def build_heterogeneous(macro, femtos_per_macro, deployment_mix=None, home_size_
                 break
             if not ok:
                 raise RuntimeError(f"could not place femtos in macro cell {m} "
-                                   f"after {max_attempts} attempts")
+                                   f"after {MAX_PLACEMENT_ATTEMPTS} attempts")
 
             new_ids = []
             for h, p in zip(homes, bs_pos):
@@ -442,7 +361,7 @@ def place_users(network, per_tier_count, rng_seed=0):
 
 
 def build_mixed_density(zones, subchannels=16, bandwidth_hz=10e6, power_dbm=None,
-                        jitter_frac=0.15, rng_seed=0):
+                        rng_seed=0):
     """Side-by-side rectangular zones of jittered-grid macro BSs.
 
     zones: list of dicts {"cols", "rows", "spacing_m"}; spacing scales the
@@ -456,8 +375,8 @@ def build_mixed_density(zones, subchannels=16, bandwidth_hz=10e6, power_dbm=None
         cols, rows, sp = z["cols"], z["rows"], float(z["spacing_m"])
         for c in range(cols):
             for r in range(rows):
-                jx = rng.uniform(-jitter_frac, jitter_frac) * sp
-                jy = rng.uniform(-jitter_frac, jitter_frac) * sp
+                jx = rng.uniform(-JITTER_FRAC, JITTER_FRAC) * sp
+                jy = rng.uniform(-JITTER_FRAC, JITTER_FRAC) * sp
                 pos = (x_offset + (c + 0.5) * sp + jx, (r + 0.5) * sp + jy)
                 stations.append(BaseStation(id=len(stations), tier=TIER_MACRO, position=pos,
                                             max_power_w=power_w, mask_w=power_w))
@@ -490,11 +409,8 @@ def local_density_rank(network):
 def classify_edge_users(network, mean_gains, threshold_db=6.0):
     """Edge flag per user: strongest neighbor gain within threshold_db of serving.
 
-    mean_gains: (K, N) linear power gains averaged over subchannels/fading,
-    or any object with a mean_gains() method (e.g. a GainSnapshot).
+    mean_gains: (K, N) linear power gains averaged over subchannels/fading.
     """
-    if hasattr(mean_gains, "mean_gains"):
-        mean_gains = mean_gains.mean_gains()
     g = np.asarray(mean_gains, dtype=float)
     flags = np.zeros(network.n_users, dtype=bool)
     for u in network.users:

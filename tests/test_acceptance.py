@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from refimsim import channel, engine, power, topology
+from refimsim import channel, engine, power
 from refimsim.cli import main as cli_main
 from refimsim.oracle import GridSpec, brute_force
 from refimsim.oracle_compare import settle_algorithm
@@ -211,7 +211,8 @@ def test_criterion_04_scheduling_decomposition():
 def test_criterion_05_two_cell_emergent_partition(two_cell_run):
     sc, res = two_cell_run
     net = engine.build_network(sc)
-    edge_ids = topology.two_cell_edge_user_ids(net)
+    dist = net.distances()[np.arange(net.n_users), res.serving_bs]
+    edge_ids = np.flatnonzero(dist >= sc.edge_band_m[0])
     S = sc.subchannels
     top_half = {n: set(np.argsort(-res.avg_power_w[n])[:S // 2]) for n in range(2)}
     total, hits = 0, 0

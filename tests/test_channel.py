@@ -3,10 +3,11 @@ import pytest
 from scipy.special import j0
 
 from refimsim.channel import (
-    MAX_OSCILLATORS, TILE_LINKS, FadingState, PropagationConfig, dump_snapshot_csv,
+    MAX_OSCILLATORS, TILE_LINKS, Channel, FadingState, PropagationConfig,
     large_scale_linear, noise_power_w, path_loss_db, path_loss_matrix_db,
-    sample_shadowing, shadowing_matrix_db, snapshot, wall_mask,
+    sample_shadowing, shadowing_matrix_db, wall_mask,
 )
+from refimsim.engine import Scenario, build_network
 from refimsim.topology import BaseStation, Network, User, build_hex_grid, place_users
 
 
@@ -237,41 +238,70 @@ class TestTiledFading:
 
 
 class TestSnapshot:
+    """The slot-0 gains (before any advance), as the oracle command reads them."""
+
     def _setup(self):
-        net = place_users(build_hex_grid(0, 1000.0), {"macro": 3}, rng_seed=0)
-        cfg = PropagationConfig()
-        rng = np.random.default_rng(1)
-        shadow = shadowing_matrix_db(net, cfg, rng)
-        fading = FadingState(np.random.default_rng(2), 3, 1, net.subchannel_count,
-                             np.full(3, 3 / 3.6), cfg.carrier_freq_hz)
-        return net, cfg, shadow, fading
+        sc = Scenario(rings=0, macro_users_per_cell=3, subchannels=4, seed=7)
+        net = build_network(sc)
+        return sc, net, Channel(sc, net)
 
     def test_db_conversion(self):
         assert large_scale_linear(90.0, 0.0) == pytest.approx(1e-9, rel=1e-12)
 
     def test_composition_and_linearity(self):
-        net, cfg, shadow, fading = self._setup()
-        snap = snapshot(net, cfg, fading, shadow, slot=0)
-        pl = path_loss_matrix_db(net, cfg)
-        expected = large_scale_linear(pl, shadow)[:, :, None] * fading.power_gains()
-        assert np.array_equal(snap.gains, expected)
-        assert np.all(snap.gains > 0) and np.all(snap.noise_w > 0)
+        # shadowing and fading come from the seed's children 1 and 2
+        sc, net, chan = self._setup()
+        cfg = sc.propagation()
+        _, sh_seed, fad_seed, _, _, _ = np.random.SeedSequence(sc.seed).spawn(6)
+        shadow = shadowing_matrix_db(net, cfg, np.random.default_rng(sh_seed))
+        fading = FadingState(np.random.default_rng(fad_seed), 3, 1, 4,
+                             np.full(3, sc.user_speed_kmh / 3.6), cfg.carrier_freq_hz)
+        expected = large_scale_linear(path_loss_matrix_db(net, cfg), shadow)[:, :, None] \
+            * fading.power_gains()
+        gains = chan.gains()
+        assert np.array_equal(gains, expected)
+        assert np.all(gains > 0)
+        assert np.all(chan.noise == noise_power_w(cfg, sc.bandwidth_hz / 4))
 
     def test_pure_function_of_inputs(self):
-        net, cfg, shadow, fading = self._setup()
-        a = snapshot(net, cfg, fading, shadow, slot=0)
-        b = snapshot(net, cfg, fading, shadow, slot=0)
-        assert np.array_equal(a.gains, b.gains)
-        assert np.array_equal(a.noise_w, b.noise_w)
+        _, _, chan = self._setup()
+        a = chan.gains()
+        b = chan.gains()
+        assert np.array_equal(a, b)
+        a[...] = 0.0  # a fresh array: writing it leaves the channel alone
+        assert np.array_equal(chan.gains(), b)
 
-    def test_csv_dump(self, tmp_path):
-        net, cfg, shadow, fading = self._setup()
-        snap = snapshot(net, cfg, fading, shadow, slot=0)
-        path = tmp_path / "snap.csv"
-        dump_snapshot_csv(snap, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "user,bs,subchannel,gain"
-        assert len(lines) == 1 + 3 * 1 * net.subchannel_count
+
+class TestChannel:
+    def _hetnet(self, **overrides):
+        sc = Scenario(kind="hetnet", rings=0, femtos_per_macro=2, macro_users_per_cell=4,
+                      femto_users_per_cell=2, subchannels=3, seed=5, **overrides)
+        return sc, build_network(sc)
+
+    def test_same_seed_same_gains(self):
+        sc, net = self._hetnet(mobile_users=True, user_speed_kmh=60.0)
+        a, b = Channel(sc, net), Channel(sc, net)
+        for _ in range(20):
+            a.advance(sc.slot_duration_s)
+            b.advance(sc.slot_duration_s)
+            assert np.array_equal(a.gains(), b.gains())
+
+    def test_gains_compose_large_scale_and_fading(self):
+        sc, net = self._hetnet()
+        chan = Channel(sc, net)
+        pl = path_loss_matrix_db(net, chan.config)
+        expected = large_scale_linear(pl, chan.shadow_db)[:, :, None] \
+            * chan.fading.power_gains()
+        assert np.array_equal(chan.gains(), expected)
+
+    def test_mobility_moves_large_scale(self):
+        sc, net = self._hetnet(mobile_users=True, user_speed_kmh=360.0)
+        chan = Channel(sc, net)
+        before = chan.large_scale.copy()
+        chan.advance(0.1)
+        pl = path_loss_matrix_db(net, chan.config, chan.mobility.positions)
+        assert np.array_equal(chan.large_scale, large_scale_linear(pl, chan.shadow_db))
+        assert not np.array_equal(chan.large_scale, before)
 
 
 class TestConfigValidation:

@@ -126,18 +126,30 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("doc", [{"preset": "two-cell", "ewma_beta": 0},
-                                     {"feedback_period_slots": 0}] + [
+                                     {"feedback_period_slots": 0},
+                                     {"preset": "hex19", "inter_site_distance_m": 0},
+                                     {"preset": "hetnet5", "home_size_m": -5}] + [
         {"preset": "two-cell", **field} for field in (
             {"zones": [1]}, {"center_band_m": 5}, {"subchannels": 0},
             {"users_per_group": 0}, {"sinr_gap_db": -1}, {"ref_count": 1.5},
             {"algorithm": "general", "sched_loops": 0}, {"bandwidth_hz": -1},
             {"user_speed_kmh": -3}, {"slot_duration_s": 0}, {"center_band_m": [5]},
-            {"edge_band_m": [300, 900]}, {"kind": "mixed_density", "zones": [{"cols": 2}]})])
+            {"edge_band_m": [300, 900]}, {"kind": "mixed_density", "zones": [{"cols": 2}]},
+            {"seed": -1}, {"shadowing_sigma_macro_db": -1}, {"initial_throughput_bps": 0},
+            {"noise_figure_db": "x"}, {"slots": 600.5}, {"subchannels": 2.5},
+            {"mobile_users": "no"}, {"edge_only_feedback": "false"},
+            {"users_per_group": True}, {"macro_power_dbm": None}, {"carrier_freq_hz": -1})])
     def test_invalid_field_in_config_exit_1_no_outputs(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "never"
         assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_seed_override_exit_1_no_outputs(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert main(["run", "toy2", "--seed", "-1", "--out", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
 

@@ -209,25 +209,12 @@ class TestConservationReplay:
         sc = tiny_scenario(slots=25, warmup_slots=8)
         res = run(sc, collect_power_trace=True, collect_schedule_trace=True)
 
-        net = build_network(sc)
-        cfg = sc.propagation()
-        ss = np.random.SeedSequence(sc.seed)
-        _, sh_ss, fad_ss, _, _, _ = ss.spawn(6)
-        shadow = channel.shadowing_matrix_db(net, cfg, np.random.default_rng(sh_ss))
-        fading = channel.FadingState(np.random.default_rng(fad_ss), net.n_users,
-                                     net.n_bs, net.subchannel_count,
-                                     np.full(net.n_users, sc.user_speed_kmh / 3.6),
-                                     cfg.carrier_freq_hz, cfg.oscillators)
-        pl = channel.path_loss_matrix_db(net, cfg)
-        bw_sub = sc.bandwidth_hz / sc.subchannels
-        noise = np.full((net.n_users, sc.subchannels),
-                        channel.noise_power_w(cfg, bw_sub))
-        accum = np.zeros(net.n_users)
+        chan = channel.Channel(sc, build_network(sc))
+        gap, bw_sub = chan.config.sinr_gap, sc.bandwidth_hz / sc.subchannels
+        accum = np.zeros(chan.noise.shape[0])
         for (t, powers), (t2, sched) in zip(res.power_trace, res.schedule_trace):
-            fading.advance(sc.slot_duration_s)
-            gains = channel.large_scale_linear(pl, shadow)[:, :, None] * fading.power_gains()
-            served = scheduling.served_rates(gains, powers, sched, noise,
-                                             cfg.sinr_gap, bw_sub)
+            chan.advance(sc.slot_duration_s)
+            served = scheduling.served_rates(chan.gains(), powers, sched, chan.noise, gap, bw_sub)
             if t >= sc.warmup_slots:
                 accum += served
         assert np.allclose(accum, res.accumulated_rate_bps, rtol=1e-10)

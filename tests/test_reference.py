@@ -8,8 +8,8 @@ from refimsim.reference import (
     CandidateTables, FeedbackConfig, exchange_scheduled_indices,
     refresh_candidate_tables, representative_users, select_references,
 )
-from refimsim.scheduling import NO_USER
-from refimsim.topology import BaseStation, Network, User
+from refimsim.scheduling import NO_USER, link_state
+from refimsim.topology import TIER_FEMTO, BaseStation, Network, User
 
 
 def protocol_network(n_sub=2):
@@ -38,6 +38,14 @@ def random_slot(net, seed):
     weights = rng.uniform(0.2, 2.0, size=K)
     serving = np.array([u.serving_bs for u in net.users])
     return gains, powers, noise, weights, serving
+
+
+def accumulate(tables, gains, powers, noise, weights, serving):
+    """Feed one slot to the tables with the serving-link state the engine
+    computes for them."""
+    signal, intf_noise = link_state(gains, powers, noise, np.arange(gains.shape[0]),
+                                    serving, slice(None))
+    tables.accumulate(gains, weights, signal, intf_noise)
 
 
 class TestExchange:
@@ -72,7 +80,7 @@ class TestExchange:
         net = protocol_network()
         gains, powers, noise, weights, serving = random_slot(net, 0)
         tables = CandidateTables(net)
-        tables.accumulate(gains, powers, noise, weights, serving)
+        accumulate(tables, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, tables, 0, FeedbackConfig())
         net2 = Network(base_stations=net.base_stations, users=net.users,
                        neighbor_sets=[[1, 2], [0, 2], [0, 1]],
@@ -97,7 +105,7 @@ class TestCandidateTables:
         net = protocol_network()
         gains, powers, noise, weights, serving = random_slot(net, 1)
         tables = CandidateTables(net)
-        tables.accumulate(gains, powers, noise, weights, serving)
+        accumulate(tables, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, tables, 0, FeedbackConfig(period_slots=1))
         sched = np.array([[0, 1], [4, 3], [6, 7]])
         views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
@@ -117,7 +125,7 @@ class TestCandidateTables:
         slabs = []
         for t in range(3):
             gains, powers, noise, weights, serving = random_slot(net, 10 + t)
-            tables.accumulate(gains, powers, noise, weights, serving)
+            accumulate(tables, gains, powers, noise, weights, serving)
             slabs.append(gains)
         refresh_candidate_tables(net, tables, 3, cfg)
         assert np.allclose(tables.pub_f0, np.mean(slabs, axis=0))
@@ -128,10 +136,10 @@ class TestCandidateTables:
         tables = CandidateTables(net)
         for t in range(23):
             gains, powers, noise, weights, serving = random_slot(net, t)
-            tables.accumulate(gains, powers, noise, weights, serving)
+            accumulate(tables, gains, powers, noise, weights, serving)
             refresh_candidate_tables(net, tables, t, cfg)
             if t >= 5:
-                stale = tables.staleness(t)[tables.pub_valid]
+                stale = (t - tables.last_update)[tables.pub_valid]
                 assert stale.max() <= cfg.period_slots
 
     def test_between_refreshes_values_stay_stale(self):
@@ -139,12 +147,12 @@ class TestCandidateTables:
         cfg = FeedbackConfig(period_slots=10)
         tables = CandidateTables(net)
         gains, powers, noise, weights, serving = random_slot(net, 2)
-        tables.accumulate(gains, powers, noise, weights, serving)
+        accumulate(tables, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, tables, 0, cfg)
         frozen = tables.pub_f0.copy()
         for t in range(1, 10):
             g2, p2, n2, w2, sv = random_slot(net, 100 + t)
-            tables.accumulate(g2, p2, n2, w2, sv)
+            accumulate(tables, g2, p2, n2, w2, sv)
             refresh_candidate_tables(net, tables, t, cfg)
             assert np.array_equal(tables.pub_f0, frozen)
 
@@ -157,7 +165,7 @@ class TestCandidateTables:
             mean_gains[u.id, u.serving_bs] = 1e-6
         mean_gains[1, 1] = 0.9e-6  # within 6 dB of serving -> edge
         tables = CandidateTables(net)
-        tables.accumulate(gains, powers, noise, weights, serving)
+        accumulate(tables, gains, powers, noise, weights, serving)
         cfg = FeedbackConfig(edge_only=True, edge_threshold_db=6.0)
         refresh_candidate_tables(net, tables, 0, cfg, mean_gains=mean_gains)
         assert not tables.pub_valid[0]
@@ -170,10 +178,10 @@ class TestCandidateTables:
         gains, powers, noise, weights, serving = random_slot(net, 4)
         mean_gains = gains.mean(axis=2)
         t_full = CandidateTables(net)
-        t_full.accumulate(gains, powers, noise, weights, serving)
+        accumulate(t_full, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, t_full, 0, FeedbackConfig(edge_only=False))
         t_edge = CandidateTables(net)
-        t_edge.accumulate(gains, powers, noise, weights, serving)
+        accumulate(t_edge, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, t_edge, 0,
                                  FeedbackConfig(edge_only=True, edge_threshold_db=1e9),
                                  mean_gains=mean_gains)
@@ -184,7 +192,7 @@ class TestCandidateTables:
         net = protocol_network()
         gains, powers, noise, weights, serving = random_slot(net, 5)
         tables = CandidateTables(net)
-        tables.accumulate(gains, powers, noise, weights, serving)
+        accumulate(tables, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, tables, 0, FeedbackConfig(),
                                  enabled=np.array([False, True, True]))
         assert not tables.pub_valid[[0, 1, 2]].any()
@@ -194,13 +202,12 @@ class TestCandidateTables:
         net = protocol_network()
         gains, powers, noise, weights, serving = random_slot(net, 6)
         tables = CandidateTables(net)
-        tables.accumulate(gains, powers, noise, weights, serving)
+        accumulate(tables, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, tables, 0, FeedbackConfig())
-        rec = tables.record(3)
-        assert rec["valid"] and rec["last_update_slot"] == 0
-        assert rec["f1"] == pytest.approx(weights[3])
-        assert rec["f2"].shape == (2,)
-        assert np.all(rec["f2"] > 0) and np.all(rec["f3"] > 0)
+        assert tables.pub_valid[3] and tables.last_update[3] == 0
+        assert tables.pub_f1[3] == pytest.approx(weights[3])
+        assert tables.pub_f2[3].shape == (2,)
+        assert np.all(tables.pub_f2[3] > 0) and np.all(tables.pub_f3[3] > 0)
 
 
 class TestSelection:
@@ -214,7 +221,7 @@ class TestSelection:
         weights = np.ones(net.n_users)
         serving = np.array([u.serving_bs for u in net.users])
         tables = CandidateTables(net)
-        tables.accumulate(gains, powers, noise, weights, serving)
+        accumulate(tables, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, tables, 0, FeedbackConfig())
         return tables
 
@@ -262,7 +269,7 @@ class TestSelection:
         weights = np.ones(7)
         serving = np.array([u.serving_bs for u in net.users])
         tables = CandidateTables(net)
-        tables.accumulate(gains, powers, noise, weights, serving)
+        accumulate(tables, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, tables, 0, FeedbackConfig())
         sched = np.tile(np.arange(7)[:, None], (1, 2))  # one user per cell
         views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
@@ -289,7 +296,7 @@ class TestSelection:
         for seed in range(10):
             gains, powers, noise, weights, serving = random_slot(net, seed)
             tables = CandidateTables(net)
-            tables.accumulate(gains, powers, noise, weights, serving)
+            accumulate(tables, gains, powers, noise, weights, serving)
             refresh_candidate_tables(net, tables, 0, FeedbackConfig())
             sched = np.array([[0, 1], [4, 5], [6, 7]])
             views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
@@ -311,7 +318,8 @@ def looped_select_references(network, views, tables, count, enabled=None):
         nbrs = network.neighbor_sets[n]
         if count == 0 or not nbrs or (enabled is not None and not enabled[n]):
             continue
-        cand = views.for_viewer(network, n)[nbrs, :]
+        femto = network.base_stations[n].tier == TIER_FEMTO
+        cand = (views.femto_view if femto else views.macro_view)[nbrs, :]
         present = cand != NO_USER
         ksafe = np.where(present, cand, 0)
         valid = present & tables.pub_valid[ksafe]
@@ -411,7 +419,7 @@ class TestProtocolDeterminism:
             cfg = FeedbackConfig(period_slots=2)
             for t in range(6):
                 gains, powers, noise, weights, serving = random_slot(net, t)
-                tables.accumulate(gains, powers, noise, weights, serving)
+                accumulate(tables, gains, powers, noise, weights, serving)
                 refresh_candidate_tables(net, tables, t, cfg, trace=trace)
             return trace, tables.pub_f0.copy()
         t1, f1 = run_once()
@@ -424,7 +432,7 @@ class TestProtocolDeterminism:
         net = protocol_network()
         gains, powers, noise, weights, serving = random_slot(net, 0)
         tables = CandidateTables(net)
-        tables.accumulate(gains, powers, noise, weights, serving)
+        accumulate(tables, gains, powers, noise, weights, serving)
         trace = []
         refresh_candidate_tables(net, tables, 0, FeedbackConfig(), trace=trace)
         from_bs0 = [row for row in trace if row[1] == 0]

@@ -6,7 +6,7 @@ from refimsim.oracle import enumerate_schedules, evaluate_objective
 from refimsim.power import taxation_from_feedback, taxation_term
 from refimsim.scheduling import (
     NO_USER, UserStates, link_state, pf_weights, rate, schedule_users, scheduled_index,
-    served_rates, serving_vector, sinr, sinr_matrix, update_throughput, validate_schedule,
+    served_rates, serving_vector, sinr, sinr_matrix, update_throughput,
 )
 
 
@@ -163,11 +163,6 @@ class TestScheduleUsers:
         allowed = np.array([[True, False]])
         sched = schedule_users([[0]], np.ones(1), np.ones((1, 2)), allowed=allowed)
         assert sched[0, 0] == 0 and sched[0, 1] == NO_USER
-
-    def test_validate_schedule(self):
-        validate_schedule(np.array([[0, NO_USER]]), [[0, 1]])
-        with pytest.raises(ValueError):
-            validate_schedule(np.array([[2]]), [[0, 1]])
 
 
 class TestLemma1Decomposition:

@@ -244,17 +244,18 @@ class Channel:
     """
 
     def __init__(self, scenario, network):
-        _, sh_seed, fad_seed, _, mob_seed, _ = np.random.SeedSequence(scenario.seed).spawn(6)
+        rng = {name: np.random.default_rng(seed)
+               for name, seed in scenario.seed_streams().items()}
         self.network = network
         self.config = cfg = scenario.propagation()
         K, N, S = network.n_users, network.n_bs, network.subchannel_count
         speeds = np.full(K, scenario.user_speed_kmh / 3.6)
-        self.shadow_db = shadowing_matrix_db(network, cfg, np.random.default_rng(sh_seed))
-        self.fading = FadingState(np.random.default_rng(fad_seed), K, N, S, speeds,
+        self.shadow_db = shadowing_matrix_db(network, cfg, rng["shadowing"])
+        self.fading = FadingState(rng["fading"], K, N, S, speeds,
                                   cfg.carrier_freq_hz, cfg.oscillators)
         self.mobility = None
         if scenario.mobile_users:
-            self.mobility = WaypointMobility(network, speeds, np.random.default_rng(mob_seed))
+            self.mobility = WaypointMobility(network, speeds, rng["mobility"])
         self._update_large_scale()
         self.noise = np.full((K, S), noise_power_w(cfg, network.bandwidth_hz / S))
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import channel, engine
+from . import channel, engine, reference
 from .engine import Scenario, SWEEP_AXES
 from .oracle import InstanceTooLarge
 from .oracle_compare import compare_to_oracle
@@ -55,7 +55,7 @@ def load_scenario(spec):
     try:
         for key in _TUPLE_FIELDS & set(doc):
             doc[key] = tuple(dict(z) for z in doc[key]) if key == "zones" else tuple(doc[key])
-        return dataclasses.replace(base, **doc).validate()
+        return dataclasses.replace(base, **doc)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
 
@@ -69,7 +69,7 @@ def apply_overrides(sc, args):
     if getattr(args, "slots", None) is not None:
         over["slots"] = args.slots
     try:
-        return dataclasses.replace(sc, **over).validate()
+        return dataclasses.replace(sc, **over)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
 
@@ -114,8 +114,8 @@ def write_users_csv(result, out_dir):
         w.writerow(["user_id", "serving_bs", "tier", "R_bps", "is_edge"])
         for k in range(result.throughput_bps.size):
             n = int(result.serving_bs[k])
-            w.writerow([k, n, result.tiers[n], _fmt(result.throughput_bps[k]),
-                        int(result.is_edge[k])])
+            w.writerow([k, n, result.network.base_stations[n].tier,
+                        _fmt(result.throughput_bps[k]), int(result.is_edge[k])])
     return path
 
 
@@ -124,10 +124,7 @@ def write_powers_csv(result, out_dir):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["slot", "bs", "subchannel", "watts"])
-        for slot, p in result.power_trace:
-            for n in range(p.shape[0]):
-                for s in range(p.shape[1]):
-                    w.writerow([slot, n, s, _fmt(p[n, s])])
+        w.writerows([*slot_bs_sub, _fmt(p)] for slot_bs_sub, p in np.ndenumerate(result.powers))
     return path
 
 
@@ -136,8 +133,9 @@ def write_protocol_csv(result, out_dir):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["slot", "sender", "receiver", "message_type", "bytes"])
-        for row in result.protocol_trace:
-            w.writerow(list(row))
+        if result.scenario.algorithm == "refim":  # the only algorithm with feedback
+            for slot, counts in enumerate(result.published_users):
+                w.writerows(reference.protocol_rows(result.network, slot, counts))
     return path
 
 
@@ -150,8 +148,7 @@ def print_metrics(result):
 
 def cmd_run(args):
     sc = apply_overrides(load_scenario(args.config), args)
-    result = engine.run(sc, collect_power_trace=args.dump_powers,
-                        collect_protocol_trace=args.dump_protocol)
+    result = engine.run(sc, record=args.dump_powers or args.dump_protocol)
     os.makedirs(args.out, exist_ok=True)
     write_summary(result, args.out)
     write_users_csv(result, args.out)

@@ -8,7 +8,7 @@ schedule -> exchange indices -> select references -> taxation -> bisection
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, asdict, field, fields, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
@@ -79,6 +79,9 @@ class Scenario:
     initial_throughput_bps: float = 1e-3
     utility_alpha: float = 1.0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         for f in fields(self):
             value, default = getattr(self, f.name), f.default
@@ -142,6 +145,12 @@ class Scenario:
             raise ValueError("shadowing sigmas must be >= 0")
         return self
 
+    def seed_streams(self):
+        """The seed's SeedSequence children by use, in their frozen spawn
+        order; each use draws from its own stream."""
+        names = ("topology", "shadowing", "fading", "power", "mobility", "reserved")
+        return dict(zip(names, np.random.SeedSequence(self.seed).spawn(len(names))))
+
     def to_dict(self):
         d = asdict(self)
         d["center_band_m"] = list(self.center_band_m)
@@ -178,9 +187,8 @@ class Scenario:
 
 def build_network(scenario):
     """Construct the scenario's Network (deterministic in the seed)."""
-    sc = scenario.validate()
-    ss = np.random.SeedSequence(sc.seed)
-    topo_seed, place_seed = ss.spawn(6)[0].spawn(2)
+    sc = scenario
+    topo_seed, place_seed = sc.seed_streams()["topology"].spawn(2)
     if sc.kind == "hex":
         net = topology.build_hex_grid(sc.rings, sc.inter_site_distance_m, wrap=sc.wrap,
                                       subchannels=sc.subchannels, bandwidth_hz=sc.bandwidth_hz,
@@ -262,7 +270,7 @@ class RunResult:
     aat_bps: float
     is_edge: np.ndarray
     serving_bs: np.ndarray
-    tiers: list
+    network: topology.Network
     accumulated_rate_bps: np.ndarray  # sum over measured slots of served rate
     measured_slots: int
     serve_counts: np.ndarray          # (K, S) powered scheduled pairs
@@ -271,9 +279,10 @@ class RunResult:
     bisection_iter_bound: int
     bisection_budget_misses: int      # BS-slots with lambda > 0 off the budget by >= delta
     constraint_violations: int
-    power_trace: list = field(default_factory=list)
-    schedule_trace: list = field(default_factory=list)
-    protocol_trace: list = field(default_factory=list)
+    # Filled by run(record=True), else None:
+    powers: np.ndarray = None         # (slots, N, S) committed powers
+    schedules: np.ndarray = None      # (slots, N, S) scheduled user, NO_USER if none
+    published_users: np.ndarray = None  # (slots, N) users whose tables each BS published
 
     def summary(self):
         return {
@@ -295,22 +304,23 @@ class RunResult:
         }
 
 
-def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
-        collect_protocol_trace=False):
-    """Simulate one scenario end to end; deterministic in scenario.seed."""
-    sc = scenario.validate()
+def run(scenario, record=False):
+    """Simulate one scenario end to end; deterministic in scenario.seed.
+
+    With `record`, the result also holds every slot's committed powers,
+    schedules and per-BS published-user counts (see RunResult).
+    """
+    sc = scenario
     net = build_network(sc)
     fb_cfg = sc.feedback()
     K, N, S = net.n_users, net.n_bs, net.subchannel_count
     cells = net.cells()
-    for ids in cells:
-        if not ids:
-            raise ValueError("every cell must have at least one user")
+    if not all(cells):
+        raise ValueError("every cell must have at least one user")
     serving = np.array([u.serving_bs for u in net.users], dtype=int)
     users = np.arange(K)
-    tiers = [net.base_stations[n].tier for n in range(N)]
 
-    rng_pow = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(6)[3])
+    rng_pow = np.random.default_rng(sc.seed_streams()["power"])
     chan = channel.Channel(sc, net)
     noise = chan.noise
 
@@ -325,20 +335,17 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
     eq_powers = np.stack([power.equal_power(budgets[n], masks[n]) for n in range(N)])
     states = scheduling.UserStates(K, sc.initial_throughput_bps, sc.ewma_beta, sc.utility_alpha)
     tables = reference.CandidateTables(net)
+    rep = reference.representative_users(net)
     prev_powers = None
 
     accum = np.zeros(K)
-    serve_counts = np.zeros((K, S), dtype=np.int64)
+    serve_counts = np.zeros(K * S, dtype=np.int64)
     power_sum = np.zeros((N, S))
-    measured = 0
-    iter_max = 0
-    budget_misses = 0
-    violations = 0
-    power_trace = []
-    schedule_trace = []
-    protocol_trace = [] if collect_protocol_trace else None
-    is_macro_nbr = [[m for m in net.neighbor_sets[n] if tiers[m] != topology.TIER_FEMTO]
-                    for n in range(N)]
+    measured = iter_max = budget_misses = violations = 0
+    rec_powers = rec_scheds = rec_published = None
+    if record:
+        rec_powers, rec_scheds = np.zeros((sc.slots, N, S)), np.zeros((sc.slots, N, S), dtype=int)
+        rec_published = np.zeros((sc.slots, N), dtype=int)
 
     for t in range(sc.slots):
         chan.advance(dt)
@@ -362,19 +369,13 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
         if sc.algorithm == "refim":
             tables.accumulate(gains, weights, signal, intf_noise)
             reference.refresh_candidate_tables(net, tables, t, fb_cfg,
-                                               mean_gains=chan.large_scale, enabled=enabled,
-                                               trace=protocol_trace)
-            views = reference.exchange_scheduled_indices(net, sched, t, fb_cfg)
+                                               mean_gains=chan.large_scale, enabled=enabled)
+            if record:
+                rec_published[t] = np.bincount(serving[tables.last_update == t], minlength=N)
+            views = reference.exchange_scheduled_indices(sched, rep, fb_cfg)
             refs = reference.select_references(net, views, tables, fb_cfg.ref_count,
                                                enabled=enabled)
-            taxes = refs.taxes()
-            taxes[~enabled] = 0.0
-            if protocol_trace is not None:
-                for n in range(N):
-                    if tiers[n] == topology.TIER_FEMTO:
-                        continue
-                    for m in is_macro_nbr[n]:
-                        protocol_trace.append((t, n, m, "index_exchange", 2 * S))
+            taxes = refs.taxes()   # zero for BSs not running REFIM: they select no references
 
         if sc.algorithm == "eq":
             committed = eq_powers
@@ -403,13 +404,11 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
         if t >= sc.warmup_slots:
             accum += served
             powered = scheduled & (committed > 1e-15)
-            np.add.at(serve_counts, (ksafe[powered], np.broadcast_to(cols, sched.shape)[powered]), 1)
+            serve_counts += np.bincount((ksafe * S + cols)[powered], minlength=K * S)
             power_sum += committed
             measured += 1
-        if collect_power_trace:
-            power_trace.append((t, committed.copy()))
-        if collect_schedule_trace:
-            schedule_trace.append((t, sched.copy()))
+        if record:
+            rec_powers[t], rec_scheds[t] = committed, sched
         prev_powers = committed
 
     throughput = accum / measured
@@ -419,14 +418,13 @@ def run(scenario, collect_power_trace=False, collect_schedule_trace=False,
         throughput_bps=throughput,
         ewma_throughput_bps=states.avg_throughput_bps.copy(),
         gat_bps=gat(throughput), aet_bps=aet(throughput), aat_bps=aat(throughput),
-        is_edge=is_edge, serving_bs=serving, tiers=tiers,
+        is_edge=is_edge, serving_bs=serving, network=net,
         accumulated_rate_bps=accum, measured_slots=measured,
-        serve_counts=serve_counts, avg_power_w=power_sum / measured,
+        serve_counts=serve_counts.reshape(K, S), avg_power_w=power_sum / measured,
         bisection_iter_max=iter_max, bisection_iter_bound=power.BISECTION_ITER_BOUND,
         bisection_budget_misses=budget_misses,
         constraint_violations=violations,
-        power_trace=power_trace, schedule_trace=schedule_trace,
-        protocol_trace=protocol_trace or [],
+        powers=rec_powers, schedules=rec_scheds, published_users=rec_published,
     )
 
 

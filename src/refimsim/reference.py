@@ -14,7 +14,7 @@ import numpy as np
 
 from .power import taxation_from_feedback
 from .scheduling import NO_USER
-from .topology import TIER_FEMTO, classify_edge_users, pad_neighbor_sets
+from .topology import TIER_FEMTO, TIER_MACRO, classify_edge_users, pad_neighbor_sets
 
 
 @dataclass
@@ -38,13 +38,8 @@ class FeedbackConfig:
 
 def representative_users(network):
     """(N,) fixed stand-in user per femto cell (lowest index), else NO_USER."""
-    rep = np.full(network.n_bs, NO_USER, dtype=int)
-    for n, bs in enumerate(network.base_stations):
-        if bs.tier == TIER_FEMTO:
-            ids = network.users_of(n)
-            if ids:
-                rep[n] = min(ids)
-    return rep
+    return np.array([min(ids) if ids and bs.tier == TIER_FEMTO else NO_USER
+                     for bs, ids in zip(network.base_stations, network.cells())], dtype=int)
 
 
 @dataclass
@@ -54,30 +49,29 @@ class NeighborViews:
     femto_view: np.ndarray  # (N, S) what a femto viewer sees
 
 
-def exchange_scheduled_indices(network, sched, slot, config):
+def exchange_scheduled_indices(sched, rep, config):
     """Per-slot index exchange with the femto simplifications.
 
+    rep is the (N,) `representative_users` array, built once per run.
     Macro targets broadcast exact indices; femto targets are replaced by
     their fixed representative (no per-slot femto feedback); femto viewers
-    learn macro indices only by overhearing.
+    learn macro indices only by overhearing. A femto cell without users has
+    no representative and nothing scheduled, so it shows NO_USER either way.
     """
-    sched = np.asarray(sched, dtype=int)
-    rep = representative_users(network)
-    is_femto = np.array([b.tier == TIER_FEMTO for b in network.base_stations])
-    macro_view = np.where(is_femto[:, None], rep[:, None], sched)
-    if config.femto_overhear:
-        femto_view = macro_view
-    else:
-        hidden = np.full_like(sched, NO_USER)
-        femto_view = np.where(is_femto[:, None], rep[:, None], hidden)
-    return NeighborViews(macro_view=macro_view, femto_view=femto_view)
+    stand_in = np.repeat(rep[:, None], sched.shape[1], axis=1)
+    macro_view = np.where(stand_in != NO_USER, stand_in, sched)
+    return NeighborViews(macro_view=macro_view,
+                         femto_view=macro_view if config.femto_overhear else stand_in)
 
 
 class CandidateTables:
-    """Published (possibly stale) candidate records plus running accumulators."""
+    """Published (possibly stale) candidate records plus running accumulators,
+    with the run's fixed layout: each user's serving BS and the femto BSs."""
 
     def __init__(self, network):
         K, N, S = network.n_users, network.n_bs, network.subchannel_count
+        self.serving = np.array([u.serving_bs for u in network.users], dtype=int)
+        self.femto = np.array([b.tier == TIER_FEMTO for b in network.base_stations], dtype=bool)
         self.acc_f0 = np.zeros((K, N, S))
         self.acc_f1 = np.zeros(K)
         self.acc_f2 = np.zeros((K, S))
@@ -100,70 +94,54 @@ class CandidateTables:
         self.acc_f3 += intf_noise
         self.acc_count += 1
 
-    def publish(self, bs_users, slot):
-        """Average the window and expose it; restart the window for the cell."""
-        ids = np.asarray(bs_users, dtype=int)
-        if ids.size == 0:
-            return
-        cnt = np.maximum(self.acc_count[ids], 1).astype(float)
-        self.pub_f0[ids] = self.acc_f0[ids] / cnt[:, None, None]
-        self.pub_f1[ids] = self.acc_f1[ids] / cnt
-        self.pub_f2[ids] = self.acc_f2[ids] / cnt[:, None]
-        self.pub_f3[ids] = self.acc_f3[ids] / cnt[:, None]
-        self.pub_valid[ids] = True
-        self.last_update[ids] = slot
 
-    def withdraw(self, bs_users):
-        self.pub_valid[np.asarray(bs_users, dtype=int)] = False
+def refresh_candidate_tables(network, tables, slot, config, mean_gains=None, enabled=None):
+    """Publish the averaged records of every due cell in one masked pass.
 
-    def reset_window(self, bs_users):
-        ids = np.asarray(bs_users, dtype=int)
-        self.acc_f0[ids] = 0.0
-        self.acc_f1[ids] = 0.0
-        self.acc_f2[ids] = 0.0
-        self.acc_f3[ids] = 0.0
-        self.acc_count[ids] = 0
-
-
-def refresh_candidate_tables(network, tables, slot, config, mean_gains=None,
-                             enabled=None, trace=None):
-    """Publish each due cell's averaged records; macro cells may publish
-    only their edge users, femto cells always publish everyone.
-
-    Cells whose BS is not running the reference-based algorithm publish
-    nothing (partial deployment). Returns the number of publish events.
+    A cell is due when `slot` is a multiple of its tier's period; each due
+    user's window restarts. Macro cells may publish only their edge users,
+    femto cells always publish everyone, and cells whose BS is not running
+    the reference-based algorithm publish nothing (partial deployment).
+    Unpublished users of due cells are withdrawn. Returns the number of
+    publish events: due, enabled cells with at least one user.
     """
-    cells = network.cells()
-    events = 0
-    edge_flags = None
-    for n, bs in enumerate(network.base_stations):
-        period = config.period_for(bs.tier)
-        if slot % period != 0:
-            continue
-        ids = cells[n]
-        if not ids:
-            continue
-        if enabled is not None and not enabled[n]:
-            tables.withdraw(ids)
-            tables.reset_window(ids)
-            continue
-        publish_ids = ids
-        if config.edge_only and bs.tier != TIER_FEMTO:
-            if edge_flags is None:
-                if mean_gains is None:
-                    raise ValueError("edge_only refresh needs mean_gains")
-                edge_flags = classify_edge_users(network, mean_gains,
-                                                 config.edge_threshold_db)
-            publish_ids = [k for k in ids if edge_flags[k]]
-            tables.withdraw([k for k in ids if not edge_flags[k]])
-        tables.publish(publish_ids, slot)
-        tables.reset_window(ids)
-        events += 1
-        if trace is not None and publish_ids:
-            nbytes = len(publish_ids) * network.subchannel_count * 4 * 4
-            for m in network.neighbor_sets[n]:
-                trace.append((slot, n, m, "table_refresh", nbytes))
+    serving, femto = tables.serving, tables.femto
+    period = np.where(femto, config.period_for(TIER_FEMTO), config.period_for(TIER_MACRO))
+    due_bs = slot % period == 0
+    due = due_bs[serving]
+    if not due.any():
+        return 0
+    keep = (due_bs if enabled is None else due_bs & enabled)[serving]
+    events = np.count_nonzero(np.bincount(serving[keep]))
+    femto_user = femto[serving]
+    if config.edge_only and (keep & ~femto_user).any():
+        if mean_gains is None:
+            raise ValueError("edge_only refresh needs mean_gains")
+        keep &= femto_user | classify_edge_users(network, mean_gains, config.edge_threshold_db)
+    cnt = np.maximum(tables.acc_count[keep], 1).astype(float)
+    tables.pub_f0[keep] = tables.acc_f0[keep] / cnt[:, None, None]
+    tables.pub_f1[keep] = tables.acc_f1[keep] / cnt
+    tables.pub_f2[keep] = tables.acc_f2[keep] / cnt[:, None]
+    tables.pub_f3[keep] = tables.acc_f3[keep] / cnt[:, None]
+    tables.pub_valid[due] = keep[due]
+    tables.last_update[keep] = slot
+    for acc in (tables.acc_f0, tables.acc_f1, tables.acc_f2, tables.acc_f3, tables.acc_count):
+        acc[due] = 0
     return events
+
+
+def protocol_rows(network, slot, published):
+    """protocol.csv rows of one REFIM slot, from the (N,) users each BS
+    published: a publishing BS sends users x 4 items x S subchannels x 4
+    bytes to every neighbor (Table II), then every macro BS sends its
+    scheduled indices, 2 bytes per subchannel, to each macro neighbor."""
+    S = network.subchannel_count
+    macro = [b.tier != TIER_FEMTO for b in network.base_stations]
+    rows = [(slot, n, m, "table_refresh", int(count) * S * 4 * 4)
+            for n, count in enumerate(published) if count for m in network.neighbor_sets[n]]
+    rows += [(slot, n, m, "index_exchange", 2 * S) for n in range(network.n_bs) if macro[n]
+             for m in network.neighbor_sets[n] if macro[m]]
+    return rows
 
 
 @dataclass
@@ -197,9 +175,8 @@ def select_references(network, views, tables, count, enabled=None):
     rows of BSs that are not `enabled` stay empty.
     """
     nbr = pad_neighbor_sets(network.neighbor_sets)
-    femto = np.array([b.tier == TIER_FEMTO for b in network.base_stations])
     cand = views.macro_view[nbr]                       # (N, B, S)
-    cand[femto] = views.femto_view[nbr[femto]]
+    cand[tables.femto] = views.femto_view[nbr[tables.femto]]
     usable = tables.pub_valid[cand]
     if enabled is not None:
         usable &= np.asarray(enabled, dtype=bool)[:, None, None]

@@ -128,10 +128,6 @@ class Network:
     def n_users(self):
         return len(self.users)
 
-    def users_of(self, n):
-        """Sorted user ids associated with BS n (the cell's user set)."""
-        return [u.id for u in self.users if u.serving_bs == n]
-
     def cells(self):
         out = [[] for _ in range(self.n_bs)]
         for u in self.users:

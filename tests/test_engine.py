@@ -59,6 +59,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(spectrum_policy="splitting", macro_subchannels=99).validate()
 
+    def test_replace_revalidates(self):
+        sc = Scenario(slots=100, warmup_slots=50)
+        with pytest.raises(ValueError):
+            dataclasses.replace(sc, slots=40)
+        with pytest.raises(ValueError):
+            dataclasses.replace(sc, seed=-1)
+
     def test_config_hash_stable_and_sensitive(self):
         a, b = Scenario(seed=1), Scenario(seed=1)
         assert a.config_hash() == b.config_hash()
@@ -207,17 +214,32 @@ class TestSpectrumSplitting:
 class TestConservationReplay:
     def test_accumulated_equals_replayed_service(self):
         sc = tiny_scenario(slots=25, warmup_slots=8)
-        res = run(sc, collect_power_trace=True, collect_schedule_trace=True)
+        res = run(sc, record=True)
 
         chan = channel.Channel(sc, build_network(sc))
         gap, bw_sub = chan.config.sinr_gap, sc.bandwidth_hz / sc.subchannels
         accum = np.zeros(chan.noise.shape[0])
-        for (t, powers), (t2, sched) in zip(res.power_trace, res.schedule_trace):
+        for t, (powers, sched) in enumerate(zip(res.powers, res.schedules)):
             chan.advance(sc.slot_duration_s)
             served = scheduling.served_rates(chan.gains(), powers, sched, chan.noise, gap, bw_sub)
             if t >= sc.warmup_slots:
                 accum += served
         assert np.allclose(accum, res.accumulated_rate_bps, rtol=1e-10)
+
+
+class TestRecord:
+    def test_record_keeps_results_and_fills_arrays(self):
+        sc = tiny_scenario(slots=12, warmup_slots=4)
+        plain, rec = run(sc), run(sc, record=True)
+        assert plain.powers is None and plain.published_users is None
+        assert rec.summary() == plain.summary()
+        assert np.array_equal(rec.accumulated_rate_bps, plain.accumulated_rate_bps)
+        N, K = rec.network.n_bs, rec.network.n_users
+        assert rec.powers.shape == rec.schedules.shape == (12, N, sc.subchannels)
+        assert np.allclose(rec.powers[sc.warmup_slots:].mean(axis=0), rec.avg_power_w)
+        # period-1 feedback: every user is published every slot, by its own BS
+        cell_sizes = np.bincount(rec.serving_bs, minlength=N)
+        assert (rec.published_users == cell_sizes).all() and cell_sizes.sum() == K
 
 
 class TestSweep:

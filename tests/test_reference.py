@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from refimsim.engine import build_network
+from refimsim.engine import Scenario, build_network
 from refimsim.power import taxation_term
 from refimsim.presets import get_preset
 from refimsim.reference import (
-    CandidateTables, FeedbackConfig, exchange_scheduled_indices,
+    CandidateTables, FeedbackConfig, exchange_scheduled_indices, protocol_rows,
     refresh_candidate_tables, representative_users, select_references,
 )
 from refimsim.scheduling import NO_USER, link_state
-from refimsim.topology import TIER_FEMTO, BaseStation, Network, User
+from refimsim.topology import (
+    TIER_FEMTO, BaseStation, Network, User, classify_edge_users,
+)
 
 
 def protocol_network(n_sub=2):
@@ -52,7 +55,7 @@ class TestExchange:
     def test_macros_see_exact_indices(self):
         net = protocol_network()
         sched = np.array([[0, 1], [4, 3], [7, 6]])
-        views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
         assert np.array_equal(views.macro_view[0], sched[0])
         assert np.array_equal(views.macro_view[1], sched[1])
 
@@ -60,18 +63,17 @@ class TestExchange:
         net = protocol_network()
         assert representative_users(net)[2] == 6
         sched = np.array([[0, 1], [4, 3], [7, 7]])  # femto really schedules 7
-        views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
         assert np.all(views.macro_view[2] == 6)
         assert np.all(views.femto_view[2] == 6)
 
     def test_overhearing_flag_hides_macros_from_femtos(self):
         net = protocol_network()
         sched = np.array([[0, 1], [4, 3], [6, 7]])
-        views_on = exchange_scheduled_indices(net, sched, 0,
-                                              FeedbackConfig(femto_overhear=True))
+        rep = representative_users(net)
+        views_on = exchange_scheduled_indices(sched, rep, FeedbackConfig(femto_overhear=True))
         assert np.array_equal(views_on.femto_view[0], sched[0])
-        views_off = exchange_scheduled_indices(net, sched, 0,
-                                               FeedbackConfig(femto_overhear=False))
+        views_off = exchange_scheduled_indices(sched, rep, FeedbackConfig(femto_overhear=False))
         assert np.all(views_off.femto_view[0] == NO_USER)
         assert np.all(views_off.femto_view[1] == NO_USER)
 
@@ -87,7 +89,7 @@ class TestExchange:
                        subchannel_count=2, bandwidth_hz=10e6)
         sched = np.array([[0, 1], [4, 3], [6, 7]])
         cfg = FeedbackConfig(femto_overhear=False)
-        views = exchange_scheduled_indices(net2, sched, 0, cfg)
+        views = exchange_scheduled_indices(sched, representative_users(net2), cfg)
         sel = select_one(net2, 2, views, tables, count=1)
         assert not sel.valid().any()
         assert np.all(sel.taxes(2) == 0.0)
@@ -108,7 +110,7 @@ class TestCandidateTables:
         accumulate(tables, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, tables, 0, FeedbackConfig(period_slots=1))
         sched = np.array([[0, 1], [4, 3], [6, 7]])
-        views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
         sel = select_references(net, views, tables, count=1)
         taxes = sel.taxes()
         for n in range(3):
@@ -229,7 +231,7 @@ class TestSelection:
         net = protocol_network()
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         sched = np.array([[0, 0], [4, 4], [6, 6]])
-        views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
         sel = select_one(net, 0, views, tables, count=1)
         assert np.all(sel.ref_bs[0, :, 0] == 2)
         assert np.all(sel.ref_user[0, :, 0] == 6)
@@ -238,7 +240,7 @@ class TestSelection:
         net = protocol_network()
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         sched = np.array([[0, 0], [4, 4], [6, 6]])
-        views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
         sel = select_one(net, 0, views, tables, count=0)
         assert not sel.valid().any()
         assert np.all(sel.taxes(0) == 0.0)
@@ -247,7 +249,7 @@ class TestSelection:
         net = protocol_network()
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         sched = np.array([[0, 0], [4, 4], [6, 6]])
-        views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
         one = select_one(net, 0, views, tables, count=1)
         both = select_one(net, 0, views, tables, count=2)
         assert both.valid()[0].sum() == 4  # two refs on each of two subchannels
@@ -272,7 +274,7 @@ class TestSelection:
         accumulate(tables, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, tables, 0, FeedbackConfig())
         sched = np.tile(np.arange(7)[:, None], (1, 2))  # one user per cell
-        views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
         sel = select_one(net, 0, views, tables, count=6)
         assert sel.valid()[0].sum() == 6 * 2  # all six neighbors, both subchannels
         for s in range(2):
@@ -285,9 +287,9 @@ class TestSelection:
     def test_unpublished_candidates_skipped(self):
         net = protocol_network()
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
-        tables.withdraw([6, 7])  # femto record vanishes
+        tables.pub_valid[[6, 7]] = False  # femto record vanishes
         sched = np.array([[0, 0], [4, 4], [6, 6]])
-        views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
         sel = select_one(net, 0, views, tables, count=1)
         assert np.all(sel.ref_bs[0, :, 0] == 1)  # falls back to the other macro
 
@@ -299,7 +301,7 @@ class TestSelection:
             accumulate(tables, gains, powers, noise, weights, serving)
             refresh_candidate_tables(net, tables, 0, FeedbackConfig())
             sched = np.array([[0, 1], [4, 5], [6, 7]])
-            views = exchange_scheduled_indices(net, sched, 0, FeedbackConfig())
+            views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
             sel = select_references(net, views, tables, count=1)
             for n in range(net.n_bs):
                 for s in range(net.subchannel_count):
@@ -374,7 +376,7 @@ class TestBatchSelection:
         rng = np.random.default_rng(seed)
         tables = random_tables(net, rng, tie_levels)
         sched = random_schedule(net, rng)
-        views = exchange_scheduled_indices(net, sched, 0, fb)
+        views = exchange_scheduled_indices(sched, representative_users(net), fb)
         for enabled in (None, rng.random(net.n_bs) < 0.7):
             for count in range(4):
                 got = select_references(net, views, tables, count, enabled=enabled)
@@ -410,6 +412,11 @@ class TestBatchSelection:
         self._check(lonely, FeedbackConfig(), 0)
 
 
+def published_users(tables, slot):
+    """(N,) users each BS published at `slot`, as engine.run records them."""
+    return np.bincount(tables.serving[tables.last_update == slot], minlength=tables.femto.size)
+
+
 class TestProtocolDeterminism:
     def test_identical_runs_identical_traces(self):
         net = protocol_network()
@@ -420,7 +427,8 @@ class TestProtocolDeterminism:
             for t in range(6):
                 gains, powers, noise, weights, serving = random_slot(net, t)
                 accumulate(tables, gains, powers, noise, weights, serving)
-                refresh_candidate_tables(net, tables, t, cfg, trace=trace)
+                refresh_candidate_tables(net, tables, t, cfg)
+                trace += protocol_rows(net, t, published_users(tables, t))
             return trace, tables.pub_f0.copy()
         t1, f1 = run_once()
         t2, f2 = run_once()
@@ -433,11 +441,115 @@ class TestProtocolDeterminism:
         gains, powers, noise, weights, serving = random_slot(net, 0)
         tables = CandidateTables(net)
         accumulate(tables, gains, powers, noise, weights, serving)
-        trace = []
-        refresh_candidate_tables(net, tables, 0, FeedbackConfig(), trace=trace)
-        from_bs0 = [row for row in trace if row[1] == 0]
+        refresh_candidate_tables(net, tables, 0, FeedbackConfig())
+        trace = protocol_rows(net, 0, published_users(tables, 0))
+        from_bs0 = [row for row in trace if row[1] == 0 and row[3] == "table_refresh"]
         assert len(from_bs0) == 2  # two neighbors
         assert from_bs0[0][4] == 3 * 4 * net.subchannel_count * 4
+
+    def test_index_exchange_only_between_macros(self):
+        net = protocol_network()
+        rows = protocol_rows(net, 4, np.zeros(net.n_bs, dtype=int))
+        nbytes = 2 * net.subchannel_count
+        assert rows == [(4, 0, 1, "index_exchange", nbytes), (4, 1, 0, "index_exchange", nbytes)]
+
+
+def looped_refresh(network, tables, slot, config, mean_gains=None, enabled=None):
+    """Per-cell publish loop the masked refresh replaced (reference)."""
+    def publish(ids):
+        ids = np.asarray(ids, dtype=int)
+        if ids.size == 0:
+            return
+        cnt = np.maximum(tables.acc_count[ids], 1).astype(float)
+        tables.pub_f0[ids] = tables.acc_f0[ids] / cnt[:, None, None]
+        tables.pub_f1[ids] = tables.acc_f1[ids] / cnt
+        tables.pub_f2[ids] = tables.acc_f2[ids] / cnt[:, None]
+        tables.pub_f3[ids] = tables.acc_f3[ids] / cnt[:, None]
+        tables.pub_valid[ids] = True
+        tables.last_update[ids] = slot
+
+    def withdraw(ids):
+        tables.pub_valid[np.asarray(ids, dtype=int)] = False
+
+    def reset_window(ids):
+        ids = np.asarray(ids, dtype=int)
+        for acc in (tables.acc_f0, tables.acc_f1, tables.acc_f2, tables.acc_f3,
+                    tables.acc_count):
+            acc[ids] = 0
+
+    cells = network.cells()
+    events = 0
+    edge_flags = None
+    for n, bs in enumerate(network.base_stations):
+        ids = cells[n]
+        if slot % config.period_for(bs.tier) != 0 or not ids:
+            continue
+        if enabled is not None and not enabled[n]:
+            withdraw(ids)
+            reset_window(ids)
+            continue
+        publish_ids = ids
+        if config.edge_only and bs.tier != TIER_FEMTO:
+            if edge_flags is None:
+                edge_flags = classify_edge_users(network, mean_gains, config.edge_threshold_db)
+            publish_ids = [k for k in ids if edge_flags[k]]
+            withdraw([k for k in ids if not edge_flags[k]])
+        publish(publish_ids)
+        reset_window(ids)
+        events += 1
+    return events
+
+
+def refresh_networks():
+    """A hetnet with femtos, and the protocol network with an empty femto cell."""
+    base = protocol_network(n_sub=3)
+    empty_femto = Network(base_stations=base.base_stations, users=base.users[:6],
+                          neighbor_sets=base.neighbor_sets, subchannel_count=3,
+                          bandwidth_hz=10e6)
+    hetnet = build_network(Scenario(kind="hetnet", rings=1, femtos_per_macro=2,
+                                    macro_users_per_cell=3, femto_users_per_cell=2,
+                                    subchannels=3, seed=4))
+    return [base, empty_femto, hetnet]
+
+
+REFRESH_NETWORKS = refresh_networks()
+
+
+class TestMaskedRefresh:
+    """refresh_candidate_tables against the per-cell loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(net_index=st.integers(0, len(REFRESH_NETWORKS) - 1),
+           period=st.integers(1, 4), femto_period=st.integers(0, 4),
+           edge_only=st.booleans(), threshold_db=st.floats(-3.0, 12.0),
+           enabled_bits=st.none() | st.integers(0, 2**31 - 1),
+           start=st.integers(0, 5), seed=st.integers(0, 2**16))
+    def test_matches_per_cell_loop(self, net_index, period, femto_period, edge_only,
+                                   threshold_db, enabled_bits, start, seed):
+        net = REFRESH_NETWORKS[net_index]
+        K, N, S = net.n_users, net.n_bs, net.subchannel_count
+        cfg = FeedbackConfig(period_slots=period, edge_only=edge_only,
+                             edge_threshold_db=threshold_db,
+                             tier_period_overrides={TIER_FEMTO: femto_period}
+                             if femto_period else {})
+        enabled = None
+        if enabled_bits is not None:
+            enabled = (enabled_bits >> np.arange(N)) % 2 == 1
+        rng = np.random.default_rng(seed)
+        got, want = CandidateTables(net), CandidateTables(net)
+        got.pub_valid = rng.random(K) < 0.5   # records left from earlier windows
+        want.pub_valid = got.pub_valid.copy()
+        for t in range(start, start + 9):
+            mean_gains = rng.lognormal(-8.0, 2.0, size=(K, N))   # users move
+            slot = (rng.lognormal(-2.0, 1.0, size=(K, N, S)), rng.uniform(0.2, 2.0, size=K),
+                    rng.uniform(0.1, 1.0, size=(K, S)), rng.uniform(0.1, 1.0, size=(K, S)))
+            got.accumulate(*slot)
+            want.accumulate(*slot)
+            events = refresh_candidate_tables(net, got, t, cfg, mean_gains=mean_gains,
+                                              enabled=enabled)
+            assert events == looped_refresh(net, want, t, cfg, mean_gains, enabled)
+            for name, value in vars(want).items():
+                assert np.array_equal(getattr(got, name), value), (name, t)
 
 
 class TestConfigValidation:

@@ -69,7 +69,7 @@ class TestTwoCell:
     def test_single_user_per_group(self):
         net = build_linear_two_cell(2000.0, (200.0, 400.0), (700.0, 900.0), 1)
         assert net.n_users == 4
-        assert len(net.users_of(0)) == 2 and len(net.users_of(1)) == 2
+        assert len(net.cells()[0]) == 2 and len(net.cells()[1]) == 2
 
     def test_user_distances_inside_declared_bands(self):
         net = build_linear_two_cell(2000.0, (200.0, 400.0), (700.0, 900.0), 5, rng_seed=3)
@@ -136,11 +136,11 @@ class TestPlaceUsers:
     def test_user_counts(self):
         net = place_users(build_hex_grid(2, 1000.0), {"macro": 20}, rng_seed=0)
         assert net.n_users == 380
-        assert all(len(net.users_of(n)) == 20 for n in range(19))
+        assert all(len(net.cells()[n]) == 20 for n in range(19))
 
     def test_partition(self):
         net = place_users(build_hex_grid(1, 1000.0), {"macro": 5}, rng_seed=0)
-        all_ids = sorted(k for n in range(net.n_bs) for k in net.users_of(n))
+        all_ids = sorted(k for n in range(net.n_bs) for k in net.cells()[n])
         assert all_ids == list(range(net.n_users))
 
     def test_determinism_byte_identical(self):
@@ -156,7 +156,7 @@ class TestPlaceUsers:
         for bs in net.base_stations:
             if bs.tier != topology.TIER_FEMTO:
                 continue
-            ids = net.users_of(bs.id)
+            ids = net.cells()[bs.id]
             assert len(ids) == 4
             region = net.regions[bs.id]
             for k in ids:

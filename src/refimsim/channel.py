@@ -99,17 +99,6 @@ TILE_LINKS = 4096
 MAX_OSCILLATORS = 64
 
 
-def _tiled(flat, n_tiles, width):
-    """(T, O, width) copy of an (L, O) array, tiled along L; zero padding."""
-    links, oscillators = flat.shape
-    out = np.zeros((n_tiles, oscillators, width), dtype=flat.dtype)
-    full = links // width
-    out[:full] = flat[:full * width].reshape(full, width, oscillators).transpose(0, 2, 1)
-    if full < n_tiles:
-        out[full, :, :links - full * width] = flat[full * width:].T
-    return out
-
-
 class FadingState:
     """Jakes sum-of-sinusoids Rayleigh fading, one process per
     (user, bs, subchannel); E[|h|^2] = 1.
@@ -118,12 +107,16 @@ class FadingState:
     subchannel, which decorrelates subchannels. Advancing rotates each
     oscillator by its Doppler-dependent step.
 
-    The K*N*S links are stored flattened in tiles of `width` links: `osc`,
-    `omegas` and the cached step are (tiles, O, width) arrays, padded to
-    whole tiles. `advance` rotates one tile, sums its O rows and
-    squares the sum before it moves to the next. The rows are added in the
-    order numpy's pairwise `sum(axis=-1)` uses, so the gains are
-    bit-identical to rotating and summing one (K, N, S, O) array.
+    The K*N*S links are stored flattened in tiles of `width` links: `osc`
+    and the cached step are (tiles, O, width) arrays, padded to whole tiles.
+    The arrival angles are not stored: the generator state before they were
+    drawn is kept, and the stream is advanced past them. A new `dt` re-draws
+    them tile by tile from that state (chunked draws equal one big draw), so
+    `rng`'s bit generator must support `advance`, as default_rng's PCG64
+    does. `advance` rotates one tile, sums its O rows and squares the sum
+    before it moves to the next. The rows are added in the order numpy's
+    pairwise `sum(axis=-1)` uses, so the gains are bit-identical to rotating
+    and summing one (K, N, S, O) array.
     """
 
     def __init__(self, rng, n_users, n_bs, n_subchannels, speeds_mps, carrier_freq_hz,
@@ -133,22 +126,17 @@ class FadingState:
         self._shape = (n_users, n_bs, n_subchannels)
         self._n_links = links = n_users * n_bs * n_subchannels
         n_tiles = max(1, -(-links // TILE_LINKS))
-        width = max(1, -(-links // n_tiles))
-        shape = (*self._shape, oscillators)
-        doppler = 2.0 * np.pi * np.asarray(speeds_mps, dtype=float) * carrier_freq_hz / SPEED_OF_LIGHT
-        link_doppler = np.repeat(doppler, n_bs * n_subchannels)[:, None]
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-        self.omegas = _tiled(angles.reshape(links, oscillators), n_tiles, width)
-        del angles
-        np.cos(self.omegas, out=self.omegas)
-        self.omegas *= _tiled(link_doppler, n_tiles, width)  # rad/s per oscillator
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=shape).reshape(links, oscillators)
-        self.osc = np.empty(self.omegas.shape, dtype=complex)
+        self._width = width = max(1, -(-links // n_tiles))
+        self._doppler = 2.0 * np.pi * np.asarray(speeds_mps, dtype=float) \
+            * carrier_freq_hz / SPEED_OF_LIGHT  # rad/s per user
+        bitgen = rng.bit_generator
+        self._angle_stream = (type(bitgen), bitgen.state)
+        bitgen.advance(links * oscillators)
+        self.osc = np.empty((n_tiles, oscillators, width), dtype=complex)
         self.osc[-1] = 1.0  # padding links
         for t, osc in enumerate(self.osc):  # exp of a C-ordered tile, no tiled copy
-            ph = phases[t * width:(t + 1) * width].T
+            ph = self._tile_draw(rng, t).T
             np.exp(np.multiply(1j, ph, order="C"), out=osc[:, :ph.shape[1]])
-        del phases
         self.scale = 1.0 / np.sqrt(oscillators)
         self._step_dt = None
         self._step = None
@@ -162,17 +150,41 @@ class FadingState:
             h_re_im=h.view(np.float64), squares=squares,
             re2=squares[0::2], im2=squares[1::2])
 
+    def _tile_draw(self, rng, t):
+        """(links, O) uniform angles of tile t's links, the next draws of rng."""
+        start = t * self._width
+        n = min(self._width, self._n_links - start)
+        return rng.uniform(0.0, 2.0 * np.pi, size=(n, self.osc.shape[1]))
+
+    def _build_step(self, dt_s):
+        """step = exp(1j * omega * dt) per oscillator, omega = Doppler x cos(angle),
+        re-drawing the angles tile by tile from the saved generator state."""
+        if self._step is None:
+            self._step = np.empty_like(self.osc)
+        kind, state = self._angle_stream
+        bitgen = kind()
+        bitgen.state = state
+        rng = np.random.Generator(bitgen)
+        om = np.zeros(self.osc.shape[1:])  # padding links keep omega 0, so step 1
+        per_user = self._shape[1] * self._shape[2]
+        for t, step in enumerate(self._step):
+            angles = self._tile_draw(rng, t)
+            n = angles.shape[0]
+            om[:, :n] = angles.T
+            np.cos(om[:, :n], out=om[:, :n])
+            om[:, :n] *= self._doppler[np.arange(t * self._width, t * self._width + n) // per_user]
+            np.multiply(1j, om, out=step)  # exp(1j * om * dt) without temporaries
+            np.multiply(step, dt_s, out=step)
+            np.exp(step, out=step)
+        self._step_dt = dt_s
+
     def advance(self, dt_s):
         if dt_s < 0:
             raise ValueError("dt_s must be >= 0")
         if dt_s == 0.0:
             return
         if dt_s != self._step_dt:
-            if self._step is None:
-                self._step = np.empty_like(self.osc)
-            for om, step in zip(self.omegas, self._step):
-                np.exp(1j * om * dt_s, out=step)
-            self._step_dt = dt_s
+            self._build_step(dt_s)
         for osc, step, gains in zip(self.osc, self._step, self._gains):
             osc *= step
             self._tile_gains(osc, gains)
@@ -222,12 +234,13 @@ class FadingState:
             h_tile[:] = self._tile_coefficients(osc)
         return self._links(h)
 
-    def power_gains(self):
-        """(K, N, S) |h|^2 at the current time."""
+    def power_gains(self, scale=1.0, out=None):
+        """(K, N, S) |h|^2 at the current time, times `scale` (a (K, N)
+        large-scale gain, say), written into `out` or into a fresh array."""
         if self._step is None:  # advance has not filled the gains yet
             for osc, gains in zip(self.osc, self._gains):
                 self._tile_gains(osc, gains)
-        return self._links(self._gains).copy()
+        return np.multiply(self._links(self._gains), np.asarray(scale)[..., None], out=out)
 
 
 def large_scale_linear(pl_db, shadow_db):
@@ -271,8 +284,7 @@ class Channel:
             self._update_large_scale()
         self.fading.advance(dt_s)
 
-    def gains(self):
-        """(K, N, S) linear gains at the current time, a fresh array."""
-        gains = self.fading.power_gains()
-        gains *= self.large_scale[:, :, None]
-        return gains
+    def gains(self, out=None):
+        """(K, N, S) linear gains at the current time, written into `out`
+        (a caller-owned buffer reused across slots) or into a fresh array."""
+        return self.fading.power_gains(self.large_scale, out)

@@ -347,9 +347,10 @@ def run(scenario, record=False):
         rec_powers, rec_scheds = np.zeros((sc.slots, N, S)), np.zeros((sc.slots, N, S), dtype=int)
         rec_published = np.zeros((sc.slots, N), dtype=int)
 
+    gains = np.empty((K, N, S))  # overwritten every slot; nothing keeps it across slots
     for t in range(sc.slots):
         chan.advance(dt)
-        gains = chan.gains()
+        chan.gains(out=gains)
 
         weights = states.weights()
         if sc.algorithm == "eq":
@@ -373,7 +374,7 @@ def run(scenario, record=False):
             if record:
                 rec_published[t] = np.bincount(serving[tables.last_update == t], minlength=N)
             views = reference.exchange_scheduled_indices(sched, rep, fb_cfg)
-            refs = reference.select_references(net, views, tables, fb_cfg.ref_count,
+            refs = reference.select_references(views, tables, fb_cfg.ref_count,
                                                enabled=enabled)
             taxes = refs.taxes()   # zero for BSs not running REFIM: they select no references
 

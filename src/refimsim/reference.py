@@ -66,12 +66,14 @@ def exchange_scheduled_indices(sched, rep, config):
 
 class CandidateTables:
     """Published (possibly stale) candidate records plus running accumulators,
-    with the run's fixed layout: each user's serving BS and the femto BSs."""
+    with the run's fixed layout: each user's serving BS, the femto BSs and the
+    (N, B) padded neighbor ids."""
 
     def __init__(self, network):
         K, N, S = network.n_users, network.n_bs, network.subchannel_count
         self.serving = np.array([u.serving_bs for u in network.users], dtype=int)
         self.femto = np.array([b.tier == TIER_FEMTO for b in network.base_stations], dtype=bool)
+        self.nbr = pad_neighbor_sets(network.neighbor_sets)
         self.acc_f0 = np.zeros((K, N, S))
         self.acc_f1 = np.zeros(K)
         self.acc_f2 = np.zeros((K, S))
@@ -118,11 +120,14 @@ def refresh_candidate_tables(network, tables, slot, config, mean_gains=None, ena
         if mean_gains is None:
             raise ValueError("edge_only refresh needs mean_gains")
         keep &= femto_user | classify_edge_users(network, mean_gains, config.edge_threshold_db)
-    cnt = np.maximum(tables.acc_count[keep], 1).astype(float)
-    tables.pub_f0[keep] = tables.acc_f0[keep] / cnt[:, None, None]
-    tables.pub_f1[keep] = tables.acc_f1[keep] / cnt
-    tables.pub_f2[keep] = tables.acc_f2[keep] / cnt[:, None]
-    tables.pub_f3[keep] = tables.acc_f3[keep] / cnt[:, None]
+    # Divided in place under the mask: `pub[keep] = acc[keep] / cnt` would
+    # copy the kept rows of the (K, N, S) table twice. Assigning a scalar
+    # through a boolean mask copies nothing.
+    cnt = np.maximum(tables.acc_count, 1).astype(float)
+    for acc, pub in ((tables.acc_f0, tables.pub_f0), (tables.acc_f1, tables.pub_f1),
+                     (tables.acc_f2, tables.pub_f2), (tables.acc_f3, tables.pub_f3)):
+        per_user = (slice(None),) + (None,) * (acc.ndim - 1)
+        np.divide(acc, cnt[per_user], out=pub, where=keep[per_user])
     tables.pub_valid[due] = keep[due]
     tables.last_update[keep] = slot
     for acc in (tables.acc_f0, tables.acc_f1, tables.acc_f2, tables.acc_f3, tables.acc_count):
@@ -167,14 +172,14 @@ class ReferenceSelection:
         return total if bs is None else total[bs]
 
 
-def select_references(network, views, tables, count, enabled=None):
+def select_references(views, tables, count, enabled=None):
     """ReferenceSelection for every BS at once (engine path).
 
     Each viewer reads the view of its class (femto viewers read femto_view)
     and ranks the published candidates by their cross gain toward itself;
     rows of BSs that are not `enabled` stay empty.
     """
-    nbr = pad_neighbor_sets(network.neighbor_sets)
+    nbr = tables.nbr
     cand = views.macro_view[nbr]                       # (N, B, S)
     cand[tables.femto] = views.femto_view[nbr[tables.femto]]
     usable = tables.pub_valid[cand]

@@ -108,9 +108,7 @@ def served_rates(gains, powers, sched, noise_w, gap=1.0, subchannel_bw_hz=1.0, t
     scheduled, user, bs, sub = scheduled_index(sched)
     signal, intf_noise = link_state(gains, powers, noise_w, user, bs, sub, total)
     r = rate(signal / intf_noise, gap, subchannel_bw_hz)
-    out = np.zeros(gains.shape[0])
-    np.add.at(out, user[scheduled], r[scheduled])
-    return out
+    return np.bincount(user[scheduled], weights=r[scheduled], minlength=gains.shape[0])
 
 
 def update_throughput(avg_bps, served_bps, beta):

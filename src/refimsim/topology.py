@@ -408,13 +408,15 @@ def classify_edge_users(network, mean_gains, threshold_db=6.0):
     mean_gains: (K, N) linear power gains averaged over subchannels/fading.
     """
     g = np.asarray(mean_gains, dtype=float)
+    serving = np.array([u.serving_bs for u in network.users], dtype=int)
+    nbr = pad_neighbor_sets(network.neighbor_sets)[serving]   # (K, B), -1 padded
+    users = np.flatnonzero((nbr >= 0).any(axis=1))            # serving BS has neighbors
     flags = np.zeros(network.n_users, dtype=bool)
-    for u in network.users:
-        nbrs = network.neighbor_sets[u.serving_bs]
-        if not nbrs:
-            continue
-        gap_db = 10.0 * np.log10(g[u.id, nbrs].max() / g[u.id, u.serving_bs])
-        flags[u.id] = gap_db >= -threshold_db
+    if users.size:
+        nbr = nbr[users]
+        strongest = np.where(nbr >= 0, g[users[:, None], nbr], -np.inf).max(axis=1)
+        gap_db = 10.0 * np.log10(strongest / g[users, serving[users]])
+        flags[users] = gap_db >= -threshold_db
     return flags
 
 

@@ -201,12 +201,23 @@ class TestTiledFading:
             assert n_tiles > 1 and n_tiles * width > K * N * S
         assert np.array_equal(st.coefficients(), ref.coefficients())
         assert np.array_equal(st.power_gains(), ref.power_gains())
-        for slot in range(20):
-            dt = 1e-3 if slot < 10 else 2.5e-3
+        for slot in range(30):  # dt 1 -> 2.5 -> 1 ms rebuilds the step twice
+            dt = 2.5e-3 if 10 <= slot < 20 else 1e-3
             ref.advance(dt)
             st.advance(dt)
             assert np.array_equal(st.coefficients(), ref.coefficients())
             assert np.array_equal(st.power_gains(), ref.power_gains())
+
+    def test_state_holds_no_frequency_tensor(self):
+        K, N, S = 41, 11, 19
+        st = FadingState(np.random.default_rng(2), K, N, S, np.full(K, 20.0), 2e9)
+        st.advance(1e-3)
+        n_tiles, _, width = st.osc.shape
+        held = sum(v.nbytes for v in vars(st).values() if isinstance(v, np.ndarray))
+        osc_and_step = 2 * st.osc.nbytes
+        gain_buffer = n_tiles * width * 8
+        scratch = 6 * width * 16 + K * 8  # one tile's partial sums; per-user Doppler
+        assert held <= osc_and_step + gain_buffer + scratch
 
     def test_zero_dt_is_a_no_op(self):
         st = FadingState(np.random.default_rng(1), 5, 3, 4, np.full(5, 20.0), 2e9)
@@ -293,6 +304,14 @@ class TestChannel:
         expected = large_scale_linear(pl, chan.shadow_db)[:, :, None] \
             * chan.fading.power_gains()
         assert np.array_equal(chan.gains(), expected)
+
+    def test_gains_into_caller_buffer(self):
+        sc, net = self._hetnet()
+        chan = Channel(sc, net)
+        chan.advance(sc.slot_duration_s)
+        buf = np.full((net.n_users, net.n_bs, net.subchannel_count), np.nan)
+        assert chan.gains(out=buf) is buf
+        assert np.array_equal(buf, chan.gains())
 
     def test_mobility_moves_large_scale(self):
         sc, net = self._hetnet(mobile_users=True, user_speed_kmh=360.0)

@@ -97,7 +97,7 @@ class TestExchange:
 
 def select_one(network, bs, views, tables, count):
     """Reference selection with only `bs` enabled; the other rows stay empty."""
-    return select_references(network, views, tables, count,
+    return select_references(views, tables, count,
                              enabled=np.arange(network.n_bs) == bs)
 
 
@@ -111,7 +111,7 @@ class TestCandidateTables:
         refresh_candidate_tables(net, tables, 0, FeedbackConfig(period_slots=1))
         sched = np.array([[0, 1], [4, 3], [6, 7]])
         views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
-        sel = select_references(net, views, tables, count=1)
+        sel = select_references(views, tables, count=1)
         taxes = sel.taxes()
         for n in range(3):
             for s in range(2):
@@ -302,7 +302,7 @@ class TestSelection:
             refresh_candidate_tables(net, tables, 0, FeedbackConfig())
             sched = np.array([[0, 1], [4, 5], [6, 7]])
             views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
-            sel = select_references(net, views, tables, count=1)
+            sel = select_references(views, tables, count=1)
             for n in range(net.n_bs):
                 for s in range(net.subchannel_count):
                     if sel.ref_bs[n, s, 0] >= 0:
@@ -379,7 +379,7 @@ class TestBatchSelection:
         views = exchange_scheduled_indices(sched, representative_users(net), fb)
         for enabled in (None, rng.random(net.n_bs) < 0.7):
             for count in range(4):
-                got = select_references(net, views, tables, count, enabled=enabled)
+                got = select_references(views, tables, count, enabled=enabled)
                 want = looped_select_references(net, views, tables, count, enabled)
                 for name in self.FIELDS:
                     assert np.array_equal(getattr(got, name), want[name]), (name, count)

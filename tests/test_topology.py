@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from refimsim import topology
+from refimsim.channel import (
+    PropagationConfig, large_scale_linear, path_loss_matrix_db, shadowing_matrix_db,
+)
+from refimsim.engine import build_network
+from refimsim.presets import get_preset
 from refimsim.topology import (
     BaseStation, DiscRegion, HexRegion, Network, User,
     build_heterogeneous, build_hex_grid, build_linear_two_cell,
@@ -216,6 +221,43 @@ class TestEdgeClassification:
         net = self._net(2)
         gains = np.array([[1e-9, 1e-30, 1e-30]])
         assert classify_edge_users(net, gains, threshold_db=1e9).all()
+
+
+def looped_edge_flags(network, mean_gains, threshold_db):
+    """Per-user loop that classify_edge_users replaced (reference)."""
+    flags = np.zeros(network.n_users, dtype=bool)
+    for u in network.users:
+        nbrs = network.neighbor_sets[u.serving_bs]
+        if not nbrs:
+            continue
+        gap_db = 10.0 * np.log10(mean_gains[u.id, nbrs].max() / mean_gains[u.id, u.serving_bs])
+        flags[u.id] = gap_db >= -threshold_db
+    return flags
+
+
+class TestEdgeClassificationMatchesLoop:
+    def _partly_isolated(self):
+        # BS 2 has no neighbors; BSs 0 and 1 see each other.
+        stations = [BaseStation(id=i, tier="macro", position=(800.0 * i, 0.0),
+                                max_power_w=20.0, mask_w=20.0) for i in range(3)]
+        users = [User(id=k, position=(800.0 * (k % 3) + 50.0 * k, 10.0), serving_bs=k % 3)
+                 for k in range(9)]
+        return Network(base_stations=stations, users=users, neighbor_sets=[[1], [0], []],
+                       subchannel_count=2, bandwidth_hz=1e7)
+
+    @pytest.mark.parametrize("layout", ["hex19", "hetnet10", "partly-isolated"])
+    def test_flags_equal_loop(self, layout):
+        net = self._partly_isolated() if layout == "partly-isolated" \
+            else build_network(get_preset(layout))
+        cfg = PropagationConfig()
+        gains = large_scale_linear(path_loss_matrix_db(net, cfg),
+                                   shadowing_matrix_db(net, cfg, np.random.default_rng(3)))
+        seen = set()
+        for threshold_db in (0.0, 6.0, 20.0):
+            flags = classify_edge_users(net, gains, threshold_db)
+            assert np.array_equal(flags, looped_edge_flags(net, gains, threshold_db))
+            seen.update(flags.tolist())
+        assert seen == {False, True}
 
 
 class TestRegionsAndMobility:

@@ -36,15 +36,20 @@ class PropagationConfig:
             raise ValueError("sinr_gap must be >= 1")
 
 
+def _distance_law(model, cfg):
+    """(a, b) of the loss a + b*log10(d[m]) of a path loss model."""
+    if model == "macro":
+        return cfg.macro_pathloss_a, cfg.macro_pathloss_b
+    if model == "indoor":
+        return cfg.indoor_pathloss_a, cfg.indoor_pathloss_b
+    raise ValueError(f"unknown path loss model {model!r}")
+
+
 def path_loss_db(model, distance_m, config=None):
     """Distance-law loss in dB; model is 'macro' (outdoor) or 'indoor'."""
     cfg = config or PropagationConfig()
-    d = np.maximum(np.asarray(distance_m, dtype=float), cfg.min_distance_m)
-    if model == "macro":
-        return cfg.macro_pathloss_a + cfg.macro_pathloss_b * np.log10(d)
-    if model == "indoor":
-        return cfg.indoor_pathloss_a + cfg.indoor_pathloss_b * np.log10(d)
-    raise ValueError(f"unknown path loss model {model!r}")
+    a, b = _distance_law(model, cfg)
+    return a + b * np.log10(np.maximum(np.asarray(distance_m, dtype=float), cfg.min_distance_m))
 
 
 def wall_mask(network):
@@ -60,14 +65,18 @@ def wall_mask(network):
     return (bs_in[None, :] | user_in[:, None]) & ~same_home
 
 
-def path_loss_matrix_db(network, config, positions=None):
-    """(K, N) path loss incl. wall penetration at the given user positions."""
-    d = network.distances(positions)
-    pl = np.empty_like(d)
-    for n, bs in enumerate(network.base_stations):
-        model = "indoor" if bs.tier == TIER_FEMTO else "macro"
-        pl[:, n] = path_loss_db(model, d[:, n], config)
-    pl[wall_mask(network)] += config.penetration_loss_db
+def path_loss_matrix_db(network, config, positions=None, walls=None):
+    """(K, N) path loss incl. wall penetration at the given user positions.
+
+    `walls` is `wall_mask(network)`, which depends on home ids only, so a
+    caller that moves the users can build it once.
+    """
+    a, b = np.array([_distance_law("indoor" if bs.tier == TIER_FEMTO else "macro", config)
+                     for bs in network.base_stations]).T
+    d = np.maximum(network.distances(positions), config.min_distance_m)
+    pl = a + b * np.log10(d)
+    np.add(pl, config.penetration_loss_db, out=pl,
+           where=wall_mask(network) if walls is None else walls)
     return pl
 
 
@@ -90,9 +99,9 @@ def noise_power_w(config, subchannel_bw_hz):
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-# Links per fading tile. At 8 oscillators an oscillator tile and its step tile
-# take 2 x 8 x 4096 x 16 B = 1 MB, so one tile is rotated, summed and squared
-# while it stays in a 2 MB L2 cache.
+# Links per fading tile, at most. At 8 oscillators an oscillator tile and its
+# step tile take 2 x 8 x 4096 x 16 B = 1 MB, so one tile is rotated, summed
+# and squared while it stays in a 2 MB L2 cache.
 TILE_LINKS = 4096
 # Up to 64 terms numpy's pairwise sum keeps four running accumulators; above
 # that it splits recursively, an order FadingState does not reproduce.
@@ -107,16 +116,18 @@ class FadingState:
     subchannel, which decorrelates subchannels. Advancing rotates each
     oscillator by its Doppler-dependent step.
 
-    The K*N*S links are stored flattened in tiles of `width` links: `osc`
-    and the cached step are (tiles, O, width) arrays, padded to whole tiles.
-    The arrival angles are not stored: the generator state before they were
+    The K*N*S links are stored flattened in tiles of whole (user, bs)
+    pairs, so that a tile's large-scale gains are one slice: as few tiles of
+    at most TILE_LINKS links (or one pair) as hold them, balanced. `osc` and
+    the cached step are (tiles, O, width) arrays, the last tile padded. The
+    arrival angles are not stored: the generator state before they were
     drawn is kept, and the stream is advanced past them. A new `dt` re-draws
     them tile by tile from that state (chunked draws equal one big draw), so
     `rng`'s bit generator must support `advance`, as default_rng's PCG64
-    does. `advance` rotates one tile, sums its O rows and squares the sum
-    before it moves to the next. The rows are added in the order numpy's
-    pairwise `sum(axis=-1)` uses, so the gains are bit-identical to rotating
-    and summing one (K, N, S, O) array.
+    does. `advance` rotates one tile, sums its O rows and squares the sum,
+    for every slot asked of it, before it moves to the next tile. The rows
+    are added in the order numpy's pairwise `sum(axis=-1)` uses, so the
+    gains are bit-identical to rotating and summing one (K, N, S, O) array.
     """
 
     def __init__(self, rng, n_users, n_bs, n_subchannels, speeds_mps, carrier_freq_hz,
@@ -124,15 +135,16 @@ class FadingState:
         if not 1 <= oscillators <= MAX_OSCILLATORS:
             raise ValueError(f"oscillators must be in [1, {MAX_OSCILLATORS}]")
         self._shape = (n_users, n_bs, n_subchannels)
-        self._n_links = links = n_users * n_bs * n_subchannels
-        n_tiles = max(1, -(-links // TILE_LINKS))
-        self._width = width = max(1, -(-links // n_tiles))
+        links = n_users * n_bs * n_subchannels
+        n_tiles = max(1, -(-n_users * n_bs // max(1, TILE_LINKS // n_subchannels)))
+        self._pairs_per_tile = max(1, -(-n_users * n_bs // n_tiles))
         self._doppler = 2.0 * np.pi * np.asarray(speeds_mps, dtype=float) \
             * carrier_freq_hz / SPEED_OF_LIGHT  # rad/s per user
         bitgen = rng.bit_generator
         self._angle_stream = (type(bitgen), bitgen.state)
         bitgen.advance(links * oscillators)
-        self.osc = np.empty((n_tiles, oscillators, width), dtype=complex)
+        self.osc = np.empty((n_tiles, oscillators, self._pairs_per_tile * n_subchannels),
+                            dtype=complex)
         self.osc[-1] = 1.0  # padding links
         for t, osc in enumerate(self.osc):  # exp of a C-ordered tile, no tiled copy
             ph = self._tile_draw(rng, t).T
@@ -140,20 +152,43 @@ class FadingState:
         self.scale = 1.0 / np.sqrt(oscillators)
         self._step_dt = None
         self._step = None
-        self._gains = np.empty((n_tiles, width))
-        # Scratch for one tile's sum, with its views made once, not per tile.
+        self._make_scratch()
+
+    def _make_scratch(self):
+        """Scratch for one tile's sum, with its views made once, not per tile."""
+        width = self.osc.shape[2]
         self._acc = np.empty((4, width), dtype=complex)
         self._pair = np.empty((2, width), dtype=complex)
         h, squares = self._pair[0], self._pair[1].view(np.float64)
+        S = self._shape[2]
         self._views = SimpleNamespace(
             acc_even=self._acc[0::2], acc_odd=self._acc[1::2], h=h, p1=self._pair[1],
             h_re_im=h.view(np.float64), squares=squares,
-            re2=squares[0::2], im2=squares[1::2])
+            re2=squares[0::2].reshape(-1, S), im2=squares[1::2].reshape(-1, S))
+
+    def __getstate__(self):
+        # Copied views would not alias the copied scratch, so neither is kept.
+        return {k: v for k, v in vars(self).items() if k not in ("_acc", "_pair", "_views")}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self._make_scratch()
+
+    def _tile_pairs(self, t):
+        """(first, end) (user, bs) pair of tile t, counted in C order."""
+        p0 = t * self._pairs_per_tile
+        return p0, min(p0 + self._pairs_per_tile, self._shape[0] * self._shape[1])
+
+    def _pair_rows(self, out):
+        """(K*N, S) view of a (K, N, S) array, one row per (user, bs) pair."""
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        return out.reshape(-1, self._shape[2])
 
     def _tile_draw(self, rng, t):
         """(links, O) uniform angles of tile t's links, the next draws of rng."""
-        start = t * self._width
-        n = min(self._width, self._n_links - start)
+        p0, p1 = self._tile_pairs(t)
+        n = (p1 - p0) * self._shape[2]
         return rng.uniform(0.0, 2.0 * np.pi, size=(n, self.osc.shape[1]))
 
     def _build_step(self, dt_s):
@@ -166,35 +201,51 @@ class FadingState:
         bitgen.state = state
         rng = np.random.Generator(bitgen)
         om = np.zeros(self.osc.shape[1:])  # padding links keep omega 0, so step 1
-        per_user = self._shape[1] * self._shape[2]
+        N, S = self._shape[1:]
         for t, step in enumerate(self._step):
             angles = self._tile_draw(rng, t)
             n = angles.shape[0]
             om[:, :n] = angles.T
             np.cos(om[:, :n], out=om[:, :n])
-            om[:, :n] *= self._doppler[np.arange(t * self._width, t * self._width + n) // per_user]
+            p0, p1 = self._tile_pairs(t)
+            om[:, :n] *= self._doppler[np.arange(p0, p1) // N].repeat(S)
             np.multiply(1j, om, out=step)  # exp(1j * om * dt) without temporaries
             np.multiply(step, dt_s, out=step)
             np.exp(step, out=step)
         self._step_dt = dt_s
 
-    def advance(self, dt_s):
+    def advance(self, dt_s, out=None, scale=None):
+        """Rotate the oscillators by dt_s; with `out`, len(out) times.
+
+        `out` is a C-contiguous (slots, K, N, S) array and `scale` holds one
+        (K, N) large-scale gain per slot: after the i-th rotation of a tile,
+        scale[i] x |h|^2 of its links is written into out[i] while the tile
+        is in cache.
+        """
         if dt_s < 0:
             raise ValueError("dt_s must be >= 0")
-        if dt_s == 0.0:
-            return
-        if dt_s != self._step_dt:
+        if dt_s != self._step_dt and dt_s != 0.0:
             self._build_step(dt_s)
-        for osc, step, gains in zip(self.osc, self._step, self._gains):
-            osc *= step
-            self._tile_gains(osc, gains)
+        if out is not None:
+            rows = [self._pair_rows(o) for o in out]
+            scale_rows = [np.reshape(g, (-1, 1)) for g in scale]
+        for t, osc in enumerate(self.osc):
+            p0, p1 = self._tile_pairs(t)
+            for i in range(1 if out is None else len(out)):
+                if dt_s != 0.0:
+                    osc *= self._step[t]
+                if out is not None:
+                    self._tile_gains(osc, rows[i][p0:p1], scale_rows[i][p0:p1])
 
-    def _tile_gains(self, osc, gains):
-        """gains = |h|^2 of one tile of oscillators."""
+    def _tile_gains(self, osc, out, scale):
+        """out = |h|^2 (times scale, if not None) of one tile's links, as
+        (pairs, S) rows."""
         v = self._views
         self._tile_coefficients(osc)
         np.square(v.h_re_im, v.squares)
-        np.add(v.re2, v.im2, gains)
+        np.add(v.re2[:len(out)], v.im2[:len(out)], out)
+        if scale is not None:
+            np.multiply(out, scale, out)
 
     def _tile_coefficients(self, osc):
         """Scale x the sum of a tile's rows, added in numpy's sum order.
@@ -223,24 +274,25 @@ class FadingState:
         v.h_re_im *= self.scale
         return v.h
 
-    def _links(self, tiled):
-        """(K, N, S) view of the links in a (tiles, width) array."""
-        return tiled.reshape(-1)[:self._n_links].reshape(self._shape)
-
     def coefficients(self):
         """(K, N, S) complex channel coefficients at the current time."""
-        h = np.empty(self._gains.shape, dtype=complex)
+        h = np.empty(self.osc[:, 0].shape, dtype=complex)
         for osc, h_tile in zip(self.osc, h):
             h_tile[:] = self._tile_coefficients(osc)
-        return self._links(h)
+        # Only the last tile is padded, at its end: the links come first.
+        return h.reshape(-1)[:np.prod(self._shape)].reshape(self._shape)
 
-    def power_gains(self, scale=1.0, out=None):
+    def power_gains(self, scale=None, out=None):
         """(K, N, S) |h|^2 at the current time, times `scale` (a (K, N)
-        large-scale gain, say), written into `out` or into a fresh array."""
-        if self._step is None:  # advance has not filled the gains yet
-            for osc, gains in zip(self.osc, self._gains):
-                self._tile_gains(osc, gains)
-        return np.multiply(self._links(self._gains), np.asarray(scale)[..., None], out=out)
+        large-scale gain, say) if given, written into `out` (C-contiguous)
+        or into a fresh array."""
+        out = np.empty(self._shape) if out is None else out
+        rows = self._pair_rows(out)
+        scale_rows = None if scale is None else np.reshape(scale, (-1, 1))
+        for t, osc in enumerate(self.osc):
+            p0, p1 = self._tile_pairs(t)
+            self._tile_gains(osc, rows[p0:p1], None if scale is None else scale_rows[p0:p1])
+        return out
 
 
 def large_scale_linear(pl_db, shadow_db):
@@ -248,12 +300,21 @@ def large_scale_linear(pl_db, shadow_db):
     return 10.0 ** (-(np.asarray(pl_db) + np.asarray(shadow_db)) / 10.0)
 
 
+# Slots whose gains one pass over the fading state computes. Each slot more
+# holds one more (K, N, S) array (4 MB at hetnet10) for a shrinking saving.
+BLOCK_SLOTS = 3
+
+
 class Channel:
     """A run's channel: shadowing, Jakes fading and optional user mobility,
     each drawn from its own child of the scenario seed.
 
-    `large_scale` is the (K, N) path loss and shadowing gain at the current
-    user positions; `noise` is the (K, S) noise power in Watts.
+    The gains are computed BLOCK_SLOTS slots at a time, never past
+    `scenario.slots`: one `advance` in every block moves the users and
+    rotates the fading through the whole block. So `mobility` may stand up to
+    BLOCK_SLOTS - 1 slots ahead of the current slot; `large_scale` and
+    `gains()` are the current slot's. `noise` is the (K, S) noise power in
+    Watts.
     """
 
     def __init__(self, scenario, network):
@@ -269,22 +330,48 @@ class Channel:
         self.mobility = None
         if scenario.mobile_users:
             self.mobility = WaypointMobility(network, speeds, rng["mobility"])
+        self._walls = wall_mask(network)
         self._update_large_scale()
         self.noise = np.full((K, S), noise_power_w(cfg, network.bandwidth_hz / S))
+        self._dt = scenario.slot_duration_s
+        self._slots_left = scenario.slots
+        self._block = np.empty((BLOCK_SLOTS, K, N, S))
+        self._block_scales = [self._large_scale]  # each block slot's large-scale gain
+        self._slot = 0                            # the current slot's index in the block
+        self._filled = False                      # no gains computed yet
 
     def _update_large_scale(self):
         positions = None if self.mobility is None else self.mobility.positions
-        pl_db = path_loss_matrix_db(self.network, self.config, positions)
-        self.large_scale = large_scale_linear(pl_db, self.shadow_db)
+        pl_db = path_loss_matrix_db(self.network, self.config, positions, self._walls)
+        self._large_scale = large_scale_linear(pl_db, self.shadow_db)
 
-    def advance(self, dt_s):
-        """Move the users (path loss is recomputed only if they moved), then
-        advance the fading."""
-        if self.mobility is not None and self.mobility.advance(dt_s):
-            self._update_large_scale()
-        self.fading.advance(dt_s)
+    @property
+    def large_scale(self):
+        """(K, N) path loss and shadowing gain of the current slot."""
+        return self._block_scales[self._slot]
 
-    def gains(self, out=None):
-        """(K, N, S) linear gains at the current time, written into `out`
-        (a caller-owned buffer reused across slots) or into a fresh array."""
-        return self.fading.power_gains(self.large_scale, out)
+    def advance(self):
+        """Step one slot of `scenario.slot_duration_s`; at the end of a
+        block, compute the next one."""
+        self._slot += 1
+        if self._slot < len(self._block_scales):
+            return
+        slots = min(BLOCK_SLOTS, max(1, self._slots_left))
+        self._slots_left -= slots
+        scales = []
+        for _ in range(slots):  # path loss is recomputed only if the users moved
+            if self.mobility is not None and self.mobility.advance(self._dt):
+                self._update_large_scale()
+            scales.append(self._large_scale)
+        self.fading.advance(self._dt, out=self._block[:slots], scale=scales)
+        self._block_scales, self._slot, self._filled = scales, 0, True
+
+    def gains(self):
+        """(K, N, S) linear gains of the current slot: a read-only view that
+        the channel overwrites within BLOCK_SLOTS advances."""
+        if not self._filled:  # before the first advance: the slot-0 gains
+            self.fading.power_gains(self.large_scale, out=self._block[0])
+            self._filled = True
+        view = self._block[self._slot].view()
+        view.flags.writeable = False
+        return view

@@ -330,7 +330,6 @@ def run(scenario, record=False):
     enabled = np.array([b.refim_enabled for b in net.base_stations])
     bw_sub = sc.bandwidth_hz / S
     gap = chan.config.sinr_gap
-    dt = sc.slot_duration_s
 
     eq_powers = np.stack([power.equal_power(budgets[n], masks[n]) for n in range(N)])
     states = scheduling.UserStates(K, sc.initial_throughput_bps, sc.ewma_beta, sc.utility_alpha)
@@ -347,10 +346,9 @@ def run(scenario, record=False):
         rec_powers, rec_scheds = np.zeros((sc.slots, N, S)), np.zeros((sc.slots, N, S), dtype=int)
         rec_published = np.zeros((sc.slots, N), dtype=int)
 
-    gains = np.empty((K, N, S))  # overwritten every slot; nothing keeps it across slots
     for t in range(sc.slots):
-        chan.advance(dt)
-        chan.gains(out=gains)
+        chan.advance()
+        gains = chan.gains()  # read-only; valid until the channel's next block
 
         weights = states.weights()
         if sc.algorithm == "eq":

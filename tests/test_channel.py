@@ -1,14 +1,20 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from scipy.special import j0
 
 from refimsim.channel import (
-    MAX_OSCILLATORS, TILE_LINKS, Channel, FadingState, PropagationConfig,
+    BLOCK_SLOTS, MAX_OSCILLATORS, TILE_LINKS, Channel, FadingState, PropagationConfig,
     large_scale_linear, noise_power_w, path_loss_db, path_loss_matrix_db,
     sample_shadowing, shadowing_matrix_db, wall_mask,
 )
 from refimsim.engine import Scenario, build_network
-from refimsim.topology import BaseStation, Network, User, build_hex_grid, place_users
+from refimsim.presets import get_preset
+from refimsim.topology import (
+    TIER_FEMTO, BaseStation, Network, User, WaypointMobility, build_hex_grid, place_users,
+)
 
 
 class TestPathLoss:
@@ -55,6 +61,20 @@ class TestPathLoss:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             path_loss_db("underwater", 10.0)
+
+    @pytest.mark.parametrize("preset", ["hex19", "hetnet5", "two-cell"])
+    def test_matrix_equals_per_bs_law(self, preset):
+        net = build_network(get_preset(preset, seed=3))
+        cfg = PropagationConfig()
+        positions = net.user_positions() + 7.0
+        d = net.distances(positions)
+        expected = np.stack([path_loss_db("indoor" if bs.tier == TIER_FEMTO else "macro",
+                                          d[:, n], cfg)
+                             for n, bs in enumerate(net.base_stations)], axis=1)
+        expected[wall_mask(net)] += cfg.penetration_loss_db
+        assert np.array_equal(path_loss_matrix_db(net, cfg, positions), expected)
+        assert np.array_equal(path_loss_matrix_db(net, cfg, positions, wall_mask(net)),
+                              expected)
 
 
 class TestShadowing:
@@ -183,8 +203,8 @@ class _UntiledFading:
 
 
 class TestTiledFading:
-    # (K, N, S): 24 links fit in one tile; 8569 links need three tiles of
-    # 2857 with two padding links in the last.
+    # (K, N, S): 24 links fit in one tile; 8569 links (451 user-BS pairs of
+    # 19) need three tiles of 151 pairs, the last padded with two pairs' links.
     SIZES = [(3, 2, 4), (41, 11, 19)]
 
     @pytest.mark.parametrize("size", SIZES)
@@ -195,6 +215,7 @@ class TestTiledFading:
         ref = _UntiledFading(4, K, N, S, speeds, oscillators)
         st = FadingState(np.random.default_rng(4), K, N, S, speeds, 2e9, oscillators)
         n_tiles, _, width = st.osc.shape
+        assert width % S == 0  # tiles hold whole (user, bs) pairs
         if K * N * S < TILE_LINKS:
             assert n_tiles == 1
         else:
@@ -208,16 +229,44 @@ class TestTiledFading:
             assert np.array_equal(st.coefficients(), ref.coefficients())
             assert np.array_equal(st.power_gains(), ref.power_gains())
 
+    @pytest.mark.parametrize("slots", [1, 2, 3, 5])
+    def test_blocked_advance_equals_slot_by_slot(self, slots):
+        K, N, S = 41, 11, 19
+        speeds = np.random.default_rng(K).uniform(0.0, 30.0, K)
+        ref = _UntiledFading(4, K, N, S, speeds, 8)
+        st = FadingState(np.random.default_rng(4), K, N, S, speeds, 2e9)
+        scales = np.random.default_rng(5).uniform(0.5, 2.0, (slots, K, N))
+        out = np.full((slots, K, N, S), np.nan)
+        for dt in (1e-3, 1e-3, 2.5e-3):
+            st.advance(dt, out=out, scale=scales)
+            for i in range(slots):
+                ref.advance(dt)
+                assert np.array_equal(out[i], ref.power_gains() * scales[i][:, :, None])
+            assert np.array_equal(st.coefficients(), ref.coefficients())
+
     def test_state_holds_no_frequency_tensor(self):
         K, N, S = 41, 11, 19
         st = FadingState(np.random.default_rng(2), K, N, S, np.full(K, 20.0), 2e9)
         st.advance(1e-3)
-        n_tiles, _, width = st.osc.shape
+        width = st.osc.shape[2]
         held = sum(v.nbytes for v in vars(st).values() if isinstance(v, np.ndarray))
         osc_and_step = 2 * st.osc.nbytes
-        gain_buffer = n_tiles * width * 8
         scratch = 6 * width * 16 + K * 8  # one tile's partial sums; per-user Doppler
-        assert held <= osc_and_step + gain_buffer + scratch
+        assert held <= osc_and_step + scratch
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy,
+                                           lambda st: pickle.loads(pickle.dumps(st))],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_advances_like_the_original(self, duplicate):
+        K, N, S = 41, 11, 19
+        st = FadingState(np.random.default_rng(2), K, N, S, np.full(K, 20.0), 2e9)
+        st.advance(1e-3)
+        twin = duplicate(st)
+        for _ in range(3):
+            st.advance(1e-3)
+            twin.advance(1e-3)
+            assert np.array_equal(twin.power_gains(), st.power_gains())
+            assert np.array_equal(twin.coefficients(), st.coefficients())
 
     def test_zero_dt_is_a_no_op(self):
         st = FadingState(np.random.default_rng(1), 5, 3, 4, np.full(5, 20.0), 2e9)
@@ -279,7 +328,8 @@ class TestSnapshot:
         a = chan.gains()
         b = chan.gains()
         assert np.array_equal(a, b)
-        a[...] = 0.0  # a fresh array: writing it leaves the channel alone
+        with pytest.raises(ValueError):  # a read-only view: the channel cannot be written
+            a[...] = 0.0
         assert np.array_equal(chan.gains(), b)
 
 
@@ -293,8 +343,8 @@ class TestChannel:
         sc, net = self._hetnet(mobile_users=True, user_speed_kmh=60.0)
         a, b = Channel(sc, net), Channel(sc, net)
         for _ in range(20):
-            a.advance(sc.slot_duration_s)
-            b.advance(sc.slot_duration_s)
+            a.advance()
+            b.advance()
             assert np.array_equal(a.gains(), b.gains())
 
     def test_gains_compose_large_scale_and_fading(self):
@@ -305,19 +355,23 @@ class TestChannel:
             * chan.fading.power_gains()
         assert np.array_equal(chan.gains(), expected)
 
-    def test_gains_into_caller_buffer(self):
+    def test_gains_are_a_read_only_view_without_copy(self):
         sc, net = self._hetnet()
         chan = Channel(sc, net)
-        chan.advance(sc.slot_duration_s)
-        buf = np.full((net.n_users, net.n_bs, net.subchannel_count), np.nan)
-        assert chan.gains(out=buf) is buf
-        assert np.array_equal(buf, chan.gains())
+        chan.advance()
+        a, b = chan.gains(), chan.gains()
+        assert a.shape == (net.n_users, net.n_bs, net.subchannel_count)
+        assert np.shares_memory(a, b) and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0, 0] = 1.0
 
     def test_mobility_moves_large_scale(self):
-        sc, net = self._hetnet(mobile_users=True, user_speed_kmh=360.0)
+        # one slot: the block, and the users' positions, hold that slot only
+        sc, net = self._hetnet(mobile_users=True, user_speed_kmh=360.0, slot_duration_s=0.1,
+                               slots=1, warmup_slots=0)
         chan = Channel(sc, net)
         before = chan.large_scale.copy()
-        chan.advance(0.1)
+        chan.advance()
         pl = path_loss_matrix_db(net, chan.config, chan.mobility.positions)
         assert np.array_equal(chan.large_scale, large_scale_linear(pl, chan.shadow_db))
         assert not np.array_equal(chan.large_scale, before)
@@ -331,3 +385,65 @@ class TestConfigValidation:
     def test_bad_slope_rejected(self):
         with pytest.raises(ValueError):
             PropagationConfig(macro_pathloss_b=0.0)
+
+
+def _slot_by_slot(sc, net, slots):
+    """(large_scale, gains) of each slot, from the channel's parts stepped one
+    slot at a time."""
+    streams = sc.seed_streams()
+    cfg = sc.propagation()
+    speeds = np.full(net.n_users, sc.user_speed_kmh / 3.6)
+    shadow = shadowing_matrix_db(net, cfg, np.random.default_rng(streams["shadowing"]))
+    fading = FadingState(np.random.default_rng(streams["fading"]), net.n_users, net.n_bs,
+                         net.subchannel_count, speeds, cfg.carrier_freq_hz, cfg.oscillators)
+    mobility = None
+    if sc.mobile_users:
+        mobility = WaypointMobility(net, speeds, np.random.default_rng(streams["mobility"]))
+    for _ in range(slots):
+        if mobility is not None:
+            mobility.advance(sc.slot_duration_s)
+        positions = None if mobility is None else mobility.positions
+        large = large_scale_linear(path_loss_matrix_db(net, cfg, positions), shadow)
+        fading.advance(sc.slot_duration_s)
+        yield large, large[:, :, None] * fading.power_gains()
+
+
+class TestChannelBlocks:
+    """The channel computes its gains BLOCK_SLOTS slots per pass."""
+
+    def _hetnet(self, slots, **overrides):
+        # 60 users x 11 BSs x 8 subchannels: two tiles of 330 (user, bs) pairs
+        sc = Scenario(kind="hetnet", rings=0, femtos_per_macro=10, macro_users_per_cell=20,
+                      femto_users_per_cell=4, subchannels=8, seed=5, slots=slots,
+                      warmup_slots=0, **overrides)
+        return sc, build_network(sc)
+
+    @pytest.mark.parametrize("mobile", [False, True], ids=["static", "mobile"])
+    @pytest.mark.parametrize("slots", [1, 2, 3, 4, 7])
+    def test_gains_equal_slot_by_slot(self, slots, mobile):
+        sc, net = self._hetnet(slots, mobile_users=mobile, user_speed_kmh=60.0)
+        chan = Channel(sc, net)
+        # two slots past the run: the channel goes on one slot at a time
+        for large, gains in _slot_by_slot(sc, net, slots + 2):
+            chan.advance()
+            assert np.array_equal(chan.large_scale, large)
+            assert np.array_equal(chan.gains(), gains)
+
+    @pytest.mark.parametrize("slots, rotations", [(1, 1), (2, 2), (3, 3), (7, BLOCK_SLOTS)])
+    def test_block_stops_at_the_run_length(self, slots, rotations):
+        sc, net = self._hetnet(slots)
+        chan = Channel(sc, net)
+        assert chan.fading.osc.shape[0] == 2
+        streams = sc.seed_streams()
+        ref = FadingState(np.random.default_rng(streams["fading"]), net.n_users, net.n_bs,
+                          net.subchannel_count, np.full(net.n_users, sc.user_speed_kmh / 3.6),
+                          chan.config.carrier_freq_hz)
+        chan.advance()
+        for _ in range(rotations):
+            ref.advance(sc.slot_duration_s)
+        assert np.array_equal(chan.fading.coefficients(), ref.coefficients())
+
+    def test_two_cell_is_one_tile(self):
+        sc = get_preset("two-cell")
+        chan = Channel(sc, build_network(sc))
+        assert chan.fading.osc.shape == (1, 8, 1280)

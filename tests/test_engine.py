@@ -220,11 +220,11 @@ class TestConservationReplay:
         gap, bw_sub = chan.config.sinr_gap, sc.bandwidth_hz / sc.subchannels
         accum = np.zeros(chan.noise.shape[0])
         for t, (powers, sched) in enumerate(zip(res.powers, res.schedules)):
-            chan.advance(sc.slot_duration_s)
+            chan.advance()
             served = scheduling.served_rates(chan.gains(), powers, sched, chan.noise, gap, bw_sub)
             if t >= sc.warmup_slots:
                 accum += served
-        assert np.allclose(accum, res.accumulated_rate_bps, rtol=1e-10)
+        assert np.array_equal(accum, res.accumulated_rate_bps)
 
 
 class TestRecord:

@@ -1,8 +1,9 @@
 """Per-slot simulation loop, metrics (GAT/AET/AAT), scenario sweeps.
 
-Slot order: advance the channel (mobility, fading) -> gains -> initial powers ->
-schedule -> exchange indices -> select references -> taxation -> bisection
--> commit -> served rates -> EWMA update -> metric accumulation.
+Slot order: advance the channel (mobility, fading) -> gains -> weights ->
+`eq` schedules at the equal split; `wf`, `refim` and `general` run one
+power.general_algorithm step, which tells them apart only by its tax source
+-> served rates -> EWMA update -> metric accumulation.
 """
 
 import hashlib
@@ -317,8 +318,7 @@ def run(scenario, record=False):
     cells = net.cells()
     if not all(cells):
         raise ValueError("every cell must have at least one user")
-    serving = np.array([u.serving_bs for u in net.users], dtype=int)
-    users = np.arange(K)
+    serving = net.serving
 
     rng_pow = np.random.default_rng(sc.seed_streams()["power"])
     chan = channel.Channel(sc, net)
@@ -331,7 +331,7 @@ def run(scenario, record=False):
     bw_sub = sc.bandwidth_hz / S
     gap = chan.config.sinr_gap
 
-    eq_powers = np.stack([power.equal_power(budgets[n], masks[n]) for n in range(N)])
+    eq_powers = power.initial_power("uniform", budgets, masks)
     states = scheduling.UserStates(K, sc.initial_throughput_bps, sc.ewma_beta, sc.utility_alpha)
     tables = reference.CandidateTables(net)
     rep = reference.representative_users(net)
@@ -346,51 +346,42 @@ def run(scenario, record=False):
         rec_powers, rec_scheds = np.zeros((sc.slots, N, S)), np.zeros((sc.slots, N, S), dtype=int)
         rec_published = np.zeros((sc.slots, N), dtype=int)
 
+    # The tax sources of the slot step; they read the current slot's t,
+    # gains and weights.
+    def refim_taxes(sched, p, total, signal, intf_noise):
+        tables.accumulate(gains, weights, signal, intf_noise)
+        reference.refresh_candidate_tables(net, tables, t, fb_cfg,
+                                           mean_gains=chan.large_scale, enabled=enabled)
+        if record:
+            rec_published[t] = np.bincount(serving[tables.last_update == t], minlength=N)
+        views = reference.exchange_scheduled_indices(sched, rep, fb_cfg)
+        refs = reference.select_references(views, tables, fb_cfg.ref_count, enabled=enabled)
+        return refs.taxes()   # zero for BSs not running REFIM: they select no references
+
+    def general_taxes(sched, p, total, signal, intf_noise):
+        return power.ground_truth_taxes(sched, gains, weights, noise, net.neighbor_index, p,
+                                        total, sc.ref_count)
+
+    taxes = {"wf": power.no_taxes, "refim": refim_taxes,
+             "general": general_taxes}.get(sc.algorithm)
+    caps = (sc.sched_loops, sc.power_loops) if sc.algorithm == "general" else (1, 1)
+
     for t in range(sc.slots):
         chan.advance()
         gains = chan.gains()  # read-only; valid until the channel's next block
 
         weights = states.weights()
         if sc.algorithm == "eq":
-            p_eval = eq_powers
+            sched = scheduling.schedule_at(gains, eq_powers, noise, serving, cells, weights, gap,
+                                           bw_sub, allowed)[0]
+            committed = eq_powers
         else:
             p_eval = power.initial_power(sc.initial_power_rule, budgets, masks,
                                          prev=prev_powers, rng=rng_pow, slot=t)
-
-        if sc.algorithm != "general":  # general schedules inside its own loop
-            total_eval = np.einsum("kms,ms->ks", gains, p_eval)
-            signal, intf_noise = scheduling.link_state(gains, p_eval, noise, users, serving,
-                                                       slice(None), total_eval)
-            rates_eval = scheduling.rate(signal / intf_noise, gap, bw_sub)
-            sched = scheduling.schedule_users(cells, weights, rates_eval, allowed=allowed)
-
-        taxes = np.zeros((N, S))
-        if sc.algorithm == "refim":
-            tables.accumulate(gains, weights, signal, intf_noise)
-            reference.refresh_candidate_tables(net, tables, t, fb_cfg,
-                                               mean_gains=chan.large_scale, enabled=enabled)
-            if record:
-                rec_published[t] = np.bincount(serving[tables.last_update == t], minlength=N)
-            views = reference.exchange_scheduled_indices(sched, rep, fb_cfg)
-            refs = reference.select_references(views, tables, fb_cfg.ref_count,
-                                               enabled=enabled)
-            taxes = refs.taxes()   # zero for BSs not running REFIM: they select no references
-
-        if sc.algorithm == "eq":
-            committed = eq_powers
-            lam = None
-        elif sc.algorithm == "general":
             sched, committed, lam, iters = power.general_algorithm(
-                cells, gains, weights, noise, net.neighbor_sets, budgets, masks,
-                p_eval, sched_iters=sc.sched_loops, power_iters=sc.power_loops,
-                ref_count=sc.ref_count, subchannel_bw_hz=bw_sub, sinr_gap=gap,
-                allowed=allowed)
+                cells, serving, gains, weights, noise, taxes, budgets, masks, p_eval, *caps,
+                subchannel_bw_hz=bw_sub, sinr_gap=gap, allowed=allowed)
             iter_max = max(iter_max, iters)
-        else:
-            committed, lam, iters = power.allocate(gains, p_eval, sched, weights, noise, taxes,
-                                                   budgets, masks, total=total_eval)
-            iter_max = max(iter_max, int(iters.max()))
-        if lam is not None:
             budget_misses += power.budget_misses(committed, lam, budgets)
 
         violations += power.PowerMatrix(committed, budgets, masks).violations()

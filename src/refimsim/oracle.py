@@ -39,6 +39,14 @@ def combination_count(n_bs, n_sub, cells, levels):
     return count
 
 
+def serving_of(cells, n_users):
+    """(K,) serving BS of each user of an instance given as cells lists."""
+    serving = np.zeros(n_users, dtype=int)
+    for n, ids in enumerate(cells):
+        serving[ids] = n
+    return serving
+
+
 def evaluate_objective(gains, noise_w, weights, powers, sched, subchannel_bw_hz=1.0,
                        sinr_gap=1.0):
     """Weighted sum rate of a (powers, schedule) pair; the shared scorer for
@@ -108,14 +116,12 @@ def brute_force(gains, noise_w, cells, weights, budgets, masks, grid=None,
         reps_outer = int(np.prod(counts[:n])) if n > 0 else 1
         joint[:, n, :] = np.repeat(np.tile(cand, (reps_outer, 1)), reps_inner, axis=0)
 
-    # rates of every user from its serving BS for every joint power combo
+    # weighted rate of every user from its serving BS for every joint power combo
+    serving = serving_of(cells, K)
     totals = np.einsum("kms,cms->cks", gains, joint)
-    wr = np.zeros((joint.shape[0], K, S))
-    for n, ids in enumerate(cells):
-        for k in ids:
-            signal = gains[k, n, :][None, :] * joint[:, n, :]
-            gamma = signal / (totals[:, k, :] - signal + noise_w[k, :][None, :])
-            wr[:, k, :] = weights[k] * subchannel_bw_hz * np.log2(1.0 + gamma / sinr_gap)
+    signal = gains[np.arange(K), serving] * joint[:, serving]       # (C, K, S)
+    gamma = signal / (totals - signal + noise_w)
+    wr = weights[:, None] * subchannel_bw_hz * np.log2(1.0 + gamma / sinr_gap)
 
     best_h = -np.inf
     best_c = 0

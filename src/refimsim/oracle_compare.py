@@ -4,32 +4,35 @@ score it against the brute-force optimum."""
 import numpy as np
 
 from . import power
-from .oracle import brute_force, evaluate_objective, GridSpec
-from .scheduling import rate, schedule_users, serving_vector, sinr_matrix
+from .oracle import brute_force, evaluate_objective, serving_of, GridSpec
+from .scheduling import schedule_at
+from .topology import pad_neighbor_sets
 
 
 def settle_algorithm(algo, gains, noise_w, cells, weights, budgets, masks,
                      neighbor_sets, iters=60, subchannel_bw_hz=1.0, sinr_gap=1.0):
-    """Run the loop-free slot pipeline repeatedly on a frozen snapshot.
+    """Run the loop-free slot step repeatedly on a frozen snapshot.
 
     The previous-slot powers feed each next pass, which is how the
-    step-by-step algorithm accumulates its implicit iterations. Returns
-    (objective, powers, schedule).
+    step-by-step algorithm accumulates its implicit iterations. `eq` only
+    schedules, at the equal split. Returns (objective, powers, schedule).
     """
-    N, S = masks.shape
-    budgets = np.asarray(budgets, dtype=float)
+    weights = np.asarray(weights)
+    serving = serving_of(cells, gains.shape[0])
+    p = power.initial_power("uniform", budgets, masks)
     if algo == "eq":
-        p = np.stack([power.equal_power(budgets[n], masks[n]) for n in range(N)])
-        gamma = sinr_matrix(gains, p, serving_vector(cells, gains.shape[0]), noise_w)
-        sched = schedule_users(cells, np.asarray(weights), rate(gamma, sinr_gap, subchannel_bw_hz))
+        sched = schedule_at(gains, p, noise_w, serving, cells, weights, sinr_gap,
+                            subchannel_bw_hz)[0]
     elif algo in ("wf", "refim"):
-        ref_count = 1 if algo == "refim" else 0
-        p = power.initial_power("uniform", budgets, masks)
-        sched = None
+        nbr = pad_neighbor_sets(neighbor_sets)
+
+        def refim_taxes(sched, p, total, *_):
+            return power.ground_truth_taxes(sched, gains, weights, noise_w, nbr, p, total, 1)
+
+        taxes = refim_taxes if algo == "refim" else power.no_taxes
         for _ in range(iters):
             sched, p, _, _ = power.general_algorithm(
-                cells, gains, weights, noise_w, neighbor_sets, budgets, masks, p,
-                sched_iters=1, power_iters=1, ref_count=ref_count,
+                cells, serving, gains, weights, noise_w, taxes, budgets, masks, p,
                 subchannel_bw_hz=subchannel_bw_hz, sinr_gap=sinr_gap)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")

@@ -1,6 +1,6 @@
-"""Per-BS power allocation: equal split, selfish water-filling, and the
-taxation-augmented KKT fixed point solved by bisection on the budget
-multiplier.
+"""Per-BS power allocation: the taxation-augmented KKT fixed point solved by
+bisection on the budget multiplier, and the one slot step (schedule -> tax
+-> allocate) that every power-allocating algorithm runs.
 
 The KKT water level on subchannel s is w_s / (lambda*ln2 + t_s); the
 taxation t_s penalizes power that harms the neighbor cell's most exposed
@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scheduling
-from .scheduling import NO_USER, link_state, scheduled_index
-from .topology import pad_neighbor_sets
+from .scheduling import NO_USER, link_state, schedule_at, scheduled_index
 
 LN2 = math.log(2.0)
 
@@ -49,16 +47,6 @@ class PowerMatrix:
         v += int(np.count_nonzero(self.p > self.masks * (1.0 + rtol) + 1e-300))
         v += int(np.count_nonzero(self.p.sum(axis=1) > self.budgets * (1.0 + rtol)))
         return v
-
-
-def equal_power(budget, masks):
-    """Budget split equally over usable subchannels, clipped to the mask."""
-    masks = np.asarray(masks, dtype=float)
-    usable = masks > 0
-    count = int(usable.sum())
-    if count == 0:
-        return np.zeros_like(masks)
-    return np.where(usable, np.minimum(budget / count, masks), 0.0)
 
 
 def taxation_from_feedback(weight, cross_gain, signal_w, intf_noise_w):
@@ -277,8 +265,12 @@ def allocate(gains, powers, sched, weights, noise_w, taxes, budgets, masks, tota
     return allocate_bisection_batch(w, taxes, intf, g, budgets, masks, noise_w=sig)
 
 
-def _ground_truth_references(sched, gains, weights, noise_w, nbr, powers, total,
-                             ref_count):
+def no_taxes(sched, *_):
+    """Tax source of selfish water-filling: zero on every (bs, subchannel)."""
+    return np.zeros(sched.shape)
+
+
+def ground_truth_taxes(sched, gains, weights, noise_w, nbr, powers, total, ref_count):
     """(N, S) taxation recomputed from current ground truth (general algorithm).
 
     References are ranked by reference.rank_references, as on the table path,
@@ -296,44 +288,43 @@ def _ground_truth_references(sched, gains, weights, noise_w, nbr, powers, total,
     return sel.taxes()
 
 
-def general_algorithm(cells, gains, weights, noise_w, neighbor_sets, budgets, masks,
-                      init_powers, sched_iters=1, power_iters=1, ref_count=1,
-                      subchannel_bw_hz=1.0, sinr_gap=1.0, allowed=None):
-    """Looped joint scheduling + power allocation for one slot.
+def general_algorithm(cells, serving, gains, weights, noise_w, taxes, budgets, masks,
+                      init_powers, sched_iters=1, power_iters=1, subchannel_bw_hz=1.0,
+                      sinr_gap=1.0, allowed=None):
+    """One slot's schedule -> tax -> allocate step, shared by every algorithm
+    that allocates power; they differ only in the tax source `taxes(sched,
+    p, total, signal, intf_noise) -> (N, S)`, called once per power step at
+    powers p with `total` the (K, S) received power there. signal and
+    intf_noise are each user's serving-link state at the schedule's powers;
+    serving is the (K,) serving BS of each user.
 
-    Outer loop: reschedule and re-abstract the neighborhood at the current
-    powers; inner loop: refresh taxation/interference and re-allocate until
-    the powers move by less than P_TOL or the cap is hit. Caps (1,1)
-    reproduce the loop-free step-by-step pipeline. Returns (sched, powers,
-    lam, iter_max): lam is the budget multiplier of the bisection that
-    produced `powers`, iter_max the largest bisection iteration count over
-    the slot.
+    The outer loop reschedules at the current powers, the inner one re-taxes
+    and re-allocates until no power moves by P_TOL or a cap is hit. Returns
+    (sched, powers, lam, iter_max): lam is the budget multiplier of the
+    bisection that produced `powers`, iter_max the largest bisection
+    iteration count over the slot.
     """
     if sched_iters < 1 or power_iters < 1:
         raise ValueError("iteration caps must be >= 1")
-    serving = scheduling.serving_vector(cells, gains.shape[0])
-    nbr = pad_neighbor_sets(neighbor_sets)
-    p = np.array(init_powers, dtype=float)
+    p = np.asarray(init_powers, dtype=float)
     sched = None
     iter_max = 0
     for _ in range(sched_iters):
-        total = np.einsum("kms,ms->ks", gains, p)
-        gamma = scheduling.sinr_matrix(gains, p, serving, noise_w, total=total)
-        rates = scheduling.rate(gamma, sinr_gap, subchannel_bw_hz)
-        new_sched = scheduling.schedule_users(cells, weights, rates, allowed=allowed)
+        new_sched, total, signal, intf_noise = schedule_at(
+            gains, p, noise_w, serving, cells, weights, sinr_gap, subchannel_bw_hz, allowed)
         if sched is not None and np.array_equal(new_sched, sched):
             break
         sched = new_sched
         for i in range(power_iters):
             if i > 0:
                 total = np.einsum("kms,ms->ks", gains, p)
-            taxes = _ground_truth_references(sched, gains, weights, noise_w, nbr, p,
-                                             total, ref_count)
-            p_new, lam, iters = allocate(gains, p, sched, weights, noise_w, taxes, budgets,
-                                         masks, total=total)
+            p_new, lam, iters = allocate(gains, p, sched, weights, noise_w,
+                                         taxes(sched, p, total, signal, intf_noise),
+                                         budgets, masks, total=total)
             iter_max = max(iter_max, int(iters.max()))
-            delta = float(np.max(np.abs(p_new - p))) if p.size else 0.0
+            # no convergence test after the last pass (wf and refim make just one)
+            done = i + 1 == power_iters or not p.size or np.max(np.abs(p_new - p)) < P_TOL
             p = p_new
-            if delta < P_TOL:
+            if done:
                 break
     return sched, p, lam, iter_max

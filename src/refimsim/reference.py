@@ -14,7 +14,7 @@ import numpy as np
 
 from .power import taxation_from_feedback
 from .scheduling import NO_USER
-from .topology import TIER_FEMTO, TIER_MACRO, classify_edge_users, pad_neighbor_sets
+from .topology import TIER_FEMTO, TIER_MACRO, classify_edge_users
 
 
 @dataclass
@@ -71,9 +71,9 @@ class CandidateTables:
 
     def __init__(self, network):
         K, N, S = network.n_users, network.n_bs, network.subchannel_count
-        self.serving = np.array([u.serving_bs for u in network.users], dtype=int)
+        self.serving = network.serving
         self.femto = np.array([b.tier == TIER_FEMTO for b in network.base_stations], dtype=bool)
-        self.nbr = pad_neighbor_sets(network.neighbor_sets)
+        self.nbr = network.neighbor_index
         self.acc_f0 = np.zeros((K, N, S))
         self.acc_f1 = np.zeros(K)
         self.acc_f2 = np.zeros((K, S))

@@ -33,13 +33,6 @@ def link_state(gains, powers, noise_w, user, bs, sub, total=None):
     return signal, total[user, sub] - signal + noise_w[user, sub]
 
 
-def sinr_matrix(gains, powers, serving, noise_w, total=None):
-    """(K, S) SINR of every user toward its serving BS at the given powers."""
-    signal, intf_noise = link_state(gains, powers, noise_w, np.arange(gains.shape[0]),
-                                    serving, slice(None), total)
-    return signal / intf_noise
-
-
 def rate(gamma, gap=1.0, subchannel_bw_hz=1.0):
     """Achievable rate in bps: bw * log2(1 + gamma/gap)."""
     return subchannel_bw_hz * np.log2(1.0 + np.asarray(gamma, dtype=float) / gap)
@@ -55,34 +48,36 @@ def pf_weights(avg_throughput_bps, alpha=1.0):
     return r ** (-alpha)
 
 
-def schedule_cell(user_ids, weights, rate_ks):
-    """Per-subchannel argmax of weight*rate within one cell; ties -> lowest id.
-
-    user_ids must be sorted ascending so np.argmax's first-hit tie rule
-    lands on the lowest user index.
-    """
-    ids = np.asarray(user_ids, dtype=int)
-    metric = weights[ids, None] * rate_ks[ids, :]
-    return ids[np.argmax(metric, axis=0)]
-
-
 def schedule_users(cells, weights, rate_ks, allowed=None):
-    """(N, S) scheduled user per (bs, subchannel); NO_USER where disallowed.
+    """(N, S) scheduled user per (bs, subchannel): the cell's argmax of
+    weight*rate, NO_USER where disallowed.
 
-    allowed: optional (N, S) bool mask restricting usable subchannels
-    (spectrum splitting); cells lists must be sorted ascending.
+    Cells lists must be sorted ascending, so that np.argmax's first-hit tie
+    rule lands on the lowest user index. allowed: optional (N, S) bool mask
+    restricting usable subchannels (spectrum splitting).
     """
-    n_bs = len(cells)
-    S = rate_ks.shape[1]
-    sched = np.full((n_bs, S), NO_USER, dtype=int)
+    sched = np.full((len(cells), rate_ks.shape[1]), NO_USER, dtype=int)
     for n, ids in enumerate(cells):
         if not ids:
             continue
-        row = schedule_cell(ids, weights, rate_ks)
-        if allowed is not None:
-            row = np.where(allowed[n], row, NO_USER)
-        sched[n] = row
+        ids = np.asarray(ids, dtype=int)
+        row = ids[np.argmax(weights[ids, None] * rate_ks[ids, :], axis=0)]
+        sched[n] = row if allowed is None else np.where(allowed[n], row, NO_USER)
     return sched
+
+
+def schedule_at(gains, powers, noise_w, serving, cells, weights, gap=1.0,
+                subchannel_bw_hz=1.0, allowed=None):
+    """Schedule every cell at the evaluation `powers`; serving is the (K,)
+    serving BS of each user. Returns (sched, total, signal, intf_noise): the
+    (N, S) schedule, the (K, S) received power, and each user's (K, S)
+    serving-link signal and interference-plus-noise, all at `powers`."""
+    total = np.einsum("kms,ms->ks", gains, powers)
+    signal, intf_noise = link_state(gains, powers, noise_w, np.arange(gains.shape[0]), serving,
+                                    slice(None), total)
+    sched = schedule_users(cells, weights, rate(signal / intf_noise, gap, subchannel_bw_hz),
+                           allowed=allowed)
+    return sched, total, signal, intf_noise
 
 
 def scheduled_index(sched):
@@ -92,15 +87,6 @@ def scheduled_index(sched):
     N, S = sched.shape
     scheduled = sched != NO_USER
     return scheduled, np.where(scheduled, sched, 0), np.arange(N)[:, None], np.arange(S)
-
-
-def serving_vector(cells, n_users):
-    """(K,) serving BS of each user, from the per-BS member lists."""
-    serving = np.zeros(n_users, dtype=int)
-    for n, ids in enumerate(cells):
-        for k in ids:
-            serving[k] = n
-    return serving
 
 
 def served_rates(gains, powers, sched, noise_w, gap=1.0, subchannel_bw_hz=1.0, total=None):

@@ -6,6 +6,7 @@ treated as immutable afterwards; mobility keeps its own position state.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +100,11 @@ def pad_neighbor_sets(neighbor_sets):
     return out
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class Network:
     """Immutable layout: stations, users, neighbor sets, spectrum grid."""
@@ -127,6 +133,16 @@ class Network:
     @property
     def n_users(self):
         return len(self.users)
+
+    @cached_property
+    def serving(self):
+        """(K,) serving BS of each user; read-only, derived once."""
+        return _frozen(np.array([u.serving_bs for u in self.users], dtype=int))
+
+    @cached_property
+    def neighbor_index(self):
+        """(N, B) padded neighbor ids (pad_neighbor_sets); read-only, derived once."""
+        return _frozen(pad_neighbor_sets(self.neighbor_sets))
 
     def cells(self):
         out = [[] for _ in range(self.n_bs)]
@@ -408,8 +424,8 @@ def classify_edge_users(network, mean_gains, threshold_db=6.0):
     mean_gains: (K, N) linear power gains averaged over subchannels/fading.
     """
     g = np.asarray(mean_gains, dtype=float)
-    serving = np.array([u.serving_bs for u in network.users], dtype=int)
-    nbr = pad_neighbor_sets(network.neighbor_sets)[serving]   # (K, B), -1 padded
+    serving = network.serving
+    nbr = network.neighbor_index[serving]                     # (K, B), -1 padded
     users = np.flatnonzero((nbr >= 0).any(axis=1))            # serving BS has neighbors
     flags = np.zeros(network.n_users, dtype=bool)
     if users.size:

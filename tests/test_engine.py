@@ -250,10 +250,21 @@ class TestSweep:
         assert all(r.constraint_violations == 0 for _, r in results)
 
     def test_ref_count_zero_equals_wf(self):
-        base = tiny_scenario(slots=15, warmup_slots=5)
-        wf = run(dataclasses.replace(base, algorithm="wf"))
-        m0 = run(scenario_for_axis(base, "ref_count", 0))
-        assert np.allclose(wf.throughput_bps, m0.throughput_bps)
+        # REFIM and the general step at caps (1, 1) with no references are
+        # water-filling, bit for bit; the splitting hetnet puts femto rows and
+        # NO_USER entries in every schedule
+        base = Scenario(kind="hetnet", rings=0, femtos_per_macro=2, macro_users_per_cell=4,
+                        femto_users_per_cell=2, subchannels=8, slots=15, warmup_slots=5,
+                        seed=2, spectrum_policy="splitting", macro_subchannels=5)
+        wf = run(dataclasses.replace(base, algorithm="wf"), record=True)
+        assert (wf.schedules == scheduling.NO_USER).any()
+        for sc in (scenario_for_axis(base, "ref_count", 0),
+                   dataclasses.replace(base, algorithm="general", sched_loops=1, power_loops=1,
+                                       ref_count=0)):
+            got = run(sc, record=True)
+            for name in ("powers", "schedules", "throughput_bps", "serve_counts",
+                         "avg_power_w"):
+                assert np.array_equal(getattr(got, name), getattr(wf, name)), name
 
     def test_axis_derivations(self):
         base = tiny_scenario()

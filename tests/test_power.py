@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refimsim import power
-from refimsim.oracle import evaluate_objective
+from refimsim.oracle import evaluate_objective, serving_of
 from refimsim.power import (
-    BISECTION_ITER_BOUND, PowerMatrix, allocate, allocate_bisection_batch, equal_power,
+    BISECTION_ITER_BOUND, PowerMatrix, allocate, allocate_bisection_batch,
     general_algorithm, initial_power, kkt_power, measured_interference, scheduled_arrays,
     taxation_from_feedback, taxation_term,
 )
 from refimsim.reference import ReferenceSelection
-from refimsim.scheduling import NO_USER
+from refimsim.scheduling import NO_USER, link_state, rate, schedule_at, schedule_users
 from refimsim.topology import pad_neighbor_sets
 
 
@@ -28,17 +28,23 @@ def random_alloc_inputs(seed, n_sub=8):
 
 
 class TestEqualPower:
+    """The equal split, initial_power("uniform", ...), on one BS."""
+
+    @staticmethod
+    def _split(budget, masks):
+        return initial_power("uniform", [budget], [masks])[0]
+
     def test_even_split(self):
-        assert np.allclose(equal_power(2.0, np.full(4, np.inf)), 0.5)
+        assert np.allclose(self._split(2.0, np.full(4, np.inf)), 0.5)
 
     def test_mask_binds_without_redistribution(self):
-        assert np.allclose(equal_power(2.0, np.full(4, 0.3)), 0.3)
+        assert np.allclose(self._split(2.0, np.full(4, 0.3)), 0.3)
 
     def test_single_subchannel_full_budget(self):
-        assert np.allclose(equal_power(2.0, np.array([np.inf])), 2.0)
+        assert np.allclose(self._split(2.0, np.array([np.inf])), 2.0)
 
     def test_disallowed_subchannels_excluded(self):
-        p = equal_power(2.0, np.array([1.0, 0.0, 1.0, 0.0]))
+        p = self._split(2.0, np.array([1.0, 0.0, 1.0, 0.0]))
         assert np.allclose(p, [1.0, 0.0, 1.0, 0.0])
 
 
@@ -418,6 +424,18 @@ def general_instance(seed, n_bs=2, n_sub=2, upc=2):
     return cells, gains, noise, weights, budgets, masks, nbrs
 
 
+def general_step(cells, gains, weights, noise, nbrs, budgets, masks, p0, sched_iters=1,
+                 power_iters=1, ref_count=1):
+    """general_algorithm with the general algorithm's ground-truth tax source."""
+    nbr = pad_neighbor_sets(nbrs)
+
+    def taxes(sched, p, total, *_):
+        return power.ground_truth_taxes(sched, gains, weights, noise, nbr, p, total, ref_count)
+
+    return general_algorithm(cells, serving_of(cells, gains.shape[0]), gains, weights, noise,
+                             taxes, budgets, masks, p0, sched_iters, power_iters)
+
+
 def looped_ground_truth_taxes(sched, gains, weights, noise, neighbor_sets, powers,
                               ref_count):
     """N x S x neighbor ground-truth taxation loop the batch kernel replaced."""
@@ -440,11 +458,10 @@ def looped_ground_truth_taxes(sched, gains, weights, noise, neighbor_sets, power
 
 
 class TestGroundTruthReferences:
-    """_ground_truth_references against the loop it replaced."""
+    """ground_truth_taxes against the loop it replaced."""
 
     def _instance(self, seed, ties):
         from refimsim.engine import Scenario, allowed_subchannels, build_network
-        from refimsim.scheduling import rate, schedule_users, sinr_matrix
         # macros and femtos split the spectrum, so every BS has NO_USER entries
         sc = Scenario(kind="hetnet", rings=1, femtos_per_macro=2, macro_users_per_cell=3,
                       femto_users_per_cell=2, subchannels=6, seed=seed,
@@ -460,9 +477,8 @@ class TestGroundTruthReferences:
         weights = rng.uniform(0.2, 2.0, size=K)
         powers = rng.uniform(0.1, 1.0, size=(N, S))
         cells = net.cells()
-        serving = np.array([u.serving_bs for u in net.users])
-        rates = rate(sinr_matrix(gains, powers, serving, noise))
-        sched = schedule_users(cells, weights, rates, allowed=allowed_subchannels(net, sc))
+        sched = schedule_at(gains, powers, noise, net.serving, cells, weights,
+                            allowed=allowed_subchannels(net, sc))[0]
         assert np.all((sched == NO_USER).any(axis=1))
         return cells, sched, gains, weights, noise, net.neighbor_sets, powers
 
@@ -473,8 +489,8 @@ class TestGroundTruthReferences:
         nbr = pad_neighbor_sets(nbrs)
         total = np.einsum("kms,ms->ks", gains, powers)
         for ref_count in range(4):
-            got = power._ground_truth_references(sched, gains, weights, noise, nbr,
-                                                 powers, total, ref_count)
+            got = power.ground_truth_taxes(sched, gains, weights, noise, nbr, powers, total,
+                                           ref_count)
             want = looped_ground_truth_taxes(sched, gains, weights, noise, nbrs, powers,
                                              ref_count)
             assert got.shape == want.shape
@@ -486,8 +502,8 @@ class TestGeneralAlgorithm:
     def test_caps_validated(self):
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(0)
         with pytest.raises(ValueError):
-            general_algorithm(cells, gains, weights, noise, nbrs, budgets, masks,
-                              np.full((2, 2), 0.5), sched_iters=0)
+            general_step(cells, gains, weights, noise, nbrs, budgets, masks,
+                         np.full((2, 2), 0.5), sched_iters=0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_objective_nondecreasing_across_outer_iterations(self, seed):
@@ -495,8 +511,8 @@ class TestGeneralAlgorithm:
         p0 = initial_power("uniform", budgets, masks)
         hs = []
         for i in (1, 2, 3, 4):
-            sched, p, _, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
-                                            masks, p0, sched_iters=i, power_iters=2)
+            sched, p, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets,
+                                          masks, p0, sched_iters=i, power_iters=2)
             hs.append(evaluate_objective(gains, noise, weights, p, sched))
         assert all(hs[j + 1] >= hs[j] - 1e-9 for j in range(len(hs) - 1))
 
@@ -504,27 +520,26 @@ class TestGeneralAlgorithm:
     def test_more_loops_never_hurt_from_uniform_start(self, seed):
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(seed)
         p0 = initial_power("uniform", budgets, masks)
-        s1, p1, _, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
-                                      masks, p0, 1, 1)
-        s3, p3, _, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
-                                      masks, p0, 3, 3)
+        s1, p1, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets,
+                                    masks, p0, 1, 1)
+        s3, p3, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets,
+                                    masks, p0, 3, 3)
         h1 = evaluate_objective(gains, noise, weights, p1, s1)
         h3 = evaluate_objective(gains, noise, weights, p3, s3)
         assert h3 >= h1 - 1e-9
 
     def test_degenerate_caps_equal_one_pass_pipeline(self):
-        from refimsim.scheduling import rate, schedule_users, sinr_matrix
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(2)
         p0 = initial_power("uniform", budgets, masks)
-        sched_g, p_g, _, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets,
-                                            masks, p0, 1, 1)
-        serving = np.array([0, 0, 1, 1])
-        rates = rate(sinr_matrix(gains, p0, serving, noise))
-        sched = schedule_users(cells, weights, rates)
+        sched_g, p_g, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets,
+                                          masks, p0, 1, 1)
+        signal, intf = link_state(gains, p0, noise, np.arange(4), np.array([0, 0, 1, 1]),
+                                  slice(None))
+        sched = schedule_users(cells, weights, rate(signal / intf))
         assert np.array_equal(sched_g, sched)
         total = np.einsum("kms,ms->ks", gains, p0)
-        taxes = power._ground_truth_references(sched, gains, weights, noise,
-                                               pad_neighbor_sets(nbrs), p0, total, 1)
+        taxes = power.ground_truth_taxes(sched, gains, weights, noise, pad_neighbor_sets(nbrs),
+                                         p0, total, 1)
         w, g, sig = scheduled_arrays(gains, sched, weights, noise)
         intf = measured_interference(gains, p0, sched, noise)
         p_manual, _, _ = allocate_bisection_batch(w, taxes, intf, g, budgets, masks,
@@ -535,6 +550,6 @@ class TestGeneralAlgorithm:
     def test_emitted_powers_feasible(self, seed):
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(seed, n_bs=2)
         p0 = initial_power("uniform", budgets, masks)
-        _, p, _, _ = general_algorithm(cells, gains, weights, noise, nbrs, budgets, masks,
-                                    p0, 3, 3)
+        _, p, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets, masks,
+                                  p0, 3, 3)
         PowerMatrix(p, budgets, masks).validate()

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refimsim.oracle import enumerate_schedules, evaluate_objective
+from refimsim.oracle import enumerate_schedules, evaluate_objective, serving_of
 from refimsim.power import taxation_from_feedback, taxation_term
 from refimsim.scheduling import (
-    NO_USER, UserStates, link_state, pf_weights, rate, schedule_users, scheduled_index,
-    served_rates, serving_vector, sinr, sinr_matrix, update_throughput,
+    NO_USER, UserStates, link_state, pf_weights, rate, schedule_at, schedule_users,
+    scheduled_index, served_rates, sinr, update_throughput,
 )
 
 
@@ -39,14 +39,14 @@ class TestSinr:
         assert sinr(gains, np.ones((1, 1)), 0, 0, 0, np.ones((1, 1))) == pytest.approx(1.0)
 
     def test_matrix_agrees_with_scalar(self):
-        cells, gains, noise, _, powers = random_instance(0)
+        cells, gains, noise, weights, powers = random_instance(0)
         serving = np.array([0, 0, 0, 1, 1, 1])
-        mat = sinr_matrix(gains, powers, serving, noise)
+        _, total, signal, intf = schedule_at(gains, powers, noise, serving, cells, weights)
+        mat = signal / intf
         for k in range(6):
             for s in range(2):
                 assert mat[k, s] == pytest.approx(sinr(gains, powers, k, serving[k], s, noise))
-        total = np.einsum("kms,ms->ks", gains, powers)
-        assert np.array_equal(sinr_matrix(gains, powers, serving, noise, total=total), mat)
+        assert np.array_equal(total, np.einsum("kms,ms->ks", gains, powers))
 
 
 class TestLinkState:
@@ -61,10 +61,10 @@ class TestLinkState:
         rng = np.random.default_rng([seed, 1])
         powers[rng.random(powers.shape) < 0.2] = 0.0
         K = gains.shape[0]
-        serving = serving_vector(cells, K)
+        serving = serving_of(cells, K)
         total = np.einsum("kms,ms->ks", gains, powers) if with_total else None
 
-        # per user, toward its serving BS (sinr_matrix, CandidateTables.accumulate)
+        # per user, toward its serving BS (schedule_at, CandidateTables.accumulate)
         signal, intf = link_state(gains, powers, noise, np.arange(K), serving, slice(None),
                                   total)
         assert signal.shape == intf.shape == (K, n_sub)
@@ -154,9 +154,8 @@ class TestScheduleUsers:
         for seed in range(20):
             cells, gains, noise, weights, powers = random_instance(seed)
             serving = np.array([0, 0, 0, 1, 1, 1])
-            rates = rate(sinr_matrix(gains, powers, serving, noise))
-            a = schedule_users(cells, weights, rates)
-            b = schedule_users(cells, weights * 37.5, rates)
+            a = schedule_at(gains, powers, noise, serving, cells, weights)[0]
+            b = schedule_at(gains, powers, noise, serving, cells, weights * 37.5)[0]
             assert np.array_equal(a, b)
 
     def test_allowed_mask(self):
@@ -176,12 +175,8 @@ class TestLemma1Decomposition:
         n_sub = int(rng.integers(1, 3))
         upc = int(rng.integers(1, 4))
         cells, gains, noise, weights, powers = random_instance(seed, n_bs, n_sub, upc)
-        serving = np.zeros(gains.shape[0], dtype=int)
-        for n, ids in enumerate(cells):
-            for k in ids:
-                serving[k] = n
-        rates = rate(sinr_matrix(gains, powers, serving, noise))
-        sched = schedule_users(cells, weights, rates)
+        serving = serving_of(cells, gains.shape[0])
+        sched = schedule_at(gains, powers, noise, serving, cells, weights)[0]
         h_argmax = evaluate_objective(gains, noise, weights, powers, sched)
         h_best = max(evaluate_objective(gains, noise, weights, powers, sm)
                      for sm in enumerate_schedules(cells, n_sub))
@@ -219,8 +214,8 @@ class TestServedRates:
     def test_matches_manual_sum(self):
         cells, gains, noise, weights, powers = random_instance(3)
         serving = np.array([0, 0, 0, 1, 1, 1])
-        rates = rate(sinr_matrix(gains, powers, serving, noise))
-        sched = schedule_users(cells, weights, rates)
+        sched, _, signal, intf = schedule_at(gains, powers, noise, serving, cells, weights)
+        rates = rate(signal / intf)
         served = served_rates(gains, powers, sched, noise)
         expected = np.zeros(6)
         for n in range(2):

@@ -315,10 +315,9 @@ def run(scenario, record=False):
     net = build_network(sc)
     fb_cfg = sc.feedback()
     K, N, S = net.n_users, net.n_bs, net.subchannel_count
-    cells = net.cells()
-    if not all(cells):
+    members, serving = net.member_index, net.serving
+    if np.any(members[:, 0] == scheduling.NO_USER):
         raise ValueError("every cell must have at least one user")
-    serving = net.serving
 
     rng_pow = np.random.default_rng(sc.seed_streams()["power"])
     chan = channel.Channel(sc, net)
@@ -333,8 +332,6 @@ def run(scenario, record=False):
 
     eq_powers = power.initial_power("uniform", budgets, masks)
     states = scheduling.UserStates(K, sc.initial_throughput_bps, sc.ewma_beta, sc.utility_alpha)
-    tables = reference.CandidateTables(net)
-    rep = reference.representative_users(net)
     prev_powers = None
 
     accum = np.zeros(K)
@@ -346,24 +343,27 @@ def run(scenario, record=False):
         rec_powers, rec_scheds = np.zeros((sc.slots, N, S)), np.zeros((sc.slots, N, S), dtype=int)
         rec_published = np.zeros((sc.slots, N), dtype=int)
 
-    # The tax sources of the slot step; they read the current slot's t,
-    # gains and weights.
-    def refim_taxes(sched, p, total, signal, intf_noise):
-        tables.accumulate(gains, weights, signal, intf_noise)
-        reference.refresh_candidate_tables(net, tables, t, fb_cfg,
-                                           mean_gains=chan.large_scale, enabled=enabled)
-        if record:
-            rec_published[t] = np.bincount(serving[tables.last_update == t], minlength=N)
-        views = reference.exchange_scheduled_indices(sched, rep, fb_cfg)
-        refs = reference.select_references(views, tables, fb_cfg.ref_count, enabled=enabled)
-        return refs.taxes()   # zero for BSs not running REFIM: they select no references
+    # The tax source of the slot step; the REFIM and general ones read the
+    # current slot's t, gains and weights. Only REFIM keeps candidate tables.
+    if sc.algorithm == "refim":
+        tables = reference.CandidateTables(net)
+        rep = reference.representative_users(net)
 
-    def general_taxes(sched, p, total, signal, intf_noise):
-        return power.ground_truth_taxes(sched, gains, weights, noise, net.neighbor_index, p,
-                                        total, sc.ref_count)
-
-    taxes = {"wf": power.no_taxes, "refim": refim_taxes,
-             "general": general_taxes}.get(sc.algorithm)
+        def taxes(sched, p, total, signal, intf_noise):
+            tables.accumulate(gains, weights, signal, intf_noise)
+            reference.refresh_candidate_tables(net, tables, t, fb_cfg,
+                                               mean_gains=chan.large_scale, enabled=enabled)
+            if record:
+                rec_published[t] = np.bincount(serving[tables.last_update == t], minlength=N)
+            views = reference.exchange_scheduled_indices(sched, rep, fb_cfg)
+            refs = reference.select_references(views, tables, fb_cfg.ref_count, enabled=enabled)
+            return refs.taxes()   # zero for BSs not running REFIM: they select no references
+    elif sc.algorithm == "general":
+        def taxes(sched, p, total, signal, intf_noise):
+            return power.ground_truth_taxes(sched, gains, weights, noise, net.neighbor_index, p,
+                                            total, sc.ref_count)
+    else:
+        taxes = power.no_taxes   # wf; eq never calls it
     caps = (sc.sched_loops, sc.power_loops) if sc.algorithm == "general" else (1, 1)
 
     for t in range(sc.slots):
@@ -372,14 +372,14 @@ def run(scenario, record=False):
 
         weights = states.weights()
         if sc.algorithm == "eq":
-            sched = scheduling.schedule_at(gains, eq_powers, noise, serving, cells, weights, gap,
-                                           bw_sub, allowed)[0]
+            sched = scheduling.schedule_at(gains, eq_powers, noise, serving, members, weights,
+                                           gap, bw_sub, allowed)[0]
             committed = eq_powers
         else:
             p_eval = power.initial_power(sc.initial_power_rule, budgets, masks,
                                          prev=prev_powers, rng=rng_pow, slot=t)
             sched, committed, lam, iters = power.general_algorithm(
-                cells, serving, gains, weights, noise, taxes, budgets, masks, p_eval, *caps,
+                members, serving, gains, weights, noise, taxes, budgets, masks, p_eval, *caps,
                 subchannel_bw_hz=bw_sub, sinr_gap=gap, allowed=allowed)
             iter_max = max(iter_max, iters)
             budget_misses += power.budget_misses(committed, lam, budgets)

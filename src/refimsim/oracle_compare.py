@@ -6,7 +6,7 @@ import numpy as np
 from . import power
 from .oracle import brute_force, evaluate_objective, serving_of, GridSpec
 from .scheduling import schedule_at
-from .topology import pad_neighbor_sets
+from .topology import pad_index_lists
 
 
 def settle_algorithm(algo, gains, noise_w, cells, weights, budgets, masks,
@@ -19,12 +19,13 @@ def settle_algorithm(algo, gains, noise_w, cells, weights, budgets, masks,
     """
     weights = np.asarray(weights)
     serving = serving_of(cells, gains.shape[0])
+    members = pad_index_lists(cells, width=1)
     p = power.initial_power("uniform", budgets, masks)
     if algo == "eq":
-        sched = schedule_at(gains, p, noise_w, serving, cells, weights, sinr_gap,
+        sched = schedule_at(gains, p, noise_w, serving, members, weights, sinr_gap,
                             subchannel_bw_hz)[0]
     elif algo in ("wf", "refim"):
-        nbr = pad_neighbor_sets(neighbor_sets)
+        nbr = pad_index_lists(neighbor_sets)
 
         def refim_taxes(sched, p, total, *_):
             return power.ground_truth_taxes(sched, gains, weights, noise_w, nbr, p, total, 1)
@@ -32,7 +33,7 @@ def settle_algorithm(algo, gains, noise_w, cells, weights, budgets, masks,
         taxes = refim_taxes if algo == "refim" else power.no_taxes
         for _ in range(iters):
             sched, p, _, _ = power.general_algorithm(
-                cells, serving, gains, weights, noise_w, taxes, budgets, masks, p,
+                members, serving, gains, weights, noise_w, taxes, budgets, masks, p,
                 subchannel_bw_hz=subchannel_bw_hz, sinr_gap=sinr_gap)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")

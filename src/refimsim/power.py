@@ -34,15 +34,8 @@ class PowerMatrix:
     budgets: np.ndarray
     masks: np.ndarray
 
-    def validate(self, rtol=BUDGET_RTOL):
-        if np.any(self.p < 0):
-            raise ValueError("negative transmit power")
-        if np.any(self.p > self.masks * (1.0 + rtol) + 1e-300):
-            raise ValueError("spectral mask violated")
-        if np.any(self.p.sum(axis=1) > self.budgets * (1.0 + rtol)):
-            raise ValueError("power budget violated")
-
     def violations(self, rtol=BUDGET_RTOL):
+        """Count of negative powers, mask overshoots and budget overshoots."""
         v = int(np.count_nonzero(self.p < 0))
         v += int(np.count_nonzero(self.p > self.masks * (1.0 + rtol) + 1e-300))
         v += int(np.count_nonzero(self.p.sum(axis=1) > self.budgets * (1.0 + rtol)))
@@ -281,14 +274,19 @@ def ground_truth_taxes(sched, gains, weights, noise_w, nbr, powers, total, ref_c
     """
     from .reference import rank_references  # local to avoid cycle
 
-    sel, idx, users = rank_references(nbr, sched[nbr], gains, ref_count)
+    cand = sched[nbr]
+    N, _, S = cand.shape
+    # each candidate's gain toward the viewer; where there is none (NO_USER
+    # or -1 padding), the wrapped index reads a row the ranking masks
+    cross = gains[cand, np.arange(N)[:, None, None], np.arange(S)]
+    sel, idx, users = rank_references(nbr, cand, cross, ref_count)
     sel.f1[idx] = np.asarray(weights)[users]
     sel.f2[idx], sel.f3[idx] = link_state(gains, powers, noise_w, users, sel.ref_bs[idx],
                                           idx[1], total)
     return sel.taxes()
 
 
-def general_algorithm(cells, serving, gains, weights, noise_w, taxes, budgets, masks,
+def general_algorithm(members, serving, gains, weights, noise_w, taxes, budgets, masks,
                       init_powers, sched_iters=1, power_iters=1, subchannel_bw_hz=1.0,
                       sinr_gap=1.0, allowed=None):
     """One slot's schedule -> tax -> allocate step, shared by every algorithm
@@ -296,7 +294,8 @@ def general_algorithm(cells, serving, gains, weights, noise_w, taxes, budgets, m
     p, total, signal, intf_noise) -> (N, S)`, called once per power step at
     powers p with `total` the (K, S) received power there. signal and
     intf_noise are each user's serving-link state at the schedule's powers;
-    serving is the (K,) serving BS of each user.
+    serving is the (K,) serving BS of each user and members the (N, C)
+    padded cell members (Network.member_index).
 
     The outer loop reschedules at the current powers, the inner one re-taxes
     and re-allocates until no power moves by P_TOL or a cap is hit. Returns
@@ -311,7 +310,7 @@ def general_algorithm(cells, serving, gains, weights, noise_w, taxes, budgets, m
     iter_max = 0
     for _ in range(sched_iters):
         new_sched, total, signal, intf_noise = schedule_at(
-            gains, p, noise_w, serving, cells, weights, sinr_gap, subchannel_bw_hz, allowed)
+            gains, p, noise_w, serving, members, weights, sinr_gap, subchannel_bw_hz, allowed)
         if sched is not None and np.array_equal(new_sched, sched):
             break
         sched = new_sched

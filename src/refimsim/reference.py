@@ -1,11 +1,12 @@
 """Reference-user selection and the backhaul feedback protocol.
 
 Candidate tables carry four per-user quantities, time-averaged over the
-feedback period: cross gains toward each neighbor BS (F0), the scheduling
-weight (F1), the received signal strength (F2) and the interference-plus-
-noise level (F3). Between refreshes neighbors read stale entries. The only
-per-slot exchange is the scheduled-user indices; femto cells are
-represented to outsiders by one fixed user.
+feedback period: cross gains toward each viewer of the user's cell, the BSs
+that list it as a neighbor (F0), the scheduling weight (F1), the received
+signal strength (F2) and the interference-plus-noise level (F3). Between
+refreshes neighbors read stale entries. The only per-slot exchange is the
+scheduled-user indices; femto cells are represented to outsiders by one
+fixed user.
 """
 
 from dataclasses import dataclass, field
@@ -37,9 +38,31 @@ class FeedbackConfig:
 
 
 def representative_users(network):
-    """(N,) fixed stand-in user per femto cell (lowest index), else NO_USER."""
-    return np.array([min(ids) if ids and bs.tier == TIER_FEMTO else NO_USER
-                     for bs, ids in zip(network.base_stations, network.cells())], dtype=int)
+    """(N,) fixed stand-in user per femto cell (its first, lowest-index
+    member), else NO_USER; an empty cell's first member is already NO_USER."""
+    femto = np.array([b.tier == TIER_FEMTO for b in network.base_stations], dtype=bool)
+    return np.where(femto, network.member_index[:, 0], NO_USER)
+
+
+def viewer_index(nbr):
+    """Viewers of every BS from the (N, B) padded neighbor index.
+
+    Returns (viewers, pos): viewers (N, V) holds the ids of the BSs that list
+    each BS as a neighbor, ascending and padded with -1; pos (N, B) is the
+    position of viewer n in the viewer list of its neighbor nbr[n, j] (0 at
+    padding). Neighbor sets need not be symmetric.
+    """
+    n, j = np.nonzero(nbr >= 0)              # ascending viewer n
+    target = nbr[n, j]
+    order = np.argsort(target, kind="stable")
+    counts = np.bincount(target, minlength=nbr.shape[0])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - (np.cumsum(counts) - counts)[target[order]]
+    viewers = np.full((nbr.shape[0], counts.max(initial=0)), -1, dtype=int)
+    viewers[target, rank] = n
+    pos = np.zeros_like(nbr)
+    pos[n, j] = rank
+    return viewers, pos
 
 
 @dataclass
@@ -66,20 +89,36 @@ def exchange_scheduled_indices(sched, rep, config):
 
 class CandidateTables:
     """Published (possibly stale) candidate records plus running accumulators,
-    with the run's fixed layout: each user's serving BS, the femto BSs and the
-    (N, B) padded neighbor ids."""
+    with the run's fixed layout: each user's serving BS, the femto BSs, the
+    (N, B) padded neighbor ids and the rows of F0.
+
+    F0 holds one (S,) row per (user, viewer) pair: user k's gains toward the
+    viewers of its cell (`viewer_index`), the only BSs that ever rank it, in
+    viewer order from row f0_start[k] on; f0_user is the owner of each row.
+    Viewer n reads a candidate k of its neighbor nbr[n, j] at row
+    f0_start[k] + nbr_pos[n, j]. No row is padding: on hetnet10 a macro cell
+    has 13-16 viewers and a femto cell 1-2.
+    """
 
     def __init__(self, network):
         K, N, S = network.n_users, network.n_bs, network.subchannel_count
         self.serving = network.serving
         self.femto = np.array([b.tier == TIER_FEMTO for b in network.base_stations], dtype=bool)
         self.nbr = network.neighbor_index
-        self.acc_f0 = np.zeros((K, N, S))
+        viewers, self.nbr_pos = viewer_index(self.nbr)
+        user_viewers = viewers[self.serving]                # (K, V), padded at the end
+        self.f0_user, j = np.nonzero(user_viewers >= 0)
+        counts = np.bincount(self.f0_user, minlength=K)
+        self.f0_start = np.cumsum(counts) - counts
+        # the rows of the gains, viewed as (K * N, S), that accumulate adds to F0
+        self.f0_rows = self.f0_user * N + user_viewers[self.f0_user, j]
+        P = self.f0_user.size
+        self.acc_f0 = np.zeros((P, S))
         self.acc_f1 = np.zeros(K)
         self.acc_f2 = np.zeros((K, S))
         self.acc_f3 = np.zeros((K, S))
         self.acc_count = np.zeros(K, dtype=int)
-        self.pub_f0 = np.zeros((K, N, S))
+        self.pub_f0 = np.zeros((P, S))
         self.pub_f1 = np.zeros(K)
         self.pub_f2 = np.ones((K, S))
         self.pub_f3 = np.ones((K, S))
@@ -87,10 +126,10 @@ class CandidateTables:
         self.last_update = np.full(K, -1, dtype=int)
 
     def accumulate(self, gains, weights, signal, intf_noise):
-        """Add one slot's measurements: gains (K, N, S), weights (K,) and the
-        (K, S) serving-link signal and interference-plus-noise at the
-        evaluation powers."""
-        self.acc_f0 += gains
+        """Add one slot's measurements: gains (K, N, S), of which F0 keeps
+        the entries toward viewers, weights (K,) and the (K, S) serving-link
+        signal and interference-plus-noise at the evaluation powers."""
+        self.acc_f0 += np.take(gains.reshape(-1, gains.shape[2]), self.f0_rows, axis=0)
         self.acc_f1 += weights
         self.acc_f2 += signal
         self.acc_f3 += intf_noise
@@ -121,17 +160,23 @@ def refresh_candidate_tables(network, tables, slot, config, mean_gains=None, ena
             raise ValueError("edge_only refresh needs mean_gains")
         keep &= femto_user | classify_edge_users(network, mean_gains, config.edge_threshold_db)
     # Divided in place under the mask: `pub[keep] = acc[keep] / cnt` would
-    # copy the kept rows of the (K, N, S) table twice. Assigning a scalar
-    # through a boolean mask copies nothing.
+    # copy the kept rows of the F0 table twice. Assigning a scalar through a
+    # boolean mask copies nothing. F0 rows follow their owner's count and
+    # mask; the other tables have one row per user.
     cnt = np.maximum(tables.acc_count, 1).astype(float)
-    for acc, pub in ((tables.acc_f0, tables.pub_f0), (tables.acc_f1, tables.pub_f1),
-                     (tables.acc_f2, tables.pub_f2), (tables.acc_f3, tables.pub_f3)):
-        per_user = (slice(None),) + (None,) * (acc.ndim - 1)
-        np.divide(acc, cnt[per_user], out=pub, where=keep[per_user])
+    every = slice(None)
+    fields = ((tables.acc_f0, tables.pub_f0, tables.f0_user),
+              (tables.acc_f1, tables.pub_f1, every),
+              (tables.acc_f2, tables.pub_f2, every),
+              (tables.acc_f3, tables.pub_f3, every))
+    for acc, pub, owner in fields:
+        per_row = (owner,) + (None,) * (acc.ndim - 1)
+        np.divide(acc, cnt[per_row], out=pub, where=keep[per_row])
     tables.pub_valid[due] = keep[due]
     tables.last_update[keep] = slot
-    for acc in (tables.acc_f0, tables.acc_f1, tables.acc_f2, tables.acc_f3, tables.acc_count):
-        acc[due] = 0
+    for acc, _, owner in fields:
+        acc[due[owner]] = 0
+    tables.acc_count[due] = 0
     return events
 
 
@@ -162,14 +207,13 @@ class ReferenceSelection:
     def valid(self):
         return self.ref_bs >= 0
 
-    def taxes(self, bs=None):
-        """Summed taxation per subchannel; (S,) for one BS or (N, S) for all."""
+    def taxes(self):
+        """(N, S) summed taxation per (bs, subchannel)."""
         v = self.valid()
         t = np.zeros_like(self.f0)
         if v.any():
             t[v] = taxation_from_feedback(self.f1[v], self.f0[v], self.f2[v], self.f3[v])
-        total = t.sum(axis=2)
-        return total if bs is None else total[bs]
+        return t.sum(axis=2)
 
 
 def select_references(views, tables, count, enabled=None):
@@ -186,7 +230,12 @@ def select_references(views, tables, count, enabled=None):
     if enabled is not None:
         usable &= np.asarray(enabled, dtype=bool)[:, None, None]
     cand = np.where(usable, cand, NO_USER)
-    sel, idx, users = rank_references(nbr, cand, tables.pub_f0, count)
+    # each candidate's F0 row toward the viewer; where there is none, row 0,
+    # which the ranking masks
+    present = (cand != NO_USER) & (nbr >= 0)[:, :, None]
+    row = np.where(present, tables.f0_start[cand] + tables.nbr_pos[:, :, None], 0)
+    cross = tables.pub_f0[row, np.arange(cand.shape[2])]
+    sel, idx, users = rank_references(nbr, cand, cross, count)
     s = idx[1]
     sel.f1[idx] = tables.pub_f1[users]
     sel.f2[idx] = tables.pub_f2[users, s]
@@ -194,13 +243,13 @@ def select_references(views, tables, count, enabled=None):
     return sel
 
 
-def rank_references(nbr, cand, cross_gains, count):
+def rank_references(nbr, cand, cross, count):
     """Keep the `count` strongest candidates per (viewer, subchannel).
 
     nbr: (N, B) neighbor ids padded with -1. cand: (N, B, S) candidate user
-    of each neighbor, NO_USER where there is none. cross_gains: (K, N, S)
-    gain of user k toward BS n; candidates are ranked by their gain toward
-    the viewer, and ties keep neighbor order (stable sort).
+    of each neighbor, NO_USER where there is none. cross: (N, B, S) gain of
+    each candidate toward the viewer, read only where a candidate exists;
+    candidates are ranked by it, and ties keep neighbor order (stable sort).
 
     Returns (selection, (n, s, m), users): the selection has ref_bs, ref_user
     and f0 set and f1-f3 at their defaults; (n, s, m) index its valid
@@ -209,13 +258,11 @@ def rank_references(nbr, cand, cross_gains, count):
     """
     N, _, S = cand.shape
     valid = (cand != NO_USER) & (nbr >= 0)[:, :, None]
-    ksafe = np.where(valid, cand, 0)
-    cross = cross_gains[ksafe, np.arange(N)[:, None, None], np.arange(S)]
     key = np.where(valid, cross, -np.inf)
     order = np.argsort(-key, axis=1, kind="stable")[:, :count]   # (N, M, S)
     n, s, m = np.nonzero(np.take_along_axis(valid, order, axis=1).transpose(0, 2, 1))
     b = order[n, m, s]                           # neighbor position of each reference
-    users = ksafe[n, b, s]
+    users = cand[n, b, s]
     sel = _empty_selection(N, S, max(count, 1))
     sel.ref_bs[n, s, m] = nbr[n, b]
     sel.ref_user[n, s, m] = users

@@ -48,34 +48,33 @@ def pf_weights(avg_throughput_bps, alpha=1.0):
     return r ** (-alpha)
 
 
-def schedule_users(cells, weights, rate_ks, allowed=None):
+def schedule_users(members, weights, rate_ks, allowed=None):
     """(N, S) scheduled user per (bs, subchannel): the cell's argmax of
-    weight*rate, NO_USER where disallowed.
+    weight*rate, NO_USER where disallowed or where the cell is empty.
 
-    Cells lists must be sorted ascending, so that np.argmax's first-hit tie
-    rule lands on the lowest user index. allowed: optional (N, S) bool mask
-    restricting usable subchannels (spectrum splitting).
+    members: (N, C) user ids of each cell, ascending and padded with -1
+    (Network.member_index), so that np.argmax's first-hit tie rule lands on
+    the lowest user index. allowed: optional (N, S) bool mask restricting
+    usable subchannels (spectrum splitting).
     """
-    sched = np.full((len(cells), rate_ks.shape[1]), NO_USER, dtype=int)
-    for n, ids in enumerate(cells):
-        if not ids:
-            continue
-        ids = np.asarray(ids, dtype=int)
-        row = ids[np.argmax(weights[ids, None] * rate_ks[ids, :], axis=0)]
-        sched[n] = row if allowed is None else np.where(allowed[n], row, NO_USER)
-    return sched
+    # one row per user plus a last, -inf row that the -1 padding gathers
+    score = np.full((rate_ks.shape[0] + 1, rate_ks.shape[1]), -np.inf)
+    np.multiply(weights[:, None], rate_ks, out=score[:-1])
+    sched = np.take_along_axis(members, np.take(score, members, axis=0).argmax(axis=1), axis=1)
+    return sched if allowed is None else np.where(allowed, sched, NO_USER)
 
 
-def schedule_at(gains, powers, noise_w, serving, cells, weights, gap=1.0,
+def schedule_at(gains, powers, noise_w, serving, members, weights, gap=1.0,
                 subchannel_bw_hz=1.0, allowed=None):
     """Schedule every cell at the evaluation `powers`; serving is the (K,)
-    serving BS of each user. Returns (sched, total, signal, intf_noise): the
-    (N, S) schedule, the (K, S) received power, and each user's (K, S)
-    serving-link signal and interference-plus-noise, all at `powers`."""
+    serving BS of each user and members the (N, C) padded cell members.
+    Returns (sched, total, signal, intf_noise): the (N, S) schedule, the
+    (K, S) received power, and each user's (K, S) serving-link signal and
+    interference-plus-noise, all at `powers`."""
     total = np.einsum("kms,ms->ks", gains, powers)
     signal, intf_noise = link_state(gains, powers, noise_w, np.arange(gains.shape[0]), serving,
                                     slice(None), total)
-    sched = schedule_users(cells, weights, rate(signal / intf_noise, gap, subchannel_bw_hz),
+    sched = schedule_users(members, weights, rate(signal / intf_noise, gap, subchannel_bw_hz),
                            allowed=allowed)
     return sched, total, signal, intf_noise
 

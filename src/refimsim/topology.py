@@ -91,12 +91,13 @@ class DiscRegion:
         return (self.center[0] + rho * math.cos(theta), self.center[1] + rho * math.sin(theta))
 
 
-def pad_neighbor_sets(neighbor_sets):
-    """(N, B) int array of each BS's neighbor ids in order, padded with -1."""
-    width = max((len(nbrs) for nbrs in neighbor_sets), default=0)
-    out = np.full((len(neighbor_sets), width), -1, dtype=int)
-    for n, nbrs in enumerate(neighbor_sets):
-        out[n, :len(nbrs)] = nbrs
+def pad_index_lists(lists, width=0):
+    """(len(lists), W) int array of each list's ids in order, padded with -1;
+    W is the longest list's length, and at least `width`."""
+    width = max(width, max(map(len, lists), default=0))
+    out = np.full((len(lists), width), -1, dtype=int)
+    for n, ids in enumerate(lists):
+        out[n, :len(ids)] = ids
     return out
 
 
@@ -141,8 +142,14 @@ class Network:
 
     @cached_property
     def neighbor_index(self):
-        """(N, B) padded neighbor ids (pad_neighbor_sets); read-only, derived once."""
-        return _frozen(pad_neighbor_sets(self.neighbor_sets))
+        """(N, B) padded neighbor ids (pad_index_lists); read-only, derived once."""
+        return _frozen(pad_index_lists(self.neighbor_sets))
+
+    @cached_property
+    def member_index(self):
+        """(N, C) each cell's user ids, ascending, padded with -1 (C >= 1);
+        read-only, derived once."""
+        return _frozen(pad_index_lists(self.cells(), width=1))
 
     def cells(self):
         out = [[] for _ in range(self.n_bs)]

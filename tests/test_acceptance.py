@@ -20,6 +20,7 @@ from refimsim.oracle_compare import settle_algorithm
 from refimsim.presets import get_preset
 from refimsim.reference import ReferenceSelection
 from refimsim.scheduling import NO_USER, schedule_at
+from refimsim.topology import pad_index_lists
 from refimsim.oracle import enumerate_schedules, evaluate_objective, serving_of
 
 ALL_RUNS = {}  # name -> RunResult, consumed by criteria 7 and 10
@@ -192,7 +193,8 @@ def test_criterion_04_scheduling_decomposition():
         noise = rng.uniform(0.05, 0.3, size=(K, n_sub))
         weights = rng.uniform(0.2, 3.0, size=K)
         powers = rng.uniform(0.0, 1.0, size=(n_bs, n_sub))
-        sched = schedule_at(gains, powers, noise, serving_of(cells, K), cells, weights)[0]
+        sched = schedule_at(gains, powers, noise, serving_of(cells, K), pad_index_lists(cells),
+                            weights)[0]
         h_argmax = evaluate_objective(gains, noise, weights, powers, sched)
         h_best = max(evaluate_objective(gains, noise, weights, powers, sm)
                      for sm in enumerate_schedules(cells, n_sub))

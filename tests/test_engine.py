@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from refimsim import channel, engine, scheduling, topology
+from refimsim import channel, engine, reference, scheduling, topology
 from refimsim.engine import (
     Scenario, aat, aet, allowed_subchannels, build_network, gat, run,
     scenario_for_axis, sweep,
@@ -175,6 +175,16 @@ class TestRun:
                       slots=5, warmup_slots=1)
         res = run(sc)
         assert res.constraint_violations == 0
+
+    def test_only_refim_builds_candidate_tables(self, monkeypatch):
+        def refuse(self, network):
+            raise AssertionError("candidate tables built")
+
+        monkeypatch.setattr(reference.CandidateTables, "__init__", refuse)
+        for algo in ("eq", "wf", "general"):
+            run(tiny_scenario(algorithm=algo, slots=6, warmup_slots=1))
+        with pytest.raises(AssertionError, match="candidate tables built"):
+            run(tiny_scenario(algorithm="refim", slots=6, warmup_slots=1))
 
     def test_mobile_users_run_and_differ_from_nomadic(self):
         still = run(tiny_scenario(user_speed_kmh=3.0))

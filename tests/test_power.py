@@ -13,7 +13,7 @@ from refimsim.power import (
 )
 from refimsim.reference import ReferenceSelection
 from refimsim.scheduling import NO_USER, link_state, rate, schedule_at, schedule_users
-from refimsim.topology import pad_neighbor_sets
+from refimsim.topology import pad_index_lists
 
 
 def random_alloc_inputs(seed, n_sub=8):
@@ -127,8 +127,7 @@ class TestBisection:
     def test_feasible_and_bounded(self, seed):
         weights, taxes, intf, gains, budget, masks = random_alloc_inputs(seed)
         p, lam, iters = one_row(weights, taxes, intf, gains, budget, masks)
-        pm = PowerMatrix(p[None, :], np.array([budget]), masks[None, :])
-        pm.validate()
+        assert PowerMatrix(p[None, :], np.array([budget]), masks[None, :]).violations() == 0
         assert iters <= BISECTION_ITER_BOUND
         # complementary slackness: positive multiplier only when budget is tight
         if lam > 0:
@@ -427,13 +426,13 @@ def general_instance(seed, n_bs=2, n_sub=2, upc=2):
 def general_step(cells, gains, weights, noise, nbrs, budgets, masks, p0, sched_iters=1,
                  power_iters=1, ref_count=1):
     """general_algorithm with the general algorithm's ground-truth tax source."""
-    nbr = pad_neighbor_sets(nbrs)
+    nbr = pad_index_lists(nbrs)
 
     def taxes(sched, p, total, *_):
         return power.ground_truth_taxes(sched, gains, weights, noise, nbr, p, total, ref_count)
 
-    return general_algorithm(cells, serving_of(cells, gains.shape[0]), gains, weights, noise,
-                             taxes, budgets, masks, p0, sched_iters, power_iters)
+    return general_algorithm(pad_index_lists(cells), serving_of(cells, gains.shape[0]), gains,
+                             weights, noise, taxes, budgets, masks, p0, sched_iters, power_iters)
 
 
 def looped_ground_truth_taxes(sched, gains, weights, noise, neighbor_sets, powers,
@@ -477,7 +476,7 @@ class TestGroundTruthReferences:
         weights = rng.uniform(0.2, 2.0, size=K)
         powers = rng.uniform(0.1, 1.0, size=(N, S))
         cells = net.cells()
-        sched = schedule_at(gains, powers, noise, net.serving, cells, weights,
+        sched = schedule_at(gains, powers, noise, net.serving, net.member_index, weights,
                             allowed=allowed_subchannels(net, sc))[0]
         assert np.all((sched == NO_USER).any(axis=1))
         return cells, sched, gains, weights, noise, net.neighbor_sets, powers
@@ -486,7 +485,7 @@ class TestGroundTruthReferences:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_loop(self, seed, ties):
         cells, sched, gains, weights, noise, nbrs, powers = self._instance(seed, ties)
-        nbr = pad_neighbor_sets(nbrs)
+        nbr = pad_index_lists(nbrs)
         total = np.einsum("kms,ms->ks", gains, powers)
         for ref_count in range(4):
             got = power.ground_truth_taxes(sched, gains, weights, noise, nbr, powers, total,
@@ -535,10 +534,10 @@ class TestGeneralAlgorithm:
                                           masks, p0, 1, 1)
         signal, intf = link_state(gains, p0, noise, np.arange(4), np.array([0, 0, 1, 1]),
                                   slice(None))
-        sched = schedule_users(cells, weights, rate(signal / intf))
+        sched = schedule_users(pad_index_lists(cells), weights, rate(signal / intf))
         assert np.array_equal(sched_g, sched)
         total = np.einsum("kms,ms->ks", gains, p0)
-        taxes = power.ground_truth_taxes(sched, gains, weights, noise, pad_neighbor_sets(nbrs),
+        taxes = power.ground_truth_taxes(sched, gains, weights, noise, pad_index_lists(nbrs),
                                          p0, total, 1)
         w, g, sig = scheduled_arrays(gains, sched, weights, noise)
         intf = measured_interference(gains, p0, sched, noise)
@@ -552,4 +551,4 @@ class TestGeneralAlgorithm:
         p0 = initial_power("uniform", budgets, masks)
         _, p, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets, masks,
                                   p0, 3, 3)
-        PowerMatrix(p, budgets, masks).validate()
+        assert PowerMatrix(p, budgets, masks).violations() == 0

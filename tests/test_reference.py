@@ -6,12 +6,13 @@ from refimsim.engine import Scenario, build_network
 from refimsim.power import taxation_term
 from refimsim.presets import get_preset
 from refimsim.reference import (
-    CandidateTables, FeedbackConfig, exchange_scheduled_indices, protocol_rows,
-    refresh_candidate_tables, representative_users, select_references,
+    CandidateTables, FeedbackConfig, ReferenceSelection, exchange_scheduled_indices,
+    protocol_rows, refresh_candidate_tables, representative_users, select_references,
+    viewer_index,
 )
 from refimsim.scheduling import NO_USER, link_state
 from refimsim.topology import (
-    TIER_FEMTO, BaseStation, Network, User, classify_edge_users,
+    TIER_FEMTO, BaseStation, Network, User, classify_edge_users, pad_index_lists,
 )
 
 
@@ -41,6 +42,20 @@ def random_slot(net, seed):
     weights = rng.uniform(0.2, 2.0, size=K)
     serving = np.array([u.serving_bs for u in net.users])
     return gains, powers, noise, weights, serving
+
+
+def viewers_of(network):
+    """Each BS's viewers, the BSs that list it as a neighbor, ascending."""
+    return [[n for n, nbrs in enumerate(network.neighbor_sets) if m in nbrs]
+            for m in range(network.n_bs)]
+
+
+def viewer_table(network, full):
+    """F0 table of a full (K, N, S) array: for each user in turn, one row
+    per viewer of its cell, in viewer order."""
+    viewers = viewers_of(network)
+    rows = [full[k, viewers[u.serving_bs]] for k, u in enumerate(network.users)]
+    return np.concatenate(rows).reshape(-1, full.shape[2])
 
 
 def accumulate(tables, gains, powers, noise, weights, serving):
@@ -92,7 +107,7 @@ class TestExchange:
         views = exchange_scheduled_indices(sched, representative_users(net2), cfg)
         sel = select_one(net2, 2, views, tables, count=1)
         assert not sel.valid().any()
-        assert np.all(sel.taxes(2) == 0.0)
+        assert np.all(sel.taxes()[2] == 0.0)
 
 
 def select_one(network, bs, views, tables, count):
@@ -130,7 +145,9 @@ class TestCandidateTables:
             accumulate(tables, gains, powers, noise, weights, serving)
             slabs.append(gains)
         refresh_candidate_tables(net, tables, 3, cfg)
-        assert np.allclose(tables.pub_f0, np.mean(slabs, axis=0))
+        mean, viewers = np.mean(slabs, axis=0), viewers_of(net)
+        for k, u in enumerate(net.users):
+            assert np.allclose(tables.pub_f0[tables.f0_user == k], mean[k, viewers[u.serving_bs]])
 
     def test_staleness_bounded_by_period(self):
         net = protocol_network()
@@ -243,7 +260,7 @@ class TestSelection:
         views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
         sel = select_one(net, 0, views, tables, count=0)
         assert not sel.valid().any()
-        assert np.all(sel.taxes(0) == 0.0)
+        assert np.all(sel.taxes()[0] == 0.0)
 
     def test_multi_reference_sums_taxations(self):
         net = protocol_network()
@@ -257,7 +274,7 @@ class TestSelection:
         for m in range(2):
             v = both.valid()[0, 0, m]
             assert v
-        assert both.taxes(0)[0] > one.taxes(0)[0]
+        assert both.taxes()[0, 0] > one.taxes()[0, 0]
 
     def test_six_references_on_hex_center_cell(self):
         from refimsim.power import taxation_from_feedback
@@ -279,10 +296,10 @@ class TestSelection:
         assert sel.valid()[0].sum() == 6 * 2  # all six neighbors, both subchannels
         for s in range(2):
             expected = sum(
-                taxation_from_feedback(tables.pub_f1[k], tables.pub_f0[k, 0, s],
+                taxation_from_feedback(tables.pub_f1[k], gains[k, 0, s],
                                        tables.pub_f2[k, s], tables.pub_f3[k, s])
                 for k in net.neighbor_sets[0])
-            assert sel.taxes(0)[s] == pytest.approx(expected, rel=1e-12)
+            assert sel.taxes()[0, s] == pytest.approx(expected, rel=1e-12)
 
     def test_unpublished_candidates_skipped(self):
         net = protocol_network()
@@ -309,8 +326,9 @@ class TestSelection:
                         assert sel.ref_bs[n, s, 0] in net.neighbor_sets[n]
 
 
-def looped_select_references(network, views, tables, count, enabled=None):
-    """Per-BS reference selection loop the batch kernel replaced (reference)."""
+def looped_select_references(network, views, tables, full_f0, count, enabled=None):
+    """Per-BS reference selection loop the batch kernel replaced (reference),
+    reading F0 from the full (K, N, S) `full_f0`."""
     N, S = network.n_bs, network.subchannel_count
     M = max(count, 1)
     out = {"ref_bs": np.full((N, S, M), -1), "ref_user": np.full((N, S, M), NO_USER),
@@ -325,7 +343,7 @@ def looped_select_references(network, views, tables, count, enabled=None):
         present = cand != NO_USER
         ksafe = np.where(present, cand, 0)
         valid = present & tables.pub_valid[ksafe]
-        cross = tables.pub_f0[ksafe, n, np.arange(S)[None, :]]
+        cross = full_f0[ksafe, n, np.arange(S)[None, :]]
         cross = np.where(valid, cross, -np.inf)
         top = np.argsort(-cross, axis=0, kind="stable")[:count]
         scols = np.arange(S)[None, :]
@@ -337,7 +355,7 @@ def looped_select_references(network, views, tables, count, enabled=None):
             u, sc = users[m, ok], scols[0, ok]
             out["ref_bs"][n, ok, m] = nbr_ids[m, ok]
             out["ref_user"][n, ok, m] = u
-            out["f0"][n, ok, m] = tables.pub_f0[u, n, sc]
+            out["f0"][n, ok, m] = full_f0[u, n, sc]
             out["f1"][n, ok, m] = tables.pub_f1[u]
             out["f2"][n, ok, m] = tables.pub_f2[u, sc]
             out["f3"][n, ok, m] = tables.pub_f3[u, sc]
@@ -345,19 +363,21 @@ def looped_select_references(network, views, tables, count, enabled=None):
 
 
 def random_tables(net, rng, tie_levels=None):
-    """Published tables with random records; with tie_levels, cross gains
-    take only that many distinct values, so rankings tie often."""
+    """(tables, full_f0): published tables with random records, F0 drawn as
+    a full (K, N, S) array and kept toward viewers only; with tie_levels,
+    cross gains take only that many distinct values, so rankings tie often."""
     K, N, S = net.n_users, net.n_bs, net.subchannel_count
     tables = CandidateTables(net)
     if tie_levels is None:
-        tables.pub_f0 = rng.lognormal(-2.0, 1.0, size=(K, N, S))
+        full_f0 = rng.lognormal(-2.0, 1.0, size=(K, N, S))
     else:
-        tables.pub_f0 = rng.integers(1, tie_levels + 1, size=(K, N, S)) / tie_levels
+        full_f0 = rng.integers(1, tie_levels + 1, size=(K, N, S)) / tie_levels
+    tables.pub_f0 = viewer_table(net, full_f0)
     tables.pub_f1 = rng.uniform(0.2, 2.0, size=K)
     tables.pub_f2 = rng.uniform(0.1, 1.0, size=(K, S))
     tables.pub_f3 = rng.uniform(0.1, 1.0, size=(K, S))
     tables.pub_valid = rng.random(K) < 0.8
-    return tables
+    return tables, full_f0
 
 
 def random_schedule(net, rng, idle_frac=0.2):
@@ -374,13 +394,13 @@ class TestBatchSelection:
 
     def _check(self, net, fb, seed, tie_levels=None):
         rng = np.random.default_rng(seed)
-        tables = random_tables(net, rng, tie_levels)
+        tables, full_f0 = random_tables(net, rng, tie_levels)
         sched = random_schedule(net, rng)
         views = exchange_scheduled_indices(sched, representative_users(net), fb)
         for enabled in (None, rng.random(net.n_bs) < 0.7):
             for count in range(4):
                 got = select_references(views, tables, count, enabled=enabled)
-                want = looped_select_references(net, views, tables, count, enabled)
+                want = looped_select_references(net, views, tables, full_f0, count, enabled)
                 for name in self.FIELDS:
                     assert np.array_equal(getattr(got, name), want[name]), (name, count)
 
@@ -401,15 +421,112 @@ class TestBatchSelection:
 
     def test_bs_without_neighbors(self):
         base = protocol_network(n_sub=3)
-        net = Network(base_stations=base.base_stations, users=base.users,
-                      neighbor_sets=[[], [0, 2], [1]], subchannel_count=3,
-                      bandwidth_hz=10e6)
+        net = asymmetric_network()
         for seed in range(4):
             self._check(net, FeedbackConfig(), seed, tie_levels=3)
         lonely = Network(base_stations=base.base_stations, users=base.users,
                          neighbor_sets=[[], [], []], subchannel_count=3,
                          bandwidth_hz=10e6)
         self._check(lonely, FeedbackConfig(), 0)
+
+
+def full_table_select(views, tables, full_f0, count, enabled=None):
+    """The batch selection as it ranked a full (K, N, S) F0 table, before F0
+    was kept toward viewers only (reference)."""
+    nbr = tables.nbr
+    cand = views.macro_view[nbr]
+    cand[tables.femto] = views.femto_view[nbr[tables.femto]]
+    usable = tables.pub_valid[cand]
+    if enabled is not None:
+        usable &= np.asarray(enabled, dtype=bool)[:, None, None]
+    cand = np.where(usable, cand, NO_USER)
+    N, _, S = cand.shape
+    M = max(count, 1)
+    valid = (cand != NO_USER) & (nbr >= 0)[:, :, None]
+    ksafe = np.where(valid, cand, 0)
+    cross = full_f0[ksafe, np.arange(N)[:, None, None], np.arange(S)]
+    key = np.where(valid, cross, -np.inf)
+    order = np.argsort(-key, axis=1, kind="stable")[:, :count]
+    n, s, m = np.nonzero(np.take_along_axis(valid, order, axis=1).transpose(0, 2, 1))
+    b = order[n, m, s]
+    users = ksafe[n, b, s]
+    sel = ReferenceSelection(
+        ref_bs=np.full((N, S, M), -1, dtype=int), ref_user=np.full((N, S, M), NO_USER, dtype=int),
+        f0=np.zeros((N, S, M)), f1=np.zeros((N, S, M)),
+        f2=np.ones((N, S, M)), f3=np.ones((N, S, M)))
+    sel.ref_bs[n, s, m] = nbr[n, b]
+    sel.ref_user[n, s, m] = users
+    sel.f0[n, s, m] = cross[n, b, s]
+    sel.f1[n, s, m] = tables.pub_f1[users]
+    sel.f2[n, s, m] = tables.pub_f2[users, s]
+    sel.f3[n, s, m] = tables.pub_f3[users, s]
+    return sel
+
+
+def asymmetric_network():
+    """The protocol network with one-way neighbor sets: BS 0 lists nobody."""
+    base = protocol_network(n_sub=3)
+    return Network(base_stations=base.base_stations, users=base.users,
+                   neighbor_sets=[[], [0, 2], [1]], subchannel_count=3, bandwidth_hz=10e6)
+
+
+VIEWER_NETWORKS = {"hex19": lambda: build_network(get_preset("hex19")),
+                   "hetnet10": lambda: build_network(get_preset("hetnet10")),
+                   "asymmetric": asymmetric_network}
+
+
+class TestViewerTables:
+    """F0 kept toward viewers only ranks exactly as the full table did."""
+
+    @pytest.mark.parametrize("overhear", [True, False])
+    @pytest.mark.parametrize("net_name", sorted(VIEWER_NETWORKS))
+    def test_selection_equals_full_table_ranking(self, net_name, overhear):
+        net = VIEWER_NETWORKS[net_name]()
+        fb = FeedbackConfig(femto_overhear=overhear)
+        for seed, tie_levels in ((0, None), (1, None), (2, 2)):
+            rng = np.random.default_rng(seed)
+            tables, full_f0 = random_tables(net, rng, tie_levels)
+            views = exchange_scheduled_indices(random_schedule(net, rng),
+                                               representative_users(net), fb)
+            for enabled in (None, rng.random(net.n_bs) < 0.7):
+                for count in range(4):
+                    got = select_references(views, tables, count, enabled=enabled)
+                    want = full_table_select(views, tables, full_f0, count, enabled)
+                    for name in TestBatchSelection.FIELDS:
+                        assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                            (name, seed, count)
+
+    def test_accumulate_keeps_gains_toward_viewers(self):
+        net = asymmetric_network()
+        tables = CandidateTables(net)
+        gains, powers, noise, weights, serving = random_slot(net, 8)
+        accumulate(tables, gains, powers, noise, weights, serving)
+        assert np.array_equal(tables.acc_f0, viewer_table(net, gains))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sets=st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), unique=True), min_size=n, max_size=n)))
+    def test_reverse_position_finds_the_viewer(self, sets):
+        sets = [sorted(m for m in nbrs if m != n) for n, nbrs in enumerate(sets)]
+        nbr = pad_index_lists(sets)
+        viewers, pos = viewer_index(nbr)
+        want = [[n for n, nbrs in enumerate(sets) if m in nbrs] for m in range(len(sets))]
+        assert viewers.shape == (len(sets), max(map(len, want)))
+        for m, v in enumerate(want):
+            assert viewers[m, :len(v)].tolist() == v and np.all(viewers[m, len(v):] == -1)
+        for n, nbrs in enumerate(sets):
+            for j, m in enumerate(nbrs):
+                assert viewers[m, pos[n, j]] == n
+
+    def test_viewers_equal_neighbors_on_presets(self):
+        for name in ("hex19", "two-cell", "hetnet5", "hetnet10", "mixed-density", "toy2"):
+            nbr = build_network(get_preset(name)).neighbor_index
+            assert np.array_equal(viewer_index(nbr)[0], nbr), name
+
+    def test_hetnet10_tables_hold_at_most_2_mib(self):
+        tables = CandidateTables(build_network(get_preset("hetnet10")))
+        nbytes = sum(v.nbytes for v in vars(tables).values() if isinstance(v, np.ndarray))
+        assert nbytes <= 2 * 2**20
 
 
 def published_users(tables, slot):
@@ -461,7 +578,9 @@ def looped_refresh(network, tables, slot, config, mean_gains=None, enabled=None)
         if ids.size == 0:
             return
         cnt = np.maximum(tables.acc_count[ids], 1).astype(float)
-        tables.pub_f0[ids] = tables.acc_f0[ids] / cnt[:, None, None]
+        rows = np.isin(tables.f0_user, ids)   # F0 rows of these users
+        row_cnt = np.maximum(tables.acc_count[tables.f0_user[rows]], 1).astype(float)
+        tables.pub_f0[rows] = tables.acc_f0[rows] / row_cnt[:, None]
         tables.pub_f1[ids] = tables.acc_f1[ids] / cnt
         tables.pub_f2[ids] = tables.acc_f2[ids] / cnt[:, None]
         tables.pub_f3[ids] = tables.acc_f3[ids] / cnt[:, None]
@@ -473,8 +592,8 @@ def looped_refresh(network, tables, slot, config, mean_gains=None, enabled=None)
 
     def reset_window(ids):
         ids = np.asarray(ids, dtype=int)
-        for acc in (tables.acc_f0, tables.acc_f1, tables.acc_f2, tables.acc_f3,
-                    tables.acc_count):
+        tables.acc_f0[np.isin(tables.f0_user, ids)] = 0
+        for acc in (tables.acc_f1, tables.acc_f2, tables.acc_f3, tables.acc_count):
             acc[ids] = 0
 
     cells = network.cells()

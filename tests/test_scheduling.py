@@ -8,6 +8,7 @@ from refimsim.scheduling import (
     NO_USER, UserStates, link_state, pf_weights, rate, schedule_at, schedule_users,
     scheduled_index, served_rates, sinr, update_throughput,
 )
+from refimsim.topology import pad_index_lists
 
 
 def random_instance(seed, n_bs=2, n_sub=2, users_per_cell=3):
@@ -41,7 +42,8 @@ class TestSinr:
     def test_matrix_agrees_with_scalar(self):
         cells, gains, noise, weights, powers = random_instance(0)
         serving = np.array([0, 0, 0, 1, 1, 1])
-        _, total, signal, intf = schedule_at(gains, powers, noise, serving, cells, weights)
+        _, total, signal, intf = schedule_at(gains, powers, noise, serving,
+                                             pad_index_lists(cells), weights)
         mat = signal / intf
         for k in range(6):
             for s in range(2):
@@ -133,35 +135,70 @@ class TestWeights:
 
 class TestScheduleUsers:
     def test_argmax(self):
-        cells = [[0, 1]]
+        members = np.array([[0, 1]])
         weights = np.array([0.3, 0.7])
         rates = np.ones((2, 1))
-        sched = schedule_users(cells, weights, rates)
+        sched = schedule_users(members, weights, rates)
         assert sched[0, 0] == 1
 
     def test_single_user_cell(self):
-        sched = schedule_users([[4]], np.ones(5), np.ones((5, 3)))
+        sched = schedule_users(np.array([[4]]), np.ones(5), np.ones((5, 3)))
         assert np.all(sched[0] == 4)
 
     def test_exact_tie_lowest_index(self):
-        cells = [[2, 5]]
+        members = np.array([[2, 5]])
         weights = np.array([0, 0, 1.0, 0, 0, 1.0])
         rates = np.ones((6, 2))
-        sched = schedule_users(cells, weights, rates)
+        sched = schedule_users(members, weights, rates)
         assert np.all(sched[0] == 2)
 
     def test_scale_invariance(self):
         for seed in range(20):
             cells, gains, noise, weights, powers = random_instance(seed)
             serving = np.array([0, 0, 0, 1, 1, 1])
-            a = schedule_at(gains, powers, noise, serving, cells, weights)[0]
-            b = schedule_at(gains, powers, noise, serving, cells, weights * 37.5)[0]
+            a = schedule_at(gains, powers, noise, serving, pad_index_lists(cells), weights)[0]
+            b = schedule_at(gains, powers, noise, serving, pad_index_lists(cells),
+                            weights * 37.5)[0]
             assert np.array_equal(a, b)
 
     def test_allowed_mask(self):
         allowed = np.array([[True, False]])
-        sched = schedule_users([[0]], np.ones(1), np.ones((1, 2)), allowed=allowed)
+        sched = schedule_users(np.array([[0]]), np.ones(1), np.ones((1, 2)), allowed=allowed)
         assert sched[0, 0] == 0 and sched[0, 1] == NO_USER
+
+
+def looped_schedule_users(cells, weights, rate_ks, allowed=None):
+    """Per-cell argmax loop the padded-member argmax replaced (reference)."""
+    sched = np.full((len(cells), rate_ks.shape[1]), NO_USER, dtype=int)
+    for n, ids in enumerate(cells):
+        if not ids:
+            continue
+        ids = np.asarray(ids, dtype=int)
+        row = ids[np.argmax(weights[ids, None] * rate_ks[ids, :], axis=0)]
+        sched[n] = row if allowed is None else np.where(allowed[n], row, NO_USER)
+    return sched
+
+
+class TestPaddedArgmax:
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+           n_sub=st.integers(1, 4), levels=st.none() | st.integers(1, 3),
+           masked=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_cell_loop(self, sizes, n_sub, levels, masked, seed):
+        """Random cells, empty ones included; with `levels`, weights and
+        rates take few distinct values, so scores tie often."""
+        rng = np.random.default_rng(seed)
+        K = sum(sizes)
+        owner = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        cells = [np.flatnonzero(owner == n).tolist() for n in range(len(sizes))]
+        if levels is None:
+            weights, rates = rng.uniform(0.1, 3.0, size=K), rng.uniform(0.0, 5.0, (K, n_sub))
+        else:
+            weights = rng.integers(1, levels + 1, size=K).astype(float)
+            rates = rng.integers(0, levels + 1, size=(K, n_sub)).astype(float)
+        allowed = rng.random((len(sizes), n_sub)) < 0.6 if masked else None
+        got = schedule_users(pad_index_lists(cells, width=1), weights, rates, allowed)
+        assert np.array_equal(got, looped_schedule_users(cells, weights, rates, allowed))
 
 
 class TestLemma1Decomposition:
@@ -176,7 +213,7 @@ class TestLemma1Decomposition:
         upc = int(rng.integers(1, 4))
         cells, gains, noise, weights, powers = random_instance(seed, n_bs, n_sub, upc)
         serving = serving_of(cells, gains.shape[0])
-        sched = schedule_at(gains, powers, noise, serving, cells, weights)[0]
+        sched = schedule_at(gains, powers, noise, serving, pad_index_lists(cells), weights)[0]
         h_argmax = evaluate_objective(gains, noise, weights, powers, sched)
         h_best = max(evaluate_objective(gains, noise, weights, powers, sm)
                      for sm in enumerate_schedules(cells, n_sub))
@@ -214,7 +251,8 @@ class TestServedRates:
     def test_matches_manual_sum(self):
         cells, gains, noise, weights, powers = random_instance(3)
         serving = np.array([0, 0, 0, 1, 1, 1])
-        sched, _, signal, intf = schedule_at(gains, powers, noise, serving, cells, weights)
+        sched, _, signal, intf = schedule_at(gains, powers, noise, serving,
+                                             pad_index_lists(cells), weights)
         rates = rate(signal / intf)
         served = served_rates(gains, powers, sched, noise)
         expected = np.zeros(6)

@@ -4,6 +4,8 @@ Gains are linear power gains; the per-slot tensor is indexed
 (user, bs, subchannel). Noise is linear Watts per (user, subchannel).
 """
 
+import os
+import threading
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -101,11 +103,23 @@ def noise_power_w(config, subchannel_bw_hz):
 
 # Links per fading tile, at most. At 8 oscillators an oscillator tile and its
 # step tile take 2 x 8 x 4096 x 16 B = 1 MB, so one tile is rotated, summed
-# and squared while it stays in a 2 MB L2 cache.
+# and squared while it stays in a 2 MB L2 cache. Each worker thread works on
+# its own run of tiles with its own scratch, so its tile stays in its own
+# core's L2. A run that draws angles or phases seeks a copy of the saved
+# generator state to its first tile with `bit_generator.advance`, which
+# counts draws: PCG64 takes one per double.
 TILE_LINKS = 4096
 # Up to 64 terms numpy's pairwise sum keeps four running accumulators; above
 # that it splits recursively, an order FadingState does not reproduce.
 MAX_OSCILLATORS = 64
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class FadingState:
@@ -121,13 +135,22 @@ class FadingState:
     at most TILE_LINKS links (or one pair) as hold them, balanced. `osc` and
     the cached step are (tiles, O, width) arrays, the last tile padded. The
     arrival angles are not stored: the generator state before they were
-    drawn is kept, and the stream is advanced past them. A new `dt` re-draws
+    drawn is kept, and the stream is advanced past them, then past the
+    phases, which are drawn from a copy of it. A new `dt` re-draws
     them tile by tile from that state (chunked draws equal one big draw), so
     `rng`'s bit generator must support `advance`, as default_rng's PCG64
     does. `advance` rotates one tile, sums its O rows and squares the sum,
     for every slot asked of it, before it moves to the next tile. The rows
     are added in the order numpy's pairwise `sum(axis=-1)` uses, so the
     gains are bit-identical to rotating and summing one (K, N, S, O) array.
+
+    Every pass over the tiles is shared among min(CPUs, tiles) threads, one
+    contiguous run of tiles each, the calling thread taking the first. Each
+    writes only its own tiles and sums into its own scratch, and a run that
+    draws starts from its own copy of the saved generator state, advanced to
+    its first tile's draws. So the results are bit-identical for any number
+    of threads. The threads call only private methods, and none outlives
+    the call that started it.
     """
 
     def __init__(self, rng, n_users, n_bs, n_subchannels, speeds_mps, carrier_freq_hz,
@@ -143,36 +166,69 @@ class FadingState:
         bitgen = rng.bit_generator
         self._angle_stream = (type(bitgen), bitgen.state)
         bitgen.advance(links * oscillators)
+        phase_stream = (type(bitgen), bitgen.state)
         self.osc = np.empty((n_tiles, oscillators, self._pairs_per_tile * n_subchannels),
                             dtype=complex)
         self.osc[-1] = 1.0  # padding links
-        for t, osc in enumerate(self.osc):  # exp of a C-ordered tile, no tiled copy
-            ph = self._tile_draw(rng, t).T
-            np.exp(np.multiply(1j, ph, order="C"), out=osc[:, :ph.shape[1]])
         self.scale = 1.0 / np.sqrt(oscillators)
         self._step_dt = None
         self._step = None
-        self._make_scratch()
-
-    def _make_scratch(self):
-        """Scratch for one tile's sum, with its views made once, not per tile."""
-        width = self.osc.shape[2]
-        self._acc = np.empty((4, width), dtype=complex)
-        self._pair = np.empty((2, width), dtype=complex)
-        h, squares = self._pair[0], self._pair[1].view(np.float64)
-        S = self._shape[2]
-        self._views = SimpleNamespace(
-            acc_even=self._acc[0::2], acc_odd=self._acc[1::2], h=h, p1=self._pair[1],
-            h_re_im=h.view(np.float64), squares=squares,
-            re2=squares[0::2].reshape(-1, S), im2=squares[1::2].reshape(-1, S))
+        self._scratch = []  # one tile's draws and sums per worker, made on first use
+        self._share_tiles(self._draw_phases, phase_stream)
+        bitgen.advance(links * oscillators)  # past the phases, as if drawn here
 
     def __getstate__(self):
-        # Copied views would not alias the copied scratch, so neither is kept.
-        return {k: v for k, v in vars(self).items() if k not in ("_acc", "_pair", "_views")}
+        # Copied views would not alias the copied scratch, so it is not kept.
+        return {k: v for k, v in vars(self).items() if k != "_scratch"}
 
     def __setstate__(self, state):
         vars(self).update(state)
-        self._make_scratch()
+        self._scratch = []
+
+    def _share_tiles(self, work, *args):
+        """Run work(first, end, scratch, *args) over contiguous runs of tiles,
+        one per worker: the first on the calling thread, each other on a
+        thread of its own, all joined before this returns. Then re-raises
+        the error of the first run, in tile order, that failed."""
+        n_tiles = len(self.osc)
+        workers = min(_cpu_count(), n_tiles)
+        while len(self._scratch) < workers:
+            self._scratch.append(self._new_scratch())
+        errors = [None] * workers
+
+        def run(w):
+            try:
+                work(n_tiles * w // workers, n_tiles * (w + 1) // workers,
+                     self._scratch[w], *args)
+            except BaseException as exc:  # re-raised on the calling thread
+                errors[w] = exc
+
+        started = []
+        try:
+            for w in range(1, workers):
+                thread = threading.Thread(target=run, args=(w,))
+                thread.start()
+                started.append(thread)
+            run(0)
+        finally:
+            for thread in started:
+                thread.join()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+
+    def _new_scratch(self):
+        """One worker's scratch: a tile's draws and its sum, with the sum's
+        views made once, not per tile."""
+        _, O, width = self.osc.shape
+        acc = np.empty((4, width), dtype=complex)
+        pair = np.empty((2, width), dtype=complex)
+        h, squares = pair[0], pair[1].view(np.float64)
+        S = self._shape[2]
+        return SimpleNamespace(
+            draws=np.empty((width, O)), acc=acc, pair=pair, acc_even=acc[0::2],
+            acc_odd=acc[1::2], h=h, p1=pair[1], h_re_im=h.view(np.float64), squares=squares,
+            re2=squares[0::2].reshape(-1, S), im2=squares[1::2].reshape(-1, S))
 
     def _tile_pairs(self, t):
         """(first, end) (user, bs) pair of tile t, counted in C order."""
@@ -185,34 +241,57 @@ class FadingState:
             raise ValueError("out must be C-contiguous")
         return out.reshape(-1, self._shape[2])
 
-    def _tile_draw(self, rng, t):
-        """(links, O) uniform angles of tile t's links, the next draws of rng."""
+    def _stream_at(self, stream, t):
+        """Generator at a saved (kind, state), advanced to tile t's first draw."""
+        kind, state = stream
+        bitgen = kind()
+        bitgen.state = state
+        bitgen.advance(self._tile_pairs(t)[0] * self._shape[2] * self.osc.shape[1])
+        return np.random.Generator(bitgen)
+
+    def _tile_draw(self, rng, t, scratch):
+        """(links, O) uniform angles in [0, 2 pi) of tile t's links, the next
+        draws of rng, in scratch. Bit-identical to rng.uniform(0, 2 pi),
+        which computes 0 + 2 pi x each of the same doubles."""
         p0, p1 = self._tile_pairs(t)
-        n = (p1 - p0) * self._shape[2]
-        return rng.uniform(0.0, 2.0 * np.pi, size=(n, self.osc.shape[1]))
+        draws = scratch.draws[:(p1 - p0) * self._shape[2]]
+        rng.random(out=draws)
+        draws *= 2.0 * np.pi
+        return draws
+
+    def _draw_phases(self, first, end, scratch, stream):
+        """osc = exp(1j * phase) of tiles [first, end), the phases drawn from
+        the stream saved after the angles."""
+        rng = self._stream_at(stream, first)
+        for t in range(first, end):
+            ph = self._tile_draw(rng, t, scratch)
+            osc = self.osc[t][:, :len(ph)]
+            np.multiply(1j, ph.T, out=osc)
+            np.exp(osc, out=osc)
 
     def _build_step(self, dt_s):
         """step = exp(1j * omega * dt) per oscillator, omega = Doppler x cos(angle),
         re-drawing the angles tile by tile from the saved generator state."""
         if self._step is None:
             self._step = np.empty_like(self.osc)
-        kind, state = self._angle_stream
-        bitgen = kind()
-        bitgen.state = state
-        rng = np.random.Generator(bitgen)
-        om = np.zeros(self.osc.shape[1:])  # padding links keep omega 0, so step 1
+        self._share_tiles(self._step_tiles, dt_s)
+        self._step_dt = dt_s
+
+    def _step_tiles(self, first, end, scratch, dt_s):
+        """_build_step for tiles [first, end)."""
+        rng = self._stream_at(self._angle_stream, first)
         N, S = self._shape[1:]
-        for t, step in enumerate(self._step):
-            angles = self._tile_draw(rng, t)
-            n = angles.shape[0]
-            om[:, :n] = angles.T
-            np.cos(om[:, :n], out=om[:, :n])
+        for t in range(first, end):
+            om = self._tile_draw(rng, t, scratch)
+            np.cos(om, out=om)
             p0, p1 = self._tile_pairs(t)
-            om[:, :n] *= self._doppler[np.arange(p0, p1) // N].repeat(S)
-            np.multiply(1j, om, out=step)  # exp(1j * om * dt) without temporaries
+            per_pair = om.reshape(p1 - p0, S, -1)  # a view: om is contiguous
+            per_pair *= self._doppler[np.arange(p0, p1) // N, None, None]
+            step = self._step[t]
+            step[:, len(om):] = 0.0  # padding links keep omega 0, so step 1
+            np.multiply(1j, om.T, out=step[:, :len(om)])  # exp(1j * om * dt), no temporaries
             np.multiply(step, dt_s, out=step)
             np.exp(step, out=step)
-        self._step_dt = dt_s
 
     def advance(self, dt_s, out=None, scale=None):
         """Rotate the oscillators by dt_s; with `out`, len(out) times.
@@ -226,33 +305,40 @@ class FadingState:
             raise ValueError("dt_s must be >= 0")
         if dt_s != self._step_dt and dt_s != 0.0:
             self._build_step(dt_s)
+        rows = scale_rows = None
         if out is not None:
             rows = [self._pair_rows(o) for o in out]
             scale_rows = [np.reshape(g, (-1, 1)) for g in scale]
-        for t, osc in enumerate(self.osc):
+        self._share_tiles(self._advance_tiles, dt_s, rows, scale_rows)
+
+    def _advance_tiles(self, first, end, scratch, dt_s, rows, scale_rows):
+        """advance for tiles [first, end): per slot, rotate unless dt_s is 0,
+        then write the gains into rows[i] if rows is not None."""
+        for t in range(first, end):
+            osc = self.osc[t]
             p0, p1 = self._tile_pairs(t)
-            for i in range(1 if out is None else len(out)):
+            for i in range(1 if rows is None else len(rows)):
                 if dt_s != 0.0:
                     osc *= self._step[t]
-                if out is not None:
-                    self._tile_gains(osc, rows[i][p0:p1], scale_rows[i][p0:p1])
+                if rows is not None:
+                    s = scale_rows[i]
+                    self._tile_gains(scratch, osc, rows[i][p0:p1],
+                                     None if s is None else s[p0:p1])
 
-    def _tile_gains(self, osc, out, scale):
+    def _tile_gains(self, v, osc, out, scale):
         """out = |h|^2 (times scale, if not None) of one tile's links, as
-        (pairs, S) rows."""
-        v = self._views
-        self._tile_coefficients(osc)
+        (pairs, S) rows, summed in scratch v."""
+        self._tile_coefficients(v, osc)
         np.square(v.h_re_im, v.squares)
         np.add(v.re2[:len(out)], v.im2[:len(out)], out)
         if scale is not None:
             np.multiply(out, scale, out)
 
-    def _tile_coefficients(self, osc):
+    def _tile_coefficients(self, v, osc):
         """Scale x the sum of a tile's rows, added in numpy's sum order.
 
-        The result is a view of scratch that the next call overwrites.
+        The result is a view of scratch v that the next call overwrites.
         """
-        v = self._views
         n = osc.shape[0]
         if n < 4:  # numpy adds fewer than four terms left to right
             np.copyto(v.h, osc[0])
@@ -260,12 +346,12 @@ class FadingState:
         else:  # accumulator j sums rows o = j (mod 4), then (a0 + a1) + (a2 + a3)
             rest = n - n % 4
             if rest == 4:
-                np.add(osc[0:4:2], osc[1:4:2], self._pair)
+                np.add(osc[0:4:2], osc[1:4:2], v.pair)
             else:
-                np.add(osc[0:4], osc[4:8], self._acc)
+                np.add(osc[0:4], osc[4:8], v.acc)
                 for o in range(8, rest, 4):
-                    self._acc += osc[o:o + 4]
-                np.add(v.acc_even, v.acc_odd, self._pair)
+                    v.acc += osc[o:o + 4]
+                np.add(v.acc_even, v.acc_odd, v.pair)
             np.add(v.h, v.p1, v.h)
         for o in range(rest, n):
             v.h += osc[o]
@@ -274,11 +360,15 @@ class FadingState:
         v.h_re_im *= self.scale
         return v.h
 
+    def _copy_coefficients(self, first, end, scratch, h):
+        """coefficients of tiles [first, end) into h, one (width,) row per tile."""
+        for t in range(first, end):
+            h[t] = self._tile_coefficients(scratch, self.osc[t])
+
     def coefficients(self):
         """(K, N, S) complex channel coefficients at the current time."""
         h = np.empty(self.osc[:, 0].shape, dtype=complex)
-        for osc, h_tile in zip(self.osc, h):
-            h_tile[:] = self._tile_coefficients(osc)
+        self._share_tiles(self._copy_coefficients, h)
         # Only the last tile is padded, at its end: the links come first.
         return h.reshape(-1)[:np.prod(self._shape)].reshape(self._shape)
 
@@ -287,11 +377,8 @@ class FadingState:
         large-scale gain, say) if given, written into `out` (C-contiguous)
         or into a fresh array."""
         out = np.empty(self._shape) if out is None else out
-        rows = self._pair_rows(out)
         scale_rows = None if scale is None else np.reshape(scale, (-1, 1))
-        for t, osc in enumerate(self.osc):
-            p0, p1 = self._tile_pairs(t)
-            self._tile_gains(osc, rows[p0:p1], None if scale is None else scale_rows[p0:p1])
+        self._share_tiles(self._advance_tiles, 0.0, [self._pair_rows(out)], [scale_rows])
         return out
 
 

@@ -1,10 +1,14 @@
 import copy
 import pickle
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import j0
 
+from refimsim import channel, engine
 from refimsim.channel import (
     BLOCK_SLOTS, MAX_OSCILLATORS, TILE_LINKS, Channel, FadingState, PropagationConfig,
     large_scale_linear, noise_power_w, path_loss_db, path_loss_matrix_db,
@@ -202,6 +206,40 @@ class _UntiledFading:
         return h.real ** 2 + h.imag ** 2
 
 
+def _owned_nbytes(values):
+    """Bytes of the arrays among values that own their data, looking into
+    lists and namespaces (views are counted with their base)."""
+    total = 0
+    for v in values:
+        if isinstance(v, np.ndarray):
+            total += v.nbytes if v.base is None else 0
+        elif isinstance(v, list):
+            total += _owned_nbytes(v)
+        elif isinstance(v, SimpleNamespace):
+            total += _owned_nbytes(vars(v).values())
+    return total
+
+
+def _fading_trajectory(K, N, S, oscillators):
+    """Every output of one FadingState through step rebuilds, dt = 0 and
+    blocked advances, plus the caller's generator's next draws."""
+    rng = np.random.default_rng(4)
+    speeds = np.random.default_rng(K).uniform(0.0, 30.0, K)
+    st = FadingState(rng, K, N, S, speeds, 2e9, oscillators)
+    seq = [rng.bit_generator.random_raw(4), st.coefficients(), st.power_gains()]
+    for slot in range(12):  # dt 1 -> 2.5 -> 1 ms rebuilds the step twice
+        st.advance(2.5e-3 if 4 <= slot < 8 else 1e-3)
+        seq += [st.coefficients(), st.power_gains()]
+    st.advance(0.0)
+    seq += [st.coefficients(), st.power_gains()]
+    scales = np.random.default_rng(5).uniform(0.5, 2.0, (3, K, N))
+    for dt in (1e-3, 0.0, 2.5e-3):
+        out = np.full((3, K, N, S), np.nan)
+        st.advance(dt, out=out, scale=scales)
+        seq += [out, st.coefficients(), st.power_gains(scales[1])]
+    return seq
+
+
 class TestTiledFading:
     # (K, N, S): 24 links fit in one tile; 8569 links (451 user-BS pairs of
     # 19) need three tiles of 151 pairs, the last padded with two pairs' links.
@@ -244,15 +282,83 @@ class TestTiledFading:
                 assert np.array_equal(out[i], ref.power_gains() * scales[i][:, :, None])
             assert np.array_equal(st.coefficients(), ref.coefficients())
 
-    def test_state_holds_no_frequency_tensor(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_state_holds_no_frequency_tensor(self, workers, monkeypatch):
+        monkeypatch.setattr(channel, "_cpu_count", lambda: workers)
         K, N, S = 41, 11, 19
         st = FadingState(np.random.default_rng(2), K, N, S, np.full(K, 20.0), 2e9)
         st.advance(1e-3)
-        width = st.osc.shape[2]
-        held = sum(v.nbytes for v in vars(st).values() if isinstance(v, np.ndarray))
+        st.power_gains()
+        _, O, width = st.osc.shape
+        assert len(st._scratch) == workers  # every worker's scratch is counted below
+        held = _owned_nbytes(vars(st).values())
         osc_and_step = 2 * st.osc.nbytes
-        scratch = 6 * width * 16 + K * 8  # one tile's partial sums; per-user Doppler
-        assert held <= osc_and_step + scratch
+        scratch = width * O * 8 + 6 * width * 16  # one tile's draws and partial sums
+        assert held <= osc_and_step + workers * scratch + K * 8  # K: per-user Doppler
+
+    @pytest.mark.parametrize("workers", [2, 3, 64])
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("oscillators", [1, 3, 4, 5, 8, 12])
+    def test_bit_identical_at_any_worker_count(self, workers, size, oscillators, monkeypatch):
+        K, N, S = size
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 1)
+        serial = _fading_trajectory(K, N, S, oscillators)
+        # the caller's generator ends past the angles and phases, as if it drew both
+        after = np.random.default_rng(4)
+        after.bit_generator.advance(2 * K * N * S * oscillators)
+        assert np.array_equal(serial[0], after.bit_generator.random_raw(4))
+        monkeypatch.setattr(channel, "_cpu_count", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose shared writes
+        try:
+            threaded = _fading_trajectory(K, N, S, oscillators)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threaded) == len(serial)
+        for a, b in zip(threaded, serial):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("stage", ["init", "step", "advance"])
+    def test_worker_error_reaches_the_caller(self, stage, monkeypatch):
+        # three tiles in two shares, [0, 1) on the caller and [1, 3) on a thread
+        K, N, S = 41, 11, 19
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+
+        def make():
+            return FadingState(np.random.default_rng(1), K, N, S, np.full(K, 20.0), 2e9)
+
+        st = None if stage == "init" else make()
+        if st is not None:
+            st.advance(1e-3)
+            assert st.osc.shape[0] == 3
+        tile_pairs = FadingState._tile_pairs
+        raised_on = []
+
+        def failing(self, t):
+            if t == 2:
+                raised_on.append(threading.current_thread())
+                raise RuntimeError("tile 2")
+            return tile_pairs(self, t)
+
+        monkeypatch.setattr(FadingState, "_tile_pairs", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="tile 2"):
+            if stage == "init":
+                make()
+            elif stage == "step":
+                st.advance(2.5e-3)
+            else:
+                st.advance(1e-3, out=np.empty((2, K, N, S)), scale=np.ones((2, K, N)))
+        assert raised_on and raised_on[0] is not threading.main_thread()
+        assert threading.active_count() == before
+
+    def test_engine_run_leaves_no_threads(self, monkeypatch):
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+        sc, _ = TestChannelBlocks()._hetnet(20, mobile_users=True, user_speed_kmh=60.0)
+        before = threading.active_count()
+        result = engine.run(sc)
+        assert result.constraint_violations == 0
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("duplicate", [copy.deepcopy,
                                            lambda st: pickle.loads(pickle.dumps(st))],
@@ -429,6 +535,19 @@ class TestChannelBlocks:
             assert np.array_equal(chan.large_scale, large)
             assert np.array_equal(chan.gains(), gains)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mobile_gains_at_any_worker_count(self, workers, monkeypatch):
+        sc, net = self._hetnet(7, mobile_users=True, user_speed_kmh=60.0)
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 1)
+        expected = [(large, gains) for large, gains in _slot_by_slot(sc, net, 9)]
+        monkeypatch.setattr(channel, "_cpu_count", lambda: workers)
+        chan = Channel(sc, net)
+        assert chan.fading.osc.shape[0] == 2
+        for large, gains in expected:
+            chan.advance()
+            assert np.array_equal(chan.large_scale, large)
+            assert np.array_equal(chan.gains(), gains)
+
     @pytest.mark.parametrize("slots, rotations", [(1, 1), (2, 2), (3, 3), (7, BLOCK_SLOTS)])
     def test_block_stops_at_the_run_length(self, slots, rotations):
         sc, net = self._hetnet(slots)
@@ -443,7 +562,14 @@ class TestChannelBlocks:
             ref.advance(sc.slot_duration_s)
         assert np.array_equal(chan.fading.coefficients(), ref.coefficients())
 
-    def test_two_cell_is_one_tile(self):
+    def test_two_cell_is_one_tile(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-tile state started a thread")
+
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(channel.threading, "Thread", no_thread)
         sc = get_preset("two-cell")
         chan = Channel(sc, build_network(sc))
         assert chan.fading.osc.shape == (1, 8, 1280)
+        chan.gains()
+        chan.advance()

@@ -282,19 +282,19 @@ class TestTiledFading:
                 assert np.array_equal(out[i], ref.power_gains() * scales[i][:, :, None])
             assert np.array_equal(st.coefficients(), ref.coefficients())
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_state_holds_no_frequency_tensor(self, workers, monkeypatch):
-        monkeypatch.setattr(channel, "_cpu_count", lambda: workers)
+    def test_state_holds_no_frequency_tensor(self, monkeypatch):
         K, N, S = 41, 11, 19
-        st = FadingState(np.random.default_rng(2), K, N, S, np.full(K, 20.0), 2e9)
-        st.advance(1e-3)
-        st.power_gains()
-        _, O, width = st.osc.shape
-        assert len(st._scratch) == workers  # every worker's scratch is counted below
-        held = _owned_nbytes(vars(st).values())
-        osc_and_step = 2 * st.osc.nbytes
-        scratch = width * O * 8 + 6 * width * 16  # one tile's draws and partial sums
-        assert held <= osc_and_step + workers * scratch + K * 8  # K: per-user Doppler
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(channel, "_cpu_count", lambda: workers)
+            st = FadingState(np.random.default_rng(2), K, N, S, np.full(K, 20.0), 2e9)
+            st.advance(1e-3)
+            st.power_gains()
+            _, O, width = st.osc.shape
+            assert len(st._scratch) == workers  # every worker's scratch is counted below
+            held = _owned_nbytes(vars(st).values())
+            osc_and_step = 2 * st.osc.nbytes
+            scratch = width * O * 8 + 6 * width * 16  # one tile's draws and partial sums
+            assert held <= osc_and_step + workers * scratch + K * 8  # K: per-user Doppler
 
     @pytest.mark.parametrize("workers", [2, 3, 64])
     @pytest.mark.parametrize("size", SIZES)

@@ -6,7 +6,6 @@ Gains are linear power gains; the per-slot tensor is indexed
 
 import os
 import threading
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,44 +13,26 @@ import numpy as np
 from .topology import TIER_FEMTO, WaypointMobility
 
 SPEED_OF_LIGHT = 299792458.0
+# Distance law a + b*log10(d[m]) in dB of each path loss model: outdoor
+# macro links and indoor femto links.
+PATHLOSS_LAWS = {"macro": (16.62, 37.6), "indoor": (37.0, 32.0)}
+WALL_LOSS_DB = 10.0        # one wall between an indoor end and the other end
+NOISE_PSD_DBM_HZ = -174.0  # thermal noise density
+MIN_DISTANCE_M = 1.0       # shorter distances are clamped to this
+OSCILLATORS = 8            # Jakes oscillators per (user, bs, subchannel) link
 
 
-@dataclass
-class PropagationConfig:
-    macro_pathloss_a: float = 16.62   # dB, outdoor model a + b*log10(d[m])
-    macro_pathloss_b: float = 37.6
-    indoor_pathloss_a: float = 37.0
-    indoor_pathloss_b: float = 32.0
-    penetration_loss_db: float = 10.0
-    shadowing_sigma_db: dict = field(default_factory=lambda: {"macro": 8.0, "femto": 4.0})
-    carrier_freq_hz: float = 2e9
-    noise_psd_dbm_hz: float = -174.0
-    noise_figure_db: float = 9.0
-    sinr_gap: float = 1.0             # linear Gamma >= 1
-    min_distance_m: float = 1.0
-    oscillators: int = 8
-
-    def __post_init__(self):
-        if self.macro_pathloss_b <= 0 or self.indoor_pathloss_b <= 0:
-            raise ValueError("path loss slope coefficients must be > 0")
-        if self.sinr_gap < 1.0:
-            raise ValueError("sinr_gap must be >= 1")
-
-
-def _distance_law(model, cfg):
+def _distance_law(model):
     """(a, b) of the loss a + b*log10(d[m]) of a path loss model."""
-    if model == "macro":
-        return cfg.macro_pathloss_a, cfg.macro_pathloss_b
-    if model == "indoor":
-        return cfg.indoor_pathloss_a, cfg.indoor_pathloss_b
-    raise ValueError(f"unknown path loss model {model!r}")
+    if model not in PATHLOSS_LAWS:
+        raise ValueError(f"unknown path loss model {model!r}")
+    return PATHLOSS_LAWS[model]
 
 
-def path_loss_db(model, distance_m, config=None):
+def path_loss_db(model, distance_m):
     """Distance-law loss in dB; model is 'macro' (outdoor) or 'indoor'."""
-    cfg = config or PropagationConfig()
-    a, b = _distance_law(model, cfg)
-    return a + b * np.log10(np.maximum(np.asarray(distance_m, dtype=float), cfg.min_distance_m))
+    a, b = _distance_law(model)
+    return a + b * np.log10(np.maximum(np.asarray(distance_m, dtype=float), MIN_DISTANCE_M))
 
 
 def wall_mask(network):
@@ -67,17 +48,17 @@ def wall_mask(network):
     return (bs_in[None, :] | user_in[:, None]) & ~same_home
 
 
-def path_loss_matrix_db(network, config, positions=None, walls=None):
+def path_loss_matrix_db(network, positions=None, walls=None):
     """(K, N) path loss incl. wall penetration at the given user positions.
 
     `walls` is `wall_mask(network)`, which depends on home ids only, so a
     caller that moves the users can build it once.
     """
-    a, b = np.array([_distance_law("indoor" if bs.tier == TIER_FEMTO else "macro", config)
+    a, b = np.array([_distance_law("indoor" if bs.tier == TIER_FEMTO else "macro")
                      for bs in network.base_stations]).T
-    d = np.maximum(network.distances(positions), config.min_distance_m)
+    d = np.maximum(network.distances(positions), MIN_DISTANCE_M)
     pl = a + b * np.log10(d)
-    np.add(pl, config.penetration_loss_db, out=pl,
+    np.add(pl, WALL_LOSS_DB, out=pl,
            where=wall_mask(network) if walls is None else walls)
     return pl
 
@@ -89,19 +70,21 @@ def sample_shadowing(rng, sigma_db, size=None):
     return rng.normal(0.0, 1.0, size=size) * sigma_db
 
 
-def shadowing_matrix_db(network, config, rng):
-    """(K, N) shadowing; sigma depends on the BS tier of the link."""
-    sigma = np.array([config.shadowing_sigma_db[b.tier] for b in network.base_stations])
+def shadowing_matrix_db(network, scenario, rng):
+    """(K, N) shadowing; sigma is the scenario's one for the BS tier of the link."""
+    sigma_db = {"macro": scenario.shadowing_sigma_macro_db,
+                "femto": scenario.shadowing_sigma_femto_db}
+    sigma = np.array([sigma_db[b.tier] for b in network.base_stations])
     return sample_shadowing(rng, sigma, size=(network.n_users, network.n_bs))
 
 
-def noise_power_w(config, subchannel_bw_hz):
+def noise_power_w(noise_figure_db, subchannel_bw_hz):
     """Thermal noise + noise figure over one subchannel, in Watts."""
-    dbm = config.noise_psd_dbm_hz + 10.0 * np.log10(subchannel_bw_hz) + config.noise_figure_db
+    dbm = NOISE_PSD_DBM_HZ + 10.0 * np.log10(subchannel_bw_hz) + noise_figure_db
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-# Links per fading tile, at most. At 8 oscillators an oscillator tile and its
+# Links per fading tile, at most. At OSCILLATORS = 8 an oscillator tile and its
 # step tile take 2 x 8 x 4096 x 16 B = 1 MB, so one tile is rotated, summed
 # and squared while it stays in a 2 MB L2 cache. Each worker thread works on
 # its own run of tiles with its own scratch, so its tile stays in its own
@@ -109,9 +92,6 @@ def noise_power_w(config, subchannel_bw_hz):
 # generator state to its first tile with `bit_generator.advance`, which
 # counts draws: PCG64 takes one per double.
 TILE_LINKS = 4096
-# Up to 64 terms numpy's pairwise sum keeps four running accumulators; above
-# that it splits recursively, an order FadingState does not reproduce.
-MAX_OSCILLATORS = 64
 
 
 def _cpu_count():
@@ -133,13 +113,13 @@ class FadingState:
     The K*N*S links are stored flattened in tiles of whole (user, bs)
     pairs, so that a tile's large-scale gains are one slice: as few tiles of
     at most TILE_LINKS links (or one pair) as hold them, balanced. `osc` and
-    the cached step are (tiles, O, width) arrays, the last tile padded. The
-    arrival angles are not stored: the generator state before they were
-    drawn is kept, and the stream is advanced past them, then past the
-    phases, which are drawn from a copy of it. A new `dt` re-draws
-    them tile by tile from that state (chunked draws equal one big draw), so
-    `rng`'s bit generator must support `advance`, as default_rng's PCG64
-    does. `advance` rotates one tile, sums its O rows and squares the sum,
+    the cached step are (tiles, O, width) arrays, O = OSCILLATORS, the last
+    tile padded. The arrival angles are not stored: the generator state
+    before they were drawn is kept, and the stream is advanced past them,
+    then past the phases, which are drawn from a copy of it. A new `dt`
+    re-draws them tile by tile from that state (chunked draws equal one big
+    draw), so `rng`'s bit generator must support `advance`, as default_rng's
+    PCG64 does. `advance` rotates one tile, sums its O rows and squares the sum,
     for every slot asked of it, before it moves to the next tile. The rows
     are added in the order numpy's pairwise `sum(axis=-1)` uses, so the
     gains are bit-identical to rotating and summing one (K, N, S, O) array.
@@ -153,10 +133,7 @@ class FadingState:
     the call that started it.
     """
 
-    def __init__(self, rng, n_users, n_bs, n_subchannels, speeds_mps, carrier_freq_hz,
-                 oscillators=8):
-        if not 1 <= oscillators <= MAX_OSCILLATORS:
-            raise ValueError(f"oscillators must be in [1, {MAX_OSCILLATORS}]")
+    def __init__(self, rng, n_users, n_bs, n_subchannels, speeds_mps, carrier_freq_hz):
         self._shape = (n_users, n_bs, n_subchannels)
         links = n_users * n_bs * n_subchannels
         n_tiles = max(1, -(-n_users * n_bs // max(1, TILE_LINKS // n_subchannels)))
@@ -165,17 +142,17 @@ class FadingState:
             * carrier_freq_hz / SPEED_OF_LIGHT  # rad/s per user
         bitgen = rng.bit_generator
         self._angle_stream = (type(bitgen), bitgen.state)
-        bitgen.advance(links * oscillators)
+        bitgen.advance(links * OSCILLATORS)
         phase_stream = (type(bitgen), bitgen.state)
-        self.osc = np.empty((n_tiles, oscillators, self._pairs_per_tile * n_subchannels),
+        self.osc = np.empty((n_tiles, OSCILLATORS, self._pairs_per_tile * n_subchannels),
                             dtype=complex)
         self.osc[-1] = 1.0  # padding links
-        self.scale = 1.0 / np.sqrt(oscillators)
+        self.scale = 1.0 / np.sqrt(OSCILLATORS)
         self._step_dt = None
         self._step = None
         self._scratch = []  # one tile's draws and sums per worker, made on first use
         self._share_tiles(self._draw_phases, phase_stream)
-        bitgen.advance(links * oscillators)  # past the phases, as if drawn here
+        bitgen.advance(links * OSCILLATORS)  # past the phases, as if drawn here
 
     def __getstate__(self):
         # Copied views would not alias the copied scratch, so it is not kept.
@@ -335,26 +312,14 @@ class FadingState:
             np.multiply(out, scale, out)
 
     def _tile_coefficients(self, v, osc):
-        """Scale x the sum of a tile's rows, added in numpy's sum order.
+        """Scale x the sum of a tile's 8 rows, added in numpy's sum order:
+        accumulator j sums rows o = j (mod 4), then (a0 + a1) + (a2 + a3).
 
         The result is a view of scratch v that the next call overwrites.
         """
-        n = osc.shape[0]
-        if n < 4:  # numpy adds fewer than four terms left to right
-            np.copyto(v.h, osc[0])
-            rest = 1
-        else:  # accumulator j sums rows o = j (mod 4), then (a0 + a1) + (a2 + a3)
-            rest = n - n % 4
-            if rest == 4:
-                np.add(osc[0:4:2], osc[1:4:2], v.pair)
-            else:
-                np.add(osc[0:4], osc[4:8], v.acc)
-                for o in range(8, rest, 4):
-                    v.acc += osc[o:o + 4]
-                np.add(v.acc_even, v.acc_odd, v.pair)
-            np.add(v.h, v.p1, v.h)
-        for o in range(rest, n):
-            v.h += osc[o]
+        np.add(osc[0:4], osc[4:8], v.acc)
+        np.add(v.acc_even, v.acc_odd, v.pair)
+        np.add(v.h, v.p1, v.h)
         # Scaling re and im apart equals numpy's complex * real: its cross
         # terms are exact zeros, which change at most the sign of a zero.
         v.h_re_im *= self.scale
@@ -408,18 +373,18 @@ class Channel:
         rng = {name: np.random.default_rng(seed)
                for name, seed in scenario.seed_streams().items()}
         self.network = network
-        self.config = cfg = scenario.propagation()
+        self.sinr_gap = 10.0 ** (scenario.sinr_gap_db / 10.0)  # linear Gamma >= 1
         K, N, S = network.n_users, network.n_bs, network.subchannel_count
         speeds = np.full(K, scenario.user_speed_kmh / 3.6)
-        self.shadow_db = shadowing_matrix_db(network, cfg, rng["shadowing"])
-        self.fading = FadingState(rng["fading"], K, N, S, speeds,
-                                  cfg.carrier_freq_hz, cfg.oscillators)
+        self.shadow_db = shadowing_matrix_db(network, scenario, rng["shadowing"])
+        self.fading = FadingState(rng["fading"], K, N, S, speeds, scenario.carrier_freq_hz)
         self.mobility = None
         if scenario.mobile_users:
             self.mobility = WaypointMobility(network, speeds, rng["mobility"])
         self._walls = wall_mask(network)
         self._update_large_scale()
-        self.noise = np.full((K, S), noise_power_w(cfg, network.bandwidth_hz / S))
+        self.noise = np.full((K, S), noise_power_w(scenario.noise_figure_db,
+                                                   network.bandwidth_hz / S))
         self._dt = scenario.slot_duration_s
         self._slots_left = scenario.slots
         self._block = np.empty((BLOCK_SLOTS, K, N, S))
@@ -429,7 +394,7 @@ class Channel:
 
     def _update_large_scale(self):
         positions = None if self.mobility is None else self.mobility.positions
-        pl_db = path_loss_matrix_db(self.network, self.config, positions, self._walls)
+        pl_db = path_loss_matrix_db(self.network, positions, self._walls)
         self._large_scale = large_scale_linear(pl_db, self.shadow_db)
 
     @property

@@ -187,13 +187,12 @@ def cmd_oracle(args):
     sc = apply_overrides(load_scenario(args.config), args)
     net = engine.build_network(sc)
     chan = channel.Channel(sc, net)
-    budgets = np.array([b.max_power_w for b in net.base_stations])
-    masks = np.array([[b.mask_w] * net.subchannel_count for b in net.base_stations])
+    budgets, masks, _ = engine.power_limits(net, sc)
     weights = np.ones(net.n_users)
     bw_sub = net.bandwidth_hz / net.subchannel_count
     scores = compare_to_oracle(chan.gains(), chan.noise, net.cells(), weights,
                                budgets, masks, net.neighbor_sets, levels=args.levels,
-                               subchannel_bw_hz=bw_sub, sinr_gap=chan.config.sinr_gap)
+                               subchannel_bw_hz=bw_sub, sinr_gap=chan.sinr_gap)
     h_star = scores["oracle"]
     print(f"{'algorithm':<10}{'objective':>16}{'ratio':>10}")
     print(f"{'oracle':<10}{h_star:>16.6g}{100.0:>9.2f}%")

@@ -8,6 +8,7 @@ power.general_algorithm step, which tells them apart only by its tax source
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, asdict, fields, replace
 
@@ -21,7 +22,7 @@ POLICIES = ("sharing", "splitting")
 INITIAL_RULES = ("uniform", "random", "previous")
 
 # Value types a Scenario field accepts, by the type of its default; a bool
-# passes as neither an int nor a float.
+# passes as neither an int nor a float, and a float field must be finite.
 _FIELD_KINDS = {bool: (bool,), int: (int, np.integer),
                 float: (int, float, np.integer, np.floating)}
 
@@ -90,6 +91,8 @@ class Scenario:
             if kinds and (not isinstance(value, kinds)
                           or isinstance(value, bool) != isinstance(default, bool)):
                 raise ValueError(f"{f.name} must be {type(default).__name__}, got {value!r}")
+            if isinstance(default, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.algorithm not in ALGORITHMS:
@@ -117,9 +120,11 @@ class Scenario:
                 raise ValueError("bands must satisfy 0 < center lo < center hi <= edge lo "
                                  "< edge hi < bs_distance_m")
         for z in map(dict, self.zones):
-            if set(z) != {"cols", "rows", "spacing_m"} or min(z["cols"], z["rows"]) < 1 \
-                    or not z["spacing_m"] > 0:
-                raise ValueError("each zone needs cols >= 1, rows >= 1 and spacing_m > 0")
+            if set(z) != {"cols", "rows", "spacing_m"} or not 0 < z["spacing_m"] < math.inf \
+                    or not all(isinstance(z[k], _FIELD_KINDS[int]) and not isinstance(z[k], bool)
+                               and z[k] >= 1 for k in ("cols", "rows")):
+                raise ValueError("each zone needs integer cols, rows >= 1 and finite "
+                                 "spacing_m > 0")
         if not (self.bandwidth_hz > 0 and self.slot_duration_s > 0):
             raise ValueError("bandwidth_hz and slot_duration_s must be > 0")
         if not self.user_speed_kmh >= 0:
@@ -162,28 +167,6 @@ class Scenario:
     def config_hash(self):
         blob = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def propagation(self):
-        return channel.PropagationConfig(
-            shadowing_sigma_db={"macro": self.shadowing_sigma_macro_db,
-                                "femto": self.shadowing_sigma_femto_db},
-            carrier_freq_hz=self.carrier_freq_hz,
-            noise_figure_db=self.noise_figure_db,
-            sinr_gap=10.0 ** (self.sinr_gap_db / 10.0),
-        )
-
-    def feedback(self):
-        overrides = {}
-        if self.femto_feedback_period_slots > 0:
-            overrides["femto"] = self.femto_feedback_period_slots
-        return reference.FeedbackConfig(
-            period_slots=self.feedback_period_slots,
-            edge_only=self.edge_only_feedback,
-            edge_threshold_db=self.edge_threshold_db,
-            femto_overhear=self.femto_overhear,
-            ref_count=self.ref_count,
-            tier_period_overrides=overrides,
-        )
 
 
 def build_network(scenario):
@@ -236,6 +219,17 @@ def allowed_subchannels(network, scenario):
             else:
                 allowed[n, c:] = False
     return allowed
+
+
+def power_limits(network, scenario):
+    """(budgets, masks, allowed): each BS's (N,) power budget, its (N, S)
+    per-subchannel masks, 0 where the spectrum policy forbids a subchannel,
+    and the (N, S) `allowed_subchannels` mask."""
+    allowed = allowed_subchannels(network, scenario)
+    budgets = np.array([b.max_power_w for b in network.base_stations])
+    masks = np.array([[b.mask_w] * network.subchannel_count
+                      for b in network.base_stations]) * allowed
+    return budgets, masks, allowed
 
 
 def gat(throughputs_bps):
@@ -313,7 +307,6 @@ def run(scenario, record=False):
     """
     sc = scenario
     net = build_network(sc)
-    fb_cfg = sc.feedback()
     K, N, S = net.n_users, net.n_bs, net.subchannel_count
     members, serving = net.member_index, net.serving
     if np.any(members[:, 0] == scheduling.NO_USER):
@@ -323,12 +316,10 @@ def run(scenario, record=False):
     chan = channel.Channel(sc, net)
     noise = chan.noise
 
-    allowed = allowed_subchannels(net, sc)
-    budgets = np.array([b.max_power_w for b in net.base_stations])
-    masks = np.array([[b.mask_w] * S for b in net.base_stations]) * allowed
+    budgets, masks, allowed = power_limits(net, sc)
     enabled = np.array([b.refim_enabled for b in net.base_stations])
     bw_sub = sc.bandwidth_hz / S
-    gap = chan.config.sinr_gap
+    gap = chan.sinr_gap
 
     eq_powers = power.initial_power("uniform", budgets, masks)
     states = scheduling.UserStates(K, sc.initial_throughput_bps, sc.ewma_beta, sc.utility_alpha)
@@ -351,12 +342,12 @@ def run(scenario, record=False):
 
         def taxes(sched, p, total, signal, intf_noise):
             tables.accumulate(gains, weights, signal, intf_noise)
-            reference.refresh_candidate_tables(net, tables, t, fb_cfg,
+            reference.refresh_candidate_tables(net, tables, t, sc,
                                                mean_gains=chan.large_scale, enabled=enabled)
             if record:
                 rec_published[t] = np.bincount(serving[tables.last_update == t], minlength=N)
-            views = reference.exchange_scheduled_indices(sched, rep, fb_cfg)
-            refs = reference.select_references(views, tables, fb_cfg.ref_count, enabled=enabled)
+            views = reference.exchange_scheduled_indices(sched, rep, sc)
+            refs = reference.select_references(views, tables, sc.ref_count, enabled=enabled)
             return refs.taxes()   # zero for BSs not running REFIM: they select no references
     elif sc.algorithm == "general":
         def taxes(sched, p, total, signal, intf_noise):

@@ -9,32 +9,13 @@ scheduled-user indices; femto cells are represented to outsiders by one
 fixed user.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .power import taxation_from_feedback
 from .scheduling import NO_USER
-from .topology import TIER_FEMTO, TIER_MACRO, classify_edge_users
-
-
-@dataclass
-class FeedbackConfig:
-    period_slots: int = 1
-    edge_only: bool = False
-    edge_threshold_db: float = 6.0
-    femto_overhear: bool = True
-    ref_count: int = 1                      # M reference users per subchannel
-    tier_period_overrides: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.period_slots < 1:
-            raise ValueError("period_slots must be >= 1")
-        if self.ref_count < 0:
-            raise ValueError("ref_count must be >= 0")
-
-    def period_for(self, tier):
-        return self.tier_period_overrides.get(tier, self.period_slots)
+from .topology import TIER_FEMTO, classify_edge_users
 
 
 def representative_users(network):
@@ -72,7 +53,7 @@ class NeighborViews:
     femto_view: np.ndarray  # (N, S) what a femto viewer sees
 
 
-def exchange_scheduled_indices(sched, rep, config):
+def exchange_scheduled_indices(sched, rep, scenario):
     """Per-slot index exchange with the femto simplifications.
 
     rep is the (N,) `representative_users` array, built once per run.
@@ -80,11 +61,12 @@ def exchange_scheduled_indices(sched, rep, config):
     their fixed representative (no per-slot femto feedback); femto viewers
     learn macro indices only by overhearing. A femto cell without users has
     no representative and nothing scheduled, so it shows NO_USER either way.
+    Overhearing is the scenario's `femto_overhear`.
     """
     stand_in = np.repeat(rep[:, None], sched.shape[1], axis=1)
     macro_view = np.where(stand_in != NO_USER, stand_in, sched)
     return NeighborViews(macro_view=macro_view,
-                         femto_view=macro_view if config.femto_overhear else stand_in)
+                         femto_view=macro_view if scenario.femto_overhear else stand_in)
 
 
 class CandidateTables:
@@ -136,18 +118,21 @@ class CandidateTables:
         self.acc_count += 1
 
 
-def refresh_candidate_tables(network, tables, slot, config, mean_gains=None, enabled=None):
+def refresh_candidate_tables(network, tables, slot, scenario, mean_gains=None, enabled=None):
     """Publish the averaged records of every due cell in one masked pass.
 
-    A cell is due when `slot` is a multiple of its tier's period; each due
-    user's window restarts. Macro cells may publish only their edge users,
-    femto cells always publish everyone, and cells whose BS is not running
-    the reference-based algorithm publish nothing (partial deployment).
+    A cell is due when `slot` is a multiple of its tier's period: the
+    scenario's `feedback_period_slots`, or for femto cells its
+    `femto_feedback_period_slots` if that is not 0. Each due user's window
+    restarts. With `edge_only_feedback`, macro cells publish only their edge
+    users; femto cells always publish everyone, and cells whose BS is not
+    running the reference-based algorithm publish nothing (partial deployment).
     Unpublished users of due cells are withdrawn. Returns the number of
     publish events: due, enabled cells with at least one user.
     """
     serving, femto = tables.serving, tables.femto
-    period = np.where(femto, config.period_for(TIER_FEMTO), config.period_for(TIER_MACRO))
+    macro_period = scenario.feedback_period_slots
+    period = np.where(femto, scenario.femto_feedback_period_slots or macro_period, macro_period)
     due_bs = slot % period == 0
     due = due_bs[serving]
     if not due.any():
@@ -155,10 +140,10 @@ def refresh_candidate_tables(network, tables, slot, config, mean_gains=None, ena
     keep = (due_bs if enabled is None else due_bs & enabled)[serving]
     events = np.count_nonzero(np.bincount(serving[keep]))
     femto_user = femto[serving]
-    if config.edge_only and (keep & ~femto_user).any():
+    if scenario.edge_only_feedback and (keep & ~femto_user).any():
         if mean_gains is None:
             raise ValueError("edge_only refresh needs mean_gains")
-        keep &= femto_user | classify_edge_users(network, mean_gains, config.edge_threshold_db)
+        keep &= femto_user | classify_edge_users(network, mean_gains, scenario.edge_threshold_db)
     # Divided in place under the mask: `pub[keep] = acc[keep] / cnt` would
     # copy the kept rows of the F0 table twice. Assigning a scalar through a
     # boolean mask copies nothing. F0 rows follow their owner's count and

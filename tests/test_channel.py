@@ -10,7 +10,7 @@ from scipy.special import j0
 
 from refimsim import channel, engine
 from refimsim.channel import (
-    BLOCK_SLOTS, MAX_OSCILLATORS, TILE_LINKS, Channel, FadingState, PropagationConfig,
+    BLOCK_SLOTS, OSCILLATORS, TILE_LINKS, WALL_LOSS_DB, Channel, FadingState,
     large_scale_linear, noise_power_w, path_loss_db, path_loss_matrix_db,
     sample_shadowing, shadowing_matrix_db, wall_mask,
 )
@@ -29,12 +29,11 @@ class TestPathLoss:
         assert path_loss_db("indoor", 10.0) == pytest.approx(69.0, abs=0.01)
 
     def test_wall_adds_10db(self):
-        cfg = PropagationConfig()
         bs = BaseStation(id=0, tier="macro", position=(0.0, 0.0), max_power_w=20.0, mask_w=20.0)
         indoor_user = User(id=0, position=(100.0, 0.0), serving_bs=0, indoor=True, home_id=7)
         net = Network(base_stations=[bs], users=[indoor_user], neighbor_sets=[[]],
                       subchannel_count=1, bandwidth_hz=1e7)
-        pl = path_loss_matrix_db(net, cfg)
+        pl = path_loss_matrix_db(net)
         assert pl[0, 0] == pytest.approx(101.82, abs=0.01)
 
     def test_wall_rules(self):
@@ -69,16 +68,14 @@ class TestPathLoss:
     @pytest.mark.parametrize("preset", ["hex19", "hetnet5", "two-cell"])
     def test_matrix_equals_per_bs_law(self, preset):
         net = build_network(get_preset(preset, seed=3))
-        cfg = PropagationConfig()
         positions = net.user_positions() + 7.0
         d = net.distances(positions)
         expected = np.stack([path_loss_db("indoor" if bs.tier == TIER_FEMTO else "macro",
-                                          d[:, n], cfg)
+                                          d[:, n])
                              for n, bs in enumerate(net.base_stations)], axis=1)
-        expected[wall_mask(net)] += cfg.penetration_loss_db
-        assert np.array_equal(path_loss_matrix_db(net, cfg, positions), expected)
-        assert np.array_equal(path_loss_matrix_db(net, cfg, positions, wall_mask(net)),
-                              expected)
+        expected[wall_mask(net)] += WALL_LOSS_DB
+        assert np.array_equal(path_loss_matrix_db(net, positions), expected)
+        assert np.array_equal(path_loss_matrix_db(net, positions, wall_mask(net)), expected)
 
 
 class TestShadowing:
@@ -101,8 +98,7 @@ class TestShadowing:
     def test_per_tier_sigma(self):
         net = build_hex_grid(0, 1000.0)
         net = place_users(net, {"macro": 200}, rng_seed=0)
-        cfg = PropagationConfig()
-        sh = shadowing_matrix_db(net, cfg, np.random.default_rng(2))
+        sh = shadowing_matrix_db(net, Scenario(), np.random.default_rng(2))
         assert sh.shape == (200, 1)
         assert sh.std() == pytest.approx(8.0, rel=0.15)
 
@@ -114,9 +110,8 @@ class TestShadowing:
 class TestNoise:
     def test_thermal_noise_derived_value(self):
         # independent dB-arithmetic oracle: -174 dBm/Hz over 625 kHz + 9 dB NF
-        cfg = PropagationConfig()
         expected_w = 10.0 ** ((-174.0 + 10.0 * np.log10(625e3) + 9.0 - 30.0) / 10.0)
-        assert noise_power_w(cfg, 625e3) == pytest.approx(expected_w, rel=1e-12)
+        assert noise_power_w(9.0, 625e3) == pytest.approx(expected_w, rel=1e-12)
         assert expected_w == pytest.approx(1.977e-14, rel=1e-3)
 
 
@@ -220,12 +215,12 @@ def _owned_nbytes(values):
     return total
 
 
-def _fading_trajectory(K, N, S, oscillators):
+def _fading_trajectory(K, N, S):
     """Every output of one FadingState through step rebuilds, dt = 0 and
     blocked advances, plus the caller's generator's next draws."""
     rng = np.random.default_rng(4)
     speeds = np.random.default_rng(K).uniform(0.0, 30.0, K)
-    st = FadingState(rng, K, N, S, speeds, 2e9, oscillators)
+    st = FadingState(rng, K, N, S, speeds, 2e9)
     seq = [rng.bit_generator.random_raw(4), st.coefficients(), st.power_gains()]
     for slot in range(12):  # dt 1 -> 2.5 -> 1 ms rebuilds the step twice
         st.advance(2.5e-3 if 4 <= slot < 8 else 1e-3)
@@ -246,12 +241,12 @@ class TestTiledFading:
     SIZES = [(3, 2, 4), (41, 11, 19)]
 
     @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("oscillators", [1, 3, 4, 5, 8, 12])
+    @pytest.mark.parametrize("oscillators", [OSCILLATORS])
     def test_bit_identical_to_untiled(self, size, oscillators):
         K, N, S = size
         speeds = np.random.default_rng(K).uniform(0.0, 30.0, K)
         ref = _UntiledFading(4, K, N, S, speeds, oscillators)
-        st = FadingState(np.random.default_rng(4), K, N, S, speeds, 2e9, oscillators)
+        st = FadingState(np.random.default_rng(4), K, N, S, speeds, 2e9)
         n_tiles, _, width = st.osc.shape
         assert width % S == 0  # tiles hold whole (user, bs) pairs
         if K * N * S < TILE_LINKS:
@@ -298,11 +293,11 @@ class TestTiledFading:
 
     @pytest.mark.parametrize("workers", [2, 3, 64])
     @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("oscillators", [1, 3, 4, 5, 8, 12])
+    @pytest.mark.parametrize("oscillators", [OSCILLATORS])
     def test_bit_identical_at_any_worker_count(self, workers, size, oscillators, monkeypatch):
         K, N, S = size
         monkeypatch.setattr(channel, "_cpu_count", lambda: 1)
-        serial = _fading_trajectory(K, N, S, oscillators)
+        serial = _fading_trajectory(K, N, S)
         # the caller's generator ends past the angles and phases, as if it drew both
         after = np.random.default_rng(4)
         after.bit_generator.advance(2 * K * N * S * oscillators)
@@ -311,7 +306,7 @@ class TestTiledFading:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to expose shared writes
         try:
-            threaded = _fading_trajectory(K, N, S, oscillators)
+            threaded = _fading_trajectory(K, N, S)
         finally:
             sys.setswitchinterval(interval)
         assert len(threaded) == len(serial)
@@ -387,11 +382,6 @@ class TestTiledFading:
         with pytest.raises(ValueError):
             st.advance(-1e-3)
 
-    @pytest.mark.parametrize("oscillators", [0, MAX_OSCILLATORS + 1])
-    def test_oscillator_count_out_of_range_rejected(self, oscillators):
-        with pytest.raises(ValueError):
-            FadingState(np.random.default_rng(1), 2, 2, 2, np.full(2, 1.0), 2e9, oscillators)
-
     def test_returned_arrays_do_not_alias_state(self):
         st = FadingState(np.random.default_rng(1), 5, 3, 4, np.full(5, 20.0), 2e9)
         st.advance(1e-3)
@@ -417,17 +407,16 @@ class TestSnapshot:
     def test_composition_and_linearity(self):
         # shadowing and fading come from the seed's children 1 and 2
         sc, net, chan = self._setup()
-        cfg = sc.propagation()
         _, sh_seed, fad_seed, _, _, _ = np.random.SeedSequence(sc.seed).spawn(6)
-        shadow = shadowing_matrix_db(net, cfg, np.random.default_rng(sh_seed))
+        shadow = shadowing_matrix_db(net, sc, np.random.default_rng(sh_seed))
         fading = FadingState(np.random.default_rng(fad_seed), 3, 1, 4,
-                             np.full(3, sc.user_speed_kmh / 3.6), cfg.carrier_freq_hz)
-        expected = large_scale_linear(path_loss_matrix_db(net, cfg), shadow)[:, :, None] \
+                             np.full(3, sc.user_speed_kmh / 3.6), sc.carrier_freq_hz)
+        expected = large_scale_linear(path_loss_matrix_db(net), shadow)[:, :, None] \
             * fading.power_gains()
         gains = chan.gains()
         assert np.array_equal(gains, expected)
         assert np.all(gains > 0)
-        assert np.all(chan.noise == noise_power_w(cfg, sc.bandwidth_hz / 4))
+        assert np.all(chan.noise == noise_power_w(sc.noise_figure_db, sc.bandwidth_hz / 4))
 
     def test_pure_function_of_inputs(self):
         _, _, chan = self._setup()
@@ -456,7 +445,7 @@ class TestChannel:
     def test_gains_compose_large_scale_and_fading(self):
         sc, net = self._hetnet()
         chan = Channel(sc, net)
-        pl = path_loss_matrix_db(net, chan.config)
+        pl = path_loss_matrix_db(net)
         expected = large_scale_linear(pl, chan.shadow_db)[:, :, None] \
             * chan.fading.power_gains()
         assert np.array_equal(chan.gains(), expected)
@@ -478,30 +467,19 @@ class TestChannel:
         chan = Channel(sc, net)
         before = chan.large_scale.copy()
         chan.advance()
-        pl = path_loss_matrix_db(net, chan.config, chan.mobility.positions)
+        pl = path_loss_matrix_db(net, chan.mobility.positions)
         assert np.array_equal(chan.large_scale, large_scale_linear(pl, chan.shadow_db))
         assert not np.array_equal(chan.large_scale, before)
-
-
-class TestConfigValidation:
-    def test_gap_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            PropagationConfig(sinr_gap=0.5)
-
-    def test_bad_slope_rejected(self):
-        with pytest.raises(ValueError):
-            PropagationConfig(macro_pathloss_b=0.0)
 
 
 def _slot_by_slot(sc, net, slots):
     """(large_scale, gains) of each slot, from the channel's parts stepped one
     slot at a time."""
     streams = sc.seed_streams()
-    cfg = sc.propagation()
     speeds = np.full(net.n_users, sc.user_speed_kmh / 3.6)
-    shadow = shadowing_matrix_db(net, cfg, np.random.default_rng(streams["shadowing"]))
+    shadow = shadowing_matrix_db(net, sc, np.random.default_rng(streams["shadowing"]))
     fading = FadingState(np.random.default_rng(streams["fading"]), net.n_users, net.n_bs,
-                         net.subchannel_count, speeds, cfg.carrier_freq_hz, cfg.oscillators)
+                         net.subchannel_count, speeds, sc.carrier_freq_hz)
     mobility = None
     if sc.mobile_users:
         mobility = WaypointMobility(net, speeds, np.random.default_rng(streams["mobility"]))
@@ -509,7 +487,7 @@ def _slot_by_slot(sc, net, slots):
         if mobility is not None:
             mobility.advance(sc.slot_duration_s)
         positions = None if mobility is None else mobility.positions
-        large = large_scale_linear(path_loss_matrix_db(net, cfg, positions), shadow)
+        large = large_scale_linear(path_loss_matrix_db(net, positions), shadow)
         fading.advance(sc.slot_duration_s)
         yield large, large[:, :, None] * fading.power_gains()
 
@@ -556,7 +534,7 @@ class TestChannelBlocks:
         streams = sc.seed_streams()
         ref = FadingState(np.random.default_rng(streams["fading"]), net.n_users, net.n_bs,
                           net.subchannel_count, np.full(net.n_users, sc.user_speed_kmh / 3.6),
-                          chan.config.carrier_freq_hz)
+                          sc.carrier_freq_hz)
         chan.advance()
         for _ in range(rotations):
             ref.advance(sc.slot_duration_s)

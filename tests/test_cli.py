@@ -1,8 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from refimsim import cli
 from refimsim.cli import load_scenario, main, parse_values, ConfigError
 
 
@@ -138,7 +140,13 @@ class TestRunCommand:
             {"seed": -1}, {"shadowing_sigma_macro_db": -1}, {"initial_throughput_bps": 0},
             {"noise_figure_db": "x"}, {"slots": 600.5}, {"subchannels": 2.5},
             {"mobile_users": "no"}, {"edge_only_feedback": "false"},
-            {"users_per_group": True}, {"macro_power_dbm": None}, {"carrier_freq_hz": -1})])
+            {"users_per_group": True}, {"macro_power_dbm": None}, {"carrier_freq_hz": -1},
+            {"noise_figure_db": float("nan")}, {"bandwidth_hz": float("inf")},
+            {"utility_alpha": float("nan")}, {"macro_power_dbm": float("-inf")},
+            {"kind": "mixed_density", "zones": [{"cols": 2, "rows": 1,
+                                                 "spacing_m": float("inf")}]},
+            {"ref_count": -1}, {"femto_feedback_period_slots": -1},
+            {"kind": "mixed_density", "zones": [{"cols": 1.5, "rows": 1, "spacing_m": 900}]})])
     def test_invalid_field_in_config_exit_1_no_outputs(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -187,6 +195,24 @@ class TestOracleCommand:
             ratios[parts[0]] = float(parts[2].rstrip("%"))
         assert ratios["oracle"] == pytest.approx(100.0)
         assert ratios["refim"] >= ratios["wf"] >= ratios["eq"]
+
+    def test_spectrum_policy_confines_the_powers(self, tmp_path, capsys, monkeypatch):
+        # one macro subchannel under splitting: both macro BSs may use only subchannel 0
+        real, seen = cli.compare_to_oracle, {}
+
+        def spy(gains, noise_w, cells, weights, budgets, masks, *args, **kwargs):
+            seen["masks"] = masks
+            return real(gains, noise_w, cells, weights, budgets, masks, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "compare_to_oracle", spy)
+        cfg = tmp_path / "split.json"
+        cfg.write_text(json.dumps({"preset": "toy2", "spectrum_policy": "splitting",
+                                   "macro_subchannels": 1}))
+        assert main(["oracle", str(cfg)]) == 0
+        split = capsys.readouterr().out
+        assert np.all(seen["masks"][:, 0] > 0) and np.all(seen["masks"][:, 1] == 0)
+        assert main(["oracle", "toy2"]) == 0
+        assert capsys.readouterr().out != split
 
     def test_large_instance_refused(self, capsys):
         assert main(["oracle", "hex19"]) == 1

@@ -227,7 +227,7 @@ class TestConservationReplay:
         res = run(sc, record=True)
 
         chan = channel.Channel(sc, build_network(sc))
-        gap, bw_sub = chan.config.sinr_gap, sc.bandwidth_hz / sc.subchannels
+        gap, bw_sub = chan.sinr_gap, sc.bandwidth_hz / sc.subchannels
         accum = np.zeros(chan.noise.shape[0])
         for t, (powers, sched) in enumerate(zip(res.powers, res.schedules)):
             chan.advance()

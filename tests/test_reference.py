@@ -6,7 +6,7 @@ from refimsim.engine import Scenario, build_network
 from refimsim.power import taxation_term
 from refimsim.presets import get_preset
 from refimsim.reference import (
-    CandidateTables, FeedbackConfig, ReferenceSelection, exchange_scheduled_indices,
+    CandidateTables, ReferenceSelection, exchange_scheduled_indices,
     protocol_rows, refresh_candidate_tables, representative_users, select_references,
     viewer_index,
 )
@@ -70,7 +70,7 @@ class TestExchange:
     def test_macros_see_exact_indices(self):
         net = protocol_network()
         sched = np.array([[0, 1], [4, 3], [7, 6]])
-        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
         assert np.array_equal(views.macro_view[0], sched[0])
         assert np.array_equal(views.macro_view[1], sched[1])
 
@@ -78,7 +78,7 @@ class TestExchange:
         net = protocol_network()
         assert representative_users(net)[2] == 6
         sched = np.array([[0, 1], [4, 3], [7, 7]])  # femto really schedules 7
-        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
         assert np.all(views.macro_view[2] == 6)
         assert np.all(views.femto_view[2] == 6)
 
@@ -86,9 +86,9 @@ class TestExchange:
         net = protocol_network()
         sched = np.array([[0, 1], [4, 3], [6, 7]])
         rep = representative_users(net)
-        views_on = exchange_scheduled_indices(sched, rep, FeedbackConfig(femto_overhear=True))
+        views_on = exchange_scheduled_indices(sched, rep, Scenario(femto_overhear=True))
         assert np.array_equal(views_on.femto_view[0], sched[0])
-        views_off = exchange_scheduled_indices(sched, rep, FeedbackConfig(femto_overhear=False))
+        views_off = exchange_scheduled_indices(sched, rep, Scenario(femto_overhear=False))
         assert np.all(views_off.femto_view[0] == NO_USER)
         assert np.all(views_off.femto_view[1] == NO_USER)
 
@@ -98,12 +98,12 @@ class TestExchange:
         gains, powers, noise, weights, serving = random_slot(net, 0)
         tables = CandidateTables(net)
         accumulate(tables, gains, powers, noise, weights, serving)
-        refresh_candidate_tables(net, tables, 0, FeedbackConfig())
+        refresh_candidate_tables(net, tables, 0, Scenario())
         net2 = Network(base_stations=net.base_stations, users=net.users,
                        neighbor_sets=[[1, 2], [0, 2], [0, 1]],
                        subchannel_count=2, bandwidth_hz=10e6)
         sched = np.array([[0, 1], [4, 3], [6, 7]])
-        cfg = FeedbackConfig(femto_overhear=False)
+        cfg = Scenario(femto_overhear=False)
         views = exchange_scheduled_indices(sched, representative_users(net2), cfg)
         sel = select_one(net2, 2, views, tables, count=1)
         assert not sel.valid().any()
@@ -123,9 +123,9 @@ class TestCandidateTables:
         gains, powers, noise, weights, serving = random_slot(net, 1)
         tables = CandidateTables(net)
         accumulate(tables, gains, powers, noise, weights, serving)
-        refresh_candidate_tables(net, tables, 0, FeedbackConfig(period_slots=1))
+        refresh_candidate_tables(net, tables, 0, Scenario(feedback_period_slots=1))
         sched = np.array([[0, 1], [4, 3], [6, 7]])
-        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
         sel = select_references(views, tables, count=1)
         taxes = sel.taxes()
         for n in range(3):
@@ -137,7 +137,7 @@ class TestCandidateTables:
 
     def test_time_average_is_arithmetic_mean(self):
         net = protocol_network()
-        cfg = FeedbackConfig(period_slots=3)
+        cfg = Scenario(feedback_period_slots=3)
         tables = CandidateTables(net)
         slabs = []
         for t in range(3):
@@ -151,7 +151,7 @@ class TestCandidateTables:
 
     def test_staleness_bounded_by_period(self):
         net = protocol_network()
-        cfg = FeedbackConfig(period_slots=5)
+        cfg = Scenario(feedback_period_slots=5)
         tables = CandidateTables(net)
         for t in range(23):
             gains, powers, noise, weights, serving = random_slot(net, t)
@@ -159,11 +159,11 @@ class TestCandidateTables:
             refresh_candidate_tables(net, tables, t, cfg)
             if t >= 5:
                 stale = (t - tables.last_update)[tables.pub_valid]
-                assert stale.max() <= cfg.period_slots
+                assert stale.max() <= cfg.feedback_period_slots
 
     def test_between_refreshes_values_stay_stale(self):
         net = protocol_network()
-        cfg = FeedbackConfig(period_slots=10)
+        cfg = Scenario(feedback_period_slots=10)
         tables = CandidateTables(net)
         gains, powers, noise, weights, serving = random_slot(net, 2)
         accumulate(tables, gains, powers, noise, weights, serving)
@@ -185,7 +185,7 @@ class TestCandidateTables:
         mean_gains[1, 1] = 0.9e-6  # within 6 dB of serving -> edge
         tables = CandidateTables(net)
         accumulate(tables, gains, powers, noise, weights, serving)
-        cfg = FeedbackConfig(edge_only=True, edge_threshold_db=6.0)
+        cfg = Scenario(edge_only_feedback=True, edge_threshold_db=6.0)
         refresh_candidate_tables(net, tables, 0, cfg, mean_gains=mean_gains)
         assert not tables.pub_valid[0]
         assert tables.pub_valid[1]
@@ -198,11 +198,11 @@ class TestCandidateTables:
         mean_gains = gains.mean(axis=2)
         t_full = CandidateTables(net)
         accumulate(t_full, gains, powers, noise, weights, serving)
-        refresh_candidate_tables(net, t_full, 0, FeedbackConfig(edge_only=False))
+        refresh_candidate_tables(net, t_full, 0, Scenario(edge_only_feedback=False))
         t_edge = CandidateTables(net)
         accumulate(t_edge, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, t_edge, 0,
-                                 FeedbackConfig(edge_only=True, edge_threshold_db=1e9),
+                                 Scenario(edge_only_feedback=True, edge_threshold_db=1e9),
                                  mean_gains=mean_gains)
         assert np.array_equal(t_full.pub_valid, t_edge.pub_valid)
         assert np.array_equal(t_full.pub_f0, t_edge.pub_f0)
@@ -212,7 +212,7 @@ class TestCandidateTables:
         gains, powers, noise, weights, serving = random_slot(net, 5)
         tables = CandidateTables(net)
         accumulate(tables, gains, powers, noise, weights, serving)
-        refresh_candidate_tables(net, tables, 0, FeedbackConfig(),
+        refresh_candidate_tables(net, tables, 0, Scenario(),
                                  enabled=np.array([False, True, True]))
         assert not tables.pub_valid[[0, 1, 2]].any()
         assert tables.pub_valid[[3, 4, 5, 6, 7]].all()
@@ -222,7 +222,7 @@ class TestCandidateTables:
         gains, powers, noise, weights, serving = random_slot(net, 6)
         tables = CandidateTables(net)
         accumulate(tables, gains, powers, noise, weights, serving)
-        refresh_candidate_tables(net, tables, 0, FeedbackConfig())
+        refresh_candidate_tables(net, tables, 0, Scenario())
         assert tables.pub_valid[3] and tables.last_update[3] == 0
         assert tables.pub_f1[3] == pytest.approx(weights[3])
         assert tables.pub_f2[3].shape == (2,)
@@ -241,14 +241,14 @@ class TestSelection:
         serving = np.array([u.serving_bs for u in net.users])
         tables = CandidateTables(net)
         accumulate(tables, gains, powers, noise, weights, serving)
-        refresh_candidate_tables(net, tables, 0, FeedbackConfig())
+        refresh_candidate_tables(net, tables, 0, Scenario())
         return tables
 
     def test_argmax_across_neighbors(self):
         net = protocol_network()
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         sched = np.array([[0, 0], [4, 4], [6, 6]])
-        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
         sel = select_one(net, 0, views, tables, count=1)
         assert np.all(sel.ref_bs[0, :, 0] == 2)
         assert np.all(sel.ref_user[0, :, 0] == 6)
@@ -257,7 +257,7 @@ class TestSelection:
         net = protocol_network()
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         sched = np.array([[0, 0], [4, 4], [6, 6]])
-        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
         sel = select_one(net, 0, views, tables, count=0)
         assert not sel.valid().any()
         assert np.all(sel.taxes()[0] == 0.0)
@@ -266,7 +266,7 @@ class TestSelection:
         net = protocol_network()
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         sched = np.array([[0, 0], [4, 4], [6, 6]])
-        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
         one = select_one(net, 0, views, tables, count=1)
         both = select_one(net, 0, views, tables, count=2)
         assert both.valid()[0].sum() == 4  # two refs on each of two subchannels
@@ -289,9 +289,9 @@ class TestSelection:
         serving = np.array([u.serving_bs for u in net.users])
         tables = CandidateTables(net)
         accumulate(tables, gains, powers, noise, weights, serving)
-        refresh_candidate_tables(net, tables, 0, FeedbackConfig())
+        refresh_candidate_tables(net, tables, 0, Scenario())
         sched = np.tile(np.arange(7)[:, None], (1, 2))  # one user per cell
-        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
         sel = select_one(net, 0, views, tables, count=6)
         assert sel.valid()[0].sum() == 6 * 2  # all six neighbors, both subchannels
         for s in range(2):
@@ -306,7 +306,7 @@ class TestSelection:
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         tables.pub_valid[[6, 7]] = False  # femto record vanishes
         sched = np.array([[0, 0], [4, 4], [6, 6]])
-        views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
+        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
         sel = select_one(net, 0, views, tables, count=1)
         assert np.all(sel.ref_bs[0, :, 0] == 1)  # falls back to the other macro
 
@@ -316,9 +316,9 @@ class TestSelection:
             gains, powers, noise, weights, serving = random_slot(net, seed)
             tables = CandidateTables(net)
             accumulate(tables, gains, powers, noise, weights, serving)
-            refresh_candidate_tables(net, tables, 0, FeedbackConfig())
+            refresh_candidate_tables(net, tables, 0, Scenario())
             sched = np.array([[0, 1], [4, 5], [6, 7]])
-            views = exchange_scheduled_indices(sched, representative_users(net), FeedbackConfig())
+            views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
             sel = select_references(views, tables, count=1)
             for n in range(net.n_bs):
                 for s in range(net.subchannel_count):
@@ -407,27 +407,27 @@ class TestBatchSelection:
     @pytest.mark.parametrize("seed", range(3))
     def test_hex19_matches_loop(self, seed):
         net = build_network(get_preset("hex19"))
-        self._check(net, FeedbackConfig(), seed)
+        self._check(net, Scenario(), seed)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_hetnet10_without_overhearing_matches_loop(self, seed):
         net = build_network(get_preset("hetnet10"))
-        self._check(net, FeedbackConfig(femto_overhear=False), seed)
+        self._check(net, Scenario(femto_overhear=False), seed)
 
     @pytest.mark.parametrize("net_name", ["hex19", "hetnet10"])
     def test_tied_cross_gains_keep_neighbor_order(self, net_name):
         net = build_network(get_preset(net_name))
-        self._check(net, FeedbackConfig(femto_overhear=False), 7, tie_levels=2)
+        self._check(net, Scenario(femto_overhear=False), 7, tie_levels=2)
 
     def test_bs_without_neighbors(self):
         base = protocol_network(n_sub=3)
         net = asymmetric_network()
         for seed in range(4):
-            self._check(net, FeedbackConfig(), seed, tie_levels=3)
+            self._check(net, Scenario(), seed, tie_levels=3)
         lonely = Network(base_stations=base.base_stations, users=base.users,
                          neighbor_sets=[[], [], []], subchannel_count=3,
                          bandwidth_hz=10e6)
-        self._check(lonely, FeedbackConfig(), 0)
+        self._check(lonely, Scenario(), 0)
 
 
 def full_table_select(views, tables, full_f0, count, enabled=None):
@@ -482,7 +482,7 @@ class TestViewerTables:
     @pytest.mark.parametrize("net_name", sorted(VIEWER_NETWORKS))
     def test_selection_equals_full_table_ranking(self, net_name, overhear):
         net = VIEWER_NETWORKS[net_name]()
-        fb = FeedbackConfig(femto_overhear=overhear)
+        fb = Scenario(femto_overhear=overhear)
         for seed, tie_levels in ((0, None), (1, None), (2, 2)):
             rng = np.random.default_rng(seed)
             tables, full_f0 = random_tables(net, rng, tie_levels)
@@ -540,7 +540,7 @@ class TestProtocolDeterminism:
         def run_once():
             tables = CandidateTables(net)
             trace = []
-            cfg = FeedbackConfig(period_slots=2)
+            cfg = Scenario(feedback_period_slots=2)
             for t in range(6):
                 gains, powers, noise, weights, serving = random_slot(net, t)
                 accumulate(tables, gains, powers, noise, weights, serving)
@@ -558,7 +558,7 @@ class TestProtocolDeterminism:
         gains, powers, noise, weights, serving = random_slot(net, 0)
         tables = CandidateTables(net)
         accumulate(tables, gains, powers, noise, weights, serving)
-        refresh_candidate_tables(net, tables, 0, FeedbackConfig())
+        refresh_candidate_tables(net, tables, 0, Scenario())
         trace = protocol_rows(net, 0, published_users(tables, 0))
         from_bs0 = [row for row in trace if row[1] == 0 and row[3] == "table_refresh"]
         assert len(from_bs0) == 2  # two neighbors
@@ -601,14 +601,17 @@ def looped_refresh(network, tables, slot, config, mean_gains=None, enabled=None)
     edge_flags = None
     for n, bs in enumerate(network.base_stations):
         ids = cells[n]
-        if slot % config.period_for(bs.tier) != 0 or not ids:
+        period = config.feedback_period_slots
+        if bs.tier == TIER_FEMTO and config.femto_feedback_period_slots:
+            period = config.femto_feedback_period_slots
+        if slot % period != 0 or not ids:
             continue
         if enabled is not None and not enabled[n]:
             withdraw(ids)
             reset_window(ids)
             continue
         publish_ids = ids
-        if config.edge_only and bs.tier != TIER_FEMTO:
+        if config.edge_only_feedback and bs.tier != TIER_FEMTO:
             if edge_flags is None:
                 edge_flags = classify_edge_users(network, mean_gains, config.edge_threshold_db)
             publish_ids = [k for k in ids if edge_flags[k]]
@@ -647,10 +650,8 @@ class TestMaskedRefresh:
                                    threshold_db, enabled_bits, start, seed):
         net = REFRESH_NETWORKS[net_index]
         K, N, S = net.n_users, net.n_bs, net.subchannel_count
-        cfg = FeedbackConfig(period_slots=period, edge_only=edge_only,
-                             edge_threshold_db=threshold_db,
-                             tier_period_overrides={TIER_FEMTO: femto_period}
-                             if femto_period else {})
+        cfg = Scenario(feedback_period_slots=period, femto_feedback_period_slots=femto_period,
+                       edge_only_feedback=edge_only, edge_threshold_db=threshold_db)
         enabled = None
         if enabled_bits is not None:
             enabled = (enabled_bits >> np.arange(N)) % 2 == 1
@@ -670,17 +671,3 @@ class TestMaskedRefresh:
             for name, value in vars(want).items():
                 assert np.array_equal(getattr(got, name), value), (name, t)
 
-
-class TestConfigValidation:
-    def test_period_positive(self):
-        with pytest.raises(ValueError):
-            FeedbackConfig(period_slots=0)
-
-    def test_ref_count_nonnegative(self):
-        with pytest.raises(ValueError):
-            FeedbackConfig(ref_count=-1)
-
-    def test_tier_override(self):
-        cfg = FeedbackConfig(period_slots=1, tier_period_overrides={"femto": 50})
-        assert cfg.period_for("macro") == 1
-        assert cfg.period_for("femto") == 50

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from refimsim import topology
-from refimsim.channel import (
-    PropagationConfig, large_scale_linear, path_loss_matrix_db, shadowing_matrix_db,
-)
-from refimsim.engine import build_network
+from refimsim.channel import large_scale_linear, path_loss_matrix_db, shadowing_matrix_db
+from refimsim.engine import Scenario, build_network
 from refimsim.presets import get_preset
 from refimsim.topology import (
     BaseStation, DiscRegion, HexRegion, Network, User,
@@ -249,9 +247,8 @@ class TestEdgeClassificationMatchesLoop:
     def test_flags_equal_loop(self, layout):
         net = self._partly_isolated() if layout == "partly-isolated" \
             else build_network(get_preset(layout))
-        cfg = PropagationConfig()
-        gains = large_scale_linear(path_loss_matrix_db(net, cfg),
-                                   shadowing_matrix_db(net, cfg, np.random.default_rng(3)))
+        gains = large_scale_linear(path_loss_matrix_db(net),
+                                   shadowing_matrix_db(net, Scenario(), np.random.default_rng(3)))
         seen = set()
         for threshold_db in (0.0, 6.0, 20.0):
             flags = classify_edge_users(net, gains, threshold_db)

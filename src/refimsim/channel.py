@@ -63,19 +63,15 @@ def path_loss_matrix_db(network, positions=None, walls=None):
     return pl
 
 
-def sample_shadowing(rng, sigma_db, size=None):
-    """Zero-mean Gaussian shadowing in dB, drawn once per (user, BS) link."""
-    if np.any(np.asarray(sigma_db) < 0):
-        raise ValueError("sigma_db must be >= 0")
-    return rng.normal(0.0, 1.0, size=size) * sigma_db
-
-
 def shadowing_matrix_db(network, scenario, rng):
-    """(K, N) shadowing; sigma is the scenario's one for the BS tier of the link."""
+    """(K, N) zero-mean Gaussian shadowing in dB, drawn once per (user, BS)
+    link; sigma is the scenario's one for the BS tier of the link."""
     sigma_db = {"macro": scenario.shadowing_sigma_macro_db,
                 "femto": scenario.shadowing_sigma_femto_db}
     sigma = np.array([sigma_db[b.tier] for b in network.base_stations])
-    return sample_shadowing(rng, sigma, size=(network.n_users, network.n_bs))
+    if np.any(sigma < 0):
+        raise ValueError("shadowing sigma must be >= 0")
+    return rng.normal(0.0, 1.0, size=(network.n_users, network.n_bs)) * sigma
 
 
 def noise_power_w(noise_figure_db, subchannel_bw_hz):

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import channel, engine, reference
 from .engine import Scenario, SWEEP_AXES
-from .oracle import InstanceTooLarge
-from .oracle_compare import compare_to_oracle
+from .oracle import InstanceTooLarge, compare_to_oracle
 from .presets import PRESETS, get_preset
 
 
@@ -46,7 +45,7 @@ def load_scenario(spec):
     base = Scenario()
     if "preset" in doc:
         name = doc.pop("preset")
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             raise ConfigError(f"unknown preset {name!r}")
         base = PRESETS[name]
     unknown = set(doc) - _SCENARIO_FIELDS
@@ -164,8 +163,12 @@ def cmd_sweep(args):
     sc = apply_overrides(load_scenario(args.config), args)
     if args.axis not in SWEEP_AXES:
         raise ConfigError(f"unknown axis {args.axis!r}; expected one of {SWEEP_AXES}")
-    values = parse_values(args.values, args.axis)
-    results = engine.sweep(sc, args.axis, values)
+    try:  # every value is parsed and its scenario built (so validated) before any run
+        values = parse_values(args.values, args.axis)
+        swept = [(v, engine.scenario_for_axis(sc, args.axis, v)) for v in values]
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"bad {args.axis} values {args.values!r}: {e}") from e
+    results = [(v, engine.run(s)) for v, s in swept]
     if args.axis == "split_ratio":
         sharing = engine.run(dataclasses.replace(sc, spectrum_policy="sharing"))
         results.append(("sharing", sharing))
@@ -185,6 +188,8 @@ def cmd_sweep(args):
 
 def cmd_oracle(args):
     sc = apply_overrides(load_scenario(args.config), args)
+    if args.levels < 2:
+        raise ConfigError("--levels must be >= 2")
     net = engine.build_network(sc)
     chan = channel.Channel(sc, net)
     budgets, masks, _ = engine.power_limits(net, sc)

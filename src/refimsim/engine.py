@@ -207,10 +207,11 @@ def build_network(scenario):
     return net
 
 
-def allowed_subchannels(network, scenario):
-    """(N, S) usable-subchannel mask under the spectrum policy."""
-    S = network.subchannel_count
-    allowed = np.ones((network.n_bs, S), dtype=bool)
+def power_limits(network, scenario):
+    """(budgets, masks, allowed): each BS's (N,) power budget, its (N, S)
+    per-subchannel masks, 0 where the spectrum policy forbids a subchannel,
+    and the (N, S) bool mask of the subchannels the policy allows."""
+    allowed = np.ones((network.n_bs, network.subchannel_count), dtype=bool)
     if scenario.spectrum_policy == "splitting":
         c = scenario.macro_subchannels
         for n, bs in enumerate(network.base_stations):
@@ -218,14 +219,6 @@ def allowed_subchannels(network, scenario):
                 allowed[n, :c] = False
             else:
                 allowed[n, c:] = False
-    return allowed
-
-
-def power_limits(network, scenario):
-    """(budgets, masks, allowed): each BS's (N,) power budget, its (N, S)
-    per-subchannel masks, 0 where the spectrum policy forbids a subchannel,
-    and the (N, S) `allowed_subchannels` mask."""
-    allowed = allowed_subchannels(network, scenario)
     budgets = np.array([b.max_power_w for b in network.base_stations])
     masks = np.array([[b.mask_w] * network.subchannel_count
                       for b in network.base_stations]) * allowed
@@ -243,10 +236,10 @@ def gat(throughputs_bps):
     return float(np.exp(np.mean(np.log(r))))
 
 
-def aet(throughputs_bps, percentile=0.05):
-    """Mean of the bottom-percentile users (at least one user)."""
+def aet(throughputs_bps):
+    """Mean of the bottom 5% of users (at least one user)."""
     r = np.sort(np.asarray(throughputs_bps, dtype=float))
-    count = max(1, int(np.ceil(percentile * r.size)))
+    count = max(1, int(np.ceil(0.05 * r.size)))
     return float(r[:count].mean())
 
 
@@ -368,7 +361,7 @@ def run(scenario, record=False):
             committed = eq_powers
         else:
             p_eval = power.initial_power(sc.initial_power_rule, budgets, masks,
-                                         prev=prev_powers, rng=rng_pow, slot=t)
+                                         prev=prev_powers, rng=rng_pow)
             sched, committed, lam, iters = power.general_algorithm(
                 members, serving, gains, weights, noise, taxes, budgets, masks, p_eval, *caps,
                 subchannel_bw_hz=bw_sub, sinr_gap=gap, allowed=allowed)

@@ -1,4 +1,5 @@
-"""Exhaustive joint optimizer for tiny instances.
+"""Exhaustive joint optimizer for tiny instances, and the single-snapshot
+drivers that score each algorithm against it.
 
 Searches a per-subchannel power grid for every BS jointly with every
 feasible user-to-subchannel schedule, maximizing the weighted sum rate.
@@ -10,22 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheduling import served_rates
+from . import power
+from .scheduling import schedule_at, served_rates
+from .topology import pad_index_lists
 
 MAX_BS = 3
 MAX_SUBCHANNELS = 2
 MAX_USERS_PER_CELL = 2
-
-
-@dataclass
-class GridSpec:
-    """Power discretization: `levels` points per subchannel spanning [0, mask]."""
-    levels: int = 9
-    max_combinations: int = 10_000_000
-
-    def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError("levels must be >= 2")
+# Power x schedule combinations brute_force searches at most.
+MAX_COMBINATIONS = 10_000_000
+SETTLE_PASSES = 60
 
 
 class InstanceTooLarge(ValueError):
@@ -81,14 +76,17 @@ class OracleResult:
     schedule: np.ndarray
 
 
-def brute_force(gains, noise_w, cells, weights, budgets, masks, grid=None,
+def brute_force(gains, noise_w, cells, weights, budgets, masks, levels=9,
                 subchannel_bw_hz=1.0, sinr_gap=1.0):
-    """Exact maximum of the weighted sum rate over the discrete feasible set.
+    """Exact maximum of the weighted sum rate over the discrete feasible set:
+    `levels` (>= 2) power points per subchannel spanning [0, mask].
 
     Ties break lexicographically (first hit in enumeration order). Raises
-    InstanceTooLarge with a size report when the search space exceeds the cap.
+    InstanceTooLarge with a size report when the search space exceeds
+    MAX_COMBINATIONS.
     """
-    grid = grid or GridSpec()
+    if levels < 2:
+        raise ValueError("levels must be >= 2")
     gains = np.asarray(gains, dtype=float)
     noise_w = np.asarray(noise_w, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -101,13 +99,13 @@ def brute_force(gains, noise_w, cells, weights, budgets, masks, grid=None,
         raise InstanceTooLarge(
             f"instance N={N}, S={S}, cell sizes {[len(c) for c in cells]} exceeds "
             f"oracle limits (N<={MAX_BS}, S<={MAX_SUBCHANNELS}, |K_n|<={MAX_USERS_PER_CELL})")
-    total = combination_count(N, S, cells, grid.levels)
-    if total > grid.max_combinations:
+    total = combination_count(N, S, cells, levels)
+    if total > MAX_COMBINATIONS:
         raise InstanceTooLarge(
             f"{total} power x schedule combinations exceed the cap "
-            f"{grid.max_combinations} (levels={grid.levels}, N={N}, S={S})")
+            f"{MAX_COMBINATIONS} (levels={levels}, N={N}, S={S})")
 
-    per_bs = [_bs_power_candidates(grid.levels, masks[n], budgets[n]) for n in range(N)]
+    per_bs = [_bs_power_candidates(levels, masks[n], budgets[n]) for n in range(N)]
     counts = [c.shape[0] for c in per_bs]
     # joint power tensor (C, N, S) in lexicographic order over BS grids
     joint = np.zeros((int(np.prod(counts)), N, S))
@@ -135,3 +133,48 @@ def brute_force(gains, noise_w, cells, weights, budgets, masks, grid=None,
             best_c = c
             best_sched = sched
     return OracleResult(objective=best_h, powers=joint[best_c].copy(), schedule=best_sched)
+
+
+def settle_algorithm(algo, gains, noise_w, cells, weights, budgets, masks,
+                     neighbor_sets, subchannel_bw_hz=1.0, sinr_gap=1.0):
+    """Run the loop-free slot step SETTLE_PASSES times on a frozen snapshot.
+
+    The previous-slot powers feed each next pass, which is how the
+    step-by-step algorithm accumulates its implicit iterations. `eq` only
+    schedules, at the equal split. Returns (objective, powers, schedule).
+    """
+    weights = np.asarray(weights)
+    serving = serving_of(cells, gains.shape[0])
+    members = pad_index_lists(cells, width=1)
+    p = power.initial_power("uniform", budgets, masks)
+    if algo == "eq":
+        sched = schedule_at(gains, p, noise_w, serving, members, weights, sinr_gap,
+                            subchannel_bw_hz)[0]
+    elif algo in ("wf", "refim"):
+        nbr = pad_index_lists(neighbor_sets)
+
+        def refim_taxes(sched, p, total, *_):
+            return power.ground_truth_taxes(sched, gains, weights, noise_w, nbr, p, total, 1)
+
+        taxes = refim_taxes if algo == "refim" else power.no_taxes
+        for _ in range(SETTLE_PASSES):
+            sched, p, _, _ = power.general_algorithm(
+                members, serving, gains, weights, noise_w, taxes, budgets, masks, p,
+                subchannel_bw_hz=subchannel_bw_hz, sinr_gap=sinr_gap)
+    else:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    h = evaluate_objective(gains, noise_w, weights, p, sched, subchannel_bw_hz, sinr_gap)
+    return h, p, sched
+
+
+def compare_to_oracle(gains, noise_w, cells, weights, budgets, masks, neighbor_sets,
+                      levels=9, subchannel_bw_hz=1.0, sinr_gap=1.0):
+    """Objectives keyed "oracle" (the brute-force optimum), "eq", "wf" and
+    "refim" (each algorithm settled by settle_algorithm)."""
+    best = brute_force(gains, noise_w, cells, weights, budgets, masks, levels,
+                       subchannel_bw_hz, sinr_gap)
+    out = {"oracle": best.objective}
+    for algo in ("eq", "wf", "refim"):
+        out[algo] = settle_algorithm(algo, gains, noise_w, cells, weights, budgets, masks,
+                                     neighbor_sets, subchannel_bw_hz, sinr_gap)[0]
+    return out

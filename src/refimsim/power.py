@@ -34,11 +34,11 @@ class PowerMatrix:
     budgets: np.ndarray
     masks: np.ndarray
 
-    def violations(self, rtol=BUDGET_RTOL):
-        """Count of negative powers, mask overshoots and budget overshoots."""
+    def violations(self):
+        """Count of negative powers and of mask and budget overshoots by > BUDGET_RTOL."""
         v = int(np.count_nonzero(self.p < 0))
-        v += int(np.count_nonzero(self.p > self.masks * (1.0 + rtol) + 1e-300))
-        v += int(np.count_nonzero(self.p.sum(axis=1) > self.budgets * (1.0 + rtol)))
+        v += int(np.count_nonzero(self.p > self.masks * (1.0 + BUDGET_RTOL) + 1e-300))
+        v += int(np.count_nonzero(self.p.sum(axis=1) > self.budgets * (1.0 + BUDGET_RTOL)))
         return v
 
 
@@ -102,12 +102,12 @@ def kkt_power(weight, lam, tax, intf_noise_w, own_gain, mask):
                 np.asarray(mask, dtype=float))
 
 
-def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, masks,
-                             noise_w=None, lambda_max=None):
+def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, masks, noise_w):
     """Lockstep bisection over N base stations at once.
 
-    weights/taxes/intf_noise/own_gains/masks: (N, S); budgets: (N,); taxes
-    must be >= 0 and lambda_max, when given, > 0. Returns (p (N, S),
+    weights/taxes/intf_noise/own_gains/masks/noise_w: (N, S); budgets: (N,);
+    taxes must be >= 0. The first upper bracket is max_s w g/(noise_w ln2),
+    doubled until every row undershoots its budget. Returns (p (N, S),
     lam (N,), iters (N,)). Iterations per BS never exceed
     BISECTION_ITER_BOUND.
 
@@ -127,10 +127,8 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
         raise ValueError("budgets must be > 0")
     if np.any(taxes < 0):
         raise ValueError("taxes must be >= 0")
-    if lambda_max is not None and not lambda_max > 0:
-        raise ValueError("lambda_max must be > 0")
     N, S = weights.shape
-    noise_floor = intf_noise if noise_w is None else np.atleast_2d(np.asarray(noise_w, dtype=float))
+    noise_w = np.atleast_2d(np.asarray(noise_w, dtype=float))
     floor = intf_noise / own_gains
 
     delta = BUDGET_RTOL * budgets
@@ -143,11 +141,8 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
 
     w, t, fl, m = (a[searching] for a in (weights, taxes, floor, masks))
     b, d = budgets[searching], delta[searching]
-    if lambda_max is None:
-        with np.errstate(divide="ignore"):
-            hi = np.max(w * own_gains[searching] / (noise_floor[searching] * LN2), axis=1)
-    else:
-        hi = np.full(searching.size, float(lambda_max))
+    with np.errstate(divide="ignore"):
+        hi = np.max(w * own_gains[searching] / (noise_w[searching] * LN2), axis=1)
     # ensure the upper bracket undershoots the budget everywhere
     for _ in range(_MAX_BRACKET_DOUBLINGS):
         over = _kkt(hi[:, None], w, t, fl, m).sum(axis=1) > b
@@ -155,7 +150,7 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
             break
         hi = np.where(over, hi * 2.0, hi)
     else:
-        raise RuntimeError("bisection bracket failure: sum p(lambda_max) > budget")
+        raise RuntimeError("bisection bracket failure: sum p(hi) > budget")
 
     rows = searching
     lo = np.zeros(rows.size)
@@ -195,13 +190,13 @@ def budget_misses(p, lam, budgets):
     return int(np.count_nonzero((lam > 0) & miss))
 
 
-def initial_power(strategy, budgets, masks, prev=None, rng=None, slot=0):
+def initial_power(strategy, budgets, masks, prev=None, rng=None):
     """Per-slot starting powers: 'uniform', 'random' (rescaled to the budget),
-    or 'previous' (falls back to uniform at slot 0)."""
+    or 'previous' (falls back to uniform at slot 0, where prev is None)."""
     budgets = np.asarray(budgets, dtype=float)
     masks = np.asarray(masks, dtype=float)
     N, S = masks.shape
-    if strategy == "previous" and (slot == 0 or prev is None):
+    if strategy == "previous" and prev is None:
         strategy = "uniform"
     if strategy == "uniform":
         usable = masks > 0

@@ -38,16 +38,6 @@ def rate(gamma, gap=1.0, subchannel_bw_hz=1.0):
     return subchannel_bw_hz * np.log2(1.0 + np.asarray(gamma, dtype=float) / gap)
 
 
-def pf_weights(avg_throughput_bps, alpha=1.0):
-    """Marginal-utility weights: R^-alpha (alpha=1 is the log-utility 1/R)."""
-    r = np.asarray(avg_throughput_bps, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("average throughputs must be > 0")
-    if alpha == 1.0:
-        return 1.0 / r
-    return r ** (-alpha)
-
-
 def schedule_users(members, weights, rate_ks, allowed=None):
     """(N, S) scheduled user per (bs, subchannel): the cell's argmax of
     weight*rate, NO_USER where disallowed or where the cell is empty.
@@ -88,31 +78,35 @@ def scheduled_index(sched):
     return scheduled, np.where(scheduled, sched, 0), np.arange(N)[:, None], np.arange(S)
 
 
-def served_rates(gains, powers, sched, noise_w, gap=1.0, subchannel_bw_hz=1.0, total=None):
+def served_rates(gains, powers, sched, noise_w, gap=1.0, subchannel_bw_hz=1.0):
     """(K,) per-user sum rate actually served under the committed powers."""
     scheduled, user, bs, sub = scheduled_index(sched)
-    signal, intf_noise = link_state(gains, powers, noise_w, user, bs, sub, total)
+    signal, intf_noise = link_state(gains, powers, noise_w, user, bs, sub)
     r = rate(signal / intf_noise, gap, subchannel_bw_hz)
     return np.bincount(user[scheduled], weights=r[scheduled], minlength=gains.shape[0])
 
 
-def update_throughput(avg_bps, served_bps, beta):
-    """EWMA surrogate of long-term throughput: (1-b)*R + b*served."""
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must be in (0, 1]")
-    return (1.0 - beta) * np.asarray(avg_bps, dtype=float) + beta * np.asarray(served_bps, dtype=float)
-
-
 class UserStates:
-    """Array-backed per-user scheduler state: EWMA throughput and weights."""
+    """Array-backed per-user scheduler state: the EWMA surrogate of long-term
+    throughput R and the marginal-utility weights R^-alpha (alpha = 1 is the
+    log-utility 1/R)."""
 
     def __init__(self, n_users, initial_throughput_bps=1e-3, beta=1e-3, alpha=1.0):
+        if not 0.0 < beta <= 1.0:
+            raise ValueError("beta must be in (0, 1]")
         self.avg_throughput_bps = np.full(n_users, float(initial_throughput_bps))
         self.beta = beta
         self.alpha = alpha
 
     def weights(self):
-        return pf_weights(self.avg_throughput_bps, self.alpha)
+        r = self.avg_throughput_bps
+        if np.any(r <= 0):
+            raise ValueError("average throughputs must be > 0")
+        if self.alpha == 1.0:
+            return 1.0 / r
+        return r ** (-self.alpha)
 
     def update(self, served_bps):
-        self.avg_throughput_bps = update_throughput(self.avg_throughput_bps, served_bps, self.beta)
+        """R <- (1-beta)*R + beta*served."""
+        self.avg_throughput_bps = ((1.0 - self.beta) * self.avg_throughput_bps
+                                   + self.beta * np.asarray(served_bps, dtype=float))

@@ -33,8 +33,7 @@ class BaseStation:
     max_power_w: float
     mask_w: float
     refim_enabled: bool = True
-    home_id: int | None = None        # femto only: which home it belongs to
-    home_center: tuple | None = None  # femto only: center of that home
+    home_id: int | None = None  # femto only: which home it belongs to
 
     def __post_init__(self):
         if self.max_power_w <= 0:
@@ -48,7 +47,6 @@ class User:
     id: int
     position: tuple
     serving_bs: int
-    speed_mps: float = 0.0  # 0 = nomadic (no movement)
     indoor: bool = False
     home_id: int | None = None
 
@@ -270,31 +268,26 @@ def build_linear_two_cell(bs_distance_m, center_band_m, edge_band_m, users_per_g
                    subchannel_count=subchannels, bandwidth_hz=bandwidth_hz, regions=regions)
 
 
-DEPLOYMENT_CASES = ("single", "symmetric-pair", "asymmetric-pair")
+DEPLOYMENT_CASES = ("asymmetric-pair", "single", "symmetric-pair")  # in draw order
 # Anchor draws per femto placement before build_heterogeneous gives up.
 MAX_PLACEMENT_ATTEMPTS = 1000
 # Mixed-density BSs sit off their grid points by up to this fraction of the spacing.
 JITTER_FRAC = 0.15
 
 
-def build_heterogeneous(macro, femtos_per_macro, deployment_mix=None, home_size_m=20.0,
-                        rng_seed=0, power_dbm=None):
+def build_heterogeneous(macro, femtos_per_macro, home_size_m=20.0, rng_seed=0,
+                        power_dbm=None):
     """Drop femto BSs into each macro cell.
 
-    Cases: single home, two adjacent homes with BSs at home centers
-    (symmetric), or with one BS at the shared border (asymmetric).
+    Each placement draws one of DEPLOYMENT_CASES with equal probability (the
+    last femto of a cell is always single): single home, two adjacent homes
+    with BSs at home centers (symmetric), or with one BS at the shared border
+    (asymmetric). Each femto's home is its entry in the returned regions.
     """
     if femtos_per_macro < 0:
         raise ValueError("femtos_per_macro must be >= 0")
     if femtos_per_macro == 0:
         return macro
-    mix = deployment_mix or {c: 1.0 for c in DEPLOYMENT_CASES}
-    for c in mix:
-        if c not in DEPLOYMENT_CASES:
-            raise ValueError(f"unknown deployment case {c!r}")
-    cases = sorted(mix)
-    probs = np.array([mix[c] for c in cases], dtype=float)
-    probs = probs / probs.sum()
 
     rng = np.random.default_rng(rng_seed)
     power_w = dbm_to_watts(DEFAULT_POWER_DBM[TIER_FEMTO] if power_dbm is None else power_dbm)
@@ -312,7 +305,8 @@ def build_heterogeneous(macro, femtos_per_macro, deployment_mix=None, home_size_
         placed = 0
         while placed < femtos_per_macro:
             remaining = femtos_per_macro - placed
-            case = "single" if remaining == 1 else cases[int(rng.choice(len(cases), p=probs))]
+            case = ("single" if remaining == 1
+                    else DEPLOYMENT_CASES[int(rng.choice(3, p=np.full(3, 1 / 3)))])
 
             ok = False
             for _ in range(MAX_PLACEMENT_ATTEMPTS):
@@ -344,7 +338,7 @@ def build_heterogeneous(macro, femtos_per_macro, deployment_mix=None, home_size_
                 fid = len(stations)
                 stations.append(BaseStation(id=fid, tier=TIER_FEMTO, position=p,
                                             max_power_w=power_w, mask_w=power_w,
-                                            home_id=home_counter, home_center=h))
+                                            home_id=home_counter))
                 regions.append(DiscRegion(center=h, radius_m=half))
                 neighbor_sets.append([m])
                 neighbor_sets[m].append(fid)

@@ -15,8 +15,7 @@ from scipy.special import j0
 
 from refimsim import channel, engine, power
 from refimsim.cli import main as cli_main
-from refimsim.oracle import GridSpec, brute_force
-from refimsim.oracle_compare import settle_algorithm
+from refimsim.oracle import brute_force, settle_algorithm
 from refimsim.presets import get_preset
 from refimsim.reference import ReferenceSelection
 from refimsim.scheduling import NO_USER, schedule_at
@@ -133,7 +132,7 @@ def test_criterion_02_near_optimality_vs_oracle():
     for seed in range(20):
         gains, noise, cells, weights, budgets, masks, nbrs = toy_instance(seed)
         best = brute_force(gains, noise, cells, weights, budgets, masks,
-                           grid=GridSpec(levels=9))
+                           levels=9)
         h_r, _, _ = settle_algorithm("refim", gains, noise, cells, weights,
                                      budgets, masks, nbrs)
         h_w, _, _ = settle_algorithm("wf", gains, noise, cells, weights,

@@ -12,7 +12,7 @@ from refimsim import channel, engine
 from refimsim.channel import (
     BLOCK_SLOTS, OSCILLATORS, TILE_LINKS, WALL_LOSS_DB, Channel, FadingState,
     large_scale_linear, noise_power_w, path_loss_db, path_loss_matrix_db,
-    sample_shadowing, shadowing_matrix_db, wall_mask,
+    shadowing_matrix_db, wall_mask,
 )
 from refimsim.engine import Scenario, build_network
 from refimsim.presets import get_preset
@@ -39,7 +39,7 @@ class TestPathLoss:
     def test_wall_rules(self):
         macro = BaseStation(id=0, tier="macro", position=(0, 0), max_power_w=1, mask_w=1)
         femto = BaseStation(id=1, tier="femto", position=(5, 0), max_power_w=1, mask_w=1,
-                            home_id=3, home_center=(5, 0))
+                            home_id=3)
         outdoor = User(id=0, position=(1, 1), serving_bs=0)
         same_home = User(id=1, position=(6, 0), serving_bs=1, indoor=True, home_id=3)
         other_home = User(id=2, position=(9, 0), serving_bs=1, indoor=True, home_id=4)
@@ -78,21 +78,30 @@ class TestPathLoss:
         assert np.array_equal(path_loss_matrix_db(net, positions, wall_mask(net)), expected)
 
 
+def tier_shadowing(rng, sigma_db, users, n_bs=1, tier="macro"):
+    """shadowing_matrix_db on `users` x `n_bs` links to BSs of one tier, with
+    sigma_db for both tiers; only the tiers and counts of the network are read."""
+    net = SimpleNamespace(base_stations=[SimpleNamespace(tier=tier)] * n_bs,
+                          n_users=users, n_bs=n_bs)
+    sc = SimpleNamespace(shadowing_sigma_macro_db=sigma_db, shadowing_sigma_femto_db=sigma_db)
+    return shadowing_matrix_db(net, sc, rng)
+
+
 class TestShadowing:
     def test_zero_sigma_degenerate(self):
         rng = np.random.default_rng(0)
-        assert np.all(sample_shadowing(rng, 0.0, size=100) == 0.0)
+        assert np.all(tier_shadowing(rng, 0.0, 100) == 0.0)
 
     def test_sample_mean_matches_gaussian(self):
         # Monte-Carlo check against the zero-mean Gaussian moments
         rng = np.random.default_rng(1)
-        draws = sample_shadowing(rng, 8.0, size=100_000)
+        draws = tier_shadowing(rng, 8.0, 1000, n_bs=100)
         assert abs(draws.mean()) < 0.1
         assert draws.std() == pytest.approx(8.0, rel=0.02)
 
     def test_same_seed_identical(self):
-        a = sample_shadowing(np.random.default_rng(5), 8.0, size=10)
-        b = sample_shadowing(np.random.default_rng(5), 8.0, size=10)
+        a = tier_shadowing(np.random.default_rng(5), 8.0, 10)
+        b = tier_shadowing(np.random.default_rng(5), 8.0, 10)
         assert np.array_equal(a, b)
 
     def test_per_tier_sigma(self):
@@ -104,7 +113,9 @@ class TestShadowing:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            sample_shadowing(np.random.default_rng(0), -1.0)
+            tier_shadowing(np.random.default_rng(0), -1.0, 10)
+        with pytest.raises(ValueError):
+            tier_shadowing(np.random.default_rng(0), -1.0, 10, tier="femto")
 
 
 class TestNoise:
@@ -116,9 +127,9 @@ class TestNoise:
 
 
 class TestJakesFading:
-    def _single_link(self, speed_mps, seed=0, subchannels=1):
+    def _single_link(self, speed, seed=0, subchannels=1):
         rng = np.random.default_rng(seed)
-        return FadingState(rng, 1, 1, subchannels, np.array([speed_mps]), 2e9)
+        return FadingState(rng, 1, 1, subchannels, np.array([speed]), 2e9)
 
     def test_zero_speed_constant(self):
         st = self._single_link(0.0)

@@ -1,11 +1,16 @@
+import dataclasses
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refimsim import cli
 from refimsim.cli import load_scenario, main, parse_values, ConfigError
+from refimsim.engine import Scenario
 
 
 def read(path):
@@ -160,6 +165,94 @@ class TestRunCommand:
         assert main(["run", "toy2", "--seed", "-1", "--out", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
+
+
+# Out-of-range values of the Scenario fields that have a range, on the
+# splitting two-cell base of TestFuzzedConfig; the other fields are checked
+# for their type and finiteness only.
+OUT_OF_RANGE = {
+    "kind": ["ring"], "seed": [-1], "slots": [0, 500], "warmup_slots": [-1, 1000],
+    "subchannels": [0], "bandwidth_hz": [0.0, -1e6], "slot_duration_s": [0.0],
+    "algorithm": ["psychic"], "sched_loops": [0], "power_loops": [0],
+    "initial_power_rule": ["warm"], "spectrum_policy": ["auction"],
+    "macro_subchannels": [-1, 17], "deployment_fraction": [-0.1, 1.5], "ref_count": [-1],
+    "feedback_period_slots": [0], "femto_feedback_period_slots": [-1], "rings": [-1],
+    "inter_site_distance_m": [0.0], "macro_users_per_cell": [0],
+    "femto_users_per_cell": [0], "femtos_per_macro": [-1], "home_size_m": [-20.0],
+    "bs_distance_m": [500.0], "center_band_m": [[400.0, 200.0], [200.0, 800.0]],
+    "edge_band_m": [[700.0, 2100.0], [300.0, 900.0]], "users_per_group": [0],
+    "zones": [[{"cols": 0, "rows": 1, "spacing_m": 900.0}],
+              [{"cols": 1, "rows": 1, "spacing_m": -900.0}]],
+    "user_speed_kmh": [-3.0], "carrier_freq_hz": [0.0], "shadowing_sigma_macro_db": [-1.0],
+    "shadowing_sigma_femto_db": [-1.0], "sinr_gap_db": [-1.0], "ewma_beta": [0.0, 1.5],
+    "initial_throughput_bps": [0.0],
+}
+
+
+def invalid_values(name):
+    """Values of the wrong type for field `name`, judged by its default, plus
+    its out-of-range values."""
+    default = next(f.default for f in dataclasses.fields(Scenario) if f.name == name)
+    if isinstance(default, bool):
+        wrong = [0, 1, 1.0, "true", None]
+    elif isinstance(default, int):
+        wrong = [1.5, True, "3", None, math.nan, math.inf]
+    elif isinstance(default, float):
+        wrong = [True, False, "1.0", None, [1.0], math.nan, math.inf, -math.inf]
+    elif isinstance(default, str):
+        wrong = [5, True, None, [default]]
+    else:  # the tuple fields
+        wrong = [5, True, None]
+    return wrong + OUT_OF_RANGE.get(name, [])
+
+
+FIELD_NAMES = sorted(f.name for f in dataclasses.fields(Scenario))
+
+
+class TestFuzzedConfig:
+    def test_every_range_names_a_field(self):
+        assert set(OUT_OF_RANGE) <= set(FIELD_NAMES)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(FIELD_NAMES).flatmap(
+        lambda name: st.tuples(st.just(name), st.sampled_from(invalid_values(name)))))
+    def test_invalid_field_exit_1_empty_out_dir(self, field):
+        name, value = field
+        doc = {"preset": "two-cell", "spectrum_policy": "splitting", "macro_subchannels": 8,
+               name: value}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+            with open(cfg, "w") as f:
+                json.dump(doc, f)
+            os.mkdir(out)
+            assert main(["run", cfg, "--out", out]) == 1
+            assert os.listdir(out) == []
+
+
+class TestConfigErrorsBeforeAnyRun:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "two-cell", "--axis", "split_ratio", "--values", "abc"],
+        ["sweep", "two-cell", "--axis", "loop_caps", "--values", "3"],
+        ["sweep", "toy2", "--axis", "loop_caps", "--values", "1..2"],
+        ["sweep", "two-cell", "--axis", "split_ratio", "--values", "20"],
+        ["sweep", "two-cell", "--axis", "feedback_period", "--values", "0"],
+        ["sweep", "two-cell", "--axis", "deployment_fraction", "--values", "2"],
+        ["sweep", "two-cell", "--axis", "feedback_period", "--values", "1,10,0"],
+        ["oracle", "toy2", "--levels", "1"],
+        ["run", "list-preset.json"],
+    ], ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")))
+    def test_exit_1_no_outputs(self, tmp_path, capsys, monkeypatch, argv):
+        (tmp_path / "list-preset.json").write_text(json.dumps({"preset": ["hex19"]}))
+        monkeypatch.chdir(tmp_path)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the configuration was checked")
+
+        monkeypatch.setattr(cli.engine, "run", no_run)
+        assert main(argv) == 1
+        assert sorted(os.listdir(tmp_path)) == ["list-preset.json"]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
 
 class TestSweepCommand:

@@ -6,7 +6,7 @@ import pytest
 
 from refimsim import channel, engine, reference, scheduling, topology
 from refimsim.engine import (
-    Scenario, aat, aet, allowed_subchannels, build_network, gat, run,
+    Scenario, aat, aet, build_network, gat, power_limits, run,
     scenario_for_axis, sweep,
 )
 from refimsim.presets import get_preset
@@ -96,7 +96,7 @@ class TestAllowedSubchannels:
     def test_sharing_allows_everything(self):
         sc = tiny_scenario()
         net = build_network(sc)
-        assert allowed_subchannels(net, sc).all()
+        assert power_limits(net, sc)[2].all()
 
     def test_splitting_partitions_tiers(self):
         sc = Scenario(kind="hetnet", rings=0, femtos_per_macro=2, subchannels=8,
@@ -104,7 +104,7 @@ class TestAllowedSubchannels:
                       spectrum_policy="splitting", macro_subchannels=5,
                       slots=5, warmup_slots=1)
         net = build_network(sc)
-        allowed = allowed_subchannels(net, sc)
+        allowed = power_limits(net, sc)[2]
         for n, bs in enumerate(net.base_stations):
             if bs.tier == topology.TIER_FEMTO:
                 assert not allowed[n, :5].any() and allowed[n, 5:].all()

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from refimsim.oracle import (
-    GridSpec, InstanceTooLarge, brute_force, combination_count,
-    enumerate_schedules, evaluate_objective,
+    InstanceTooLarge, brute_force, combination_count, compare_to_oracle,
+    enumerate_schedules, evaluate_objective, settle_algorithm,
 )
-from refimsim.oracle_compare import compare_to_oracle, settle_algorithm
 from refimsim.scheduling import NO_USER
 
 
@@ -82,7 +81,7 @@ class TestBruteForce:
     def test_hand_checked_optimum(self):
         gains, noise, cells, weights, budgets, masks = hand_example()
         res = brute_force(gains, noise, cells, weights, budgets, masks,
-                          grid=GridSpec(levels=2))
+                          levels=2)
         # candidates: (1,1) -> 2*log2(1 + 1/(0.5+0.5)) = 2.0; (1,0) -> log2(3) = 1.585
         assert res.objective == pytest.approx(2.0)
         assert np.allclose(res.powers, [[1.0], [1.0]])
@@ -93,7 +92,7 @@ class TestBruteForce:
         gains = rng.lognormal(0.0, 0.5, size=(1, 1, 2))
         noise = np.full((1, 2), 0.2)
         res = brute_force(gains, noise, [[0]], np.ones(1), np.ones(1), np.ones((1, 2)),
-                          grid=GridSpec(levels=9))
+                          levels=9)
         # independent exhaustive search written out longhand
         levels = np.linspace(0.0, 1.0, 9)
         best = -np.inf
@@ -110,12 +109,12 @@ class TestBruteForce:
         gains[0, 1, :] = 1e-30
         gains[1, 0, :] = 1e-30
         joint = brute_force(gains, noise, cells, weights, budgets, masks,
-                            grid=GridSpec(levels=7))
+                            levels=7)
         total = 0.0
         for n in (0, 1):
             solo = brute_force(gains[n:n + 1, n:n + 1, :], noise[n:n + 1],
                                [[0]], weights[n:n + 1], budgets[n:n + 1],
-                               masks[n:n + 1], grid=GridSpec(levels=7))
+                               masks[n:n + 1], levels=7)
             total += solo.objective
         assert joint.objective == pytest.approx(total, rel=1e-6)
 
@@ -123,7 +122,7 @@ class TestBruteForce:
     def test_refining_grid_never_decreases_optimum(self, seed):
         gains, noise, cells, weights, budgets, masks, _ = random_toy(seed)
         hs = [brute_force(gains, noise, cells, weights, budgets, masks,
-                          grid=GridSpec(levels=L)).objective for L in (5, 9, 17)]
+                          levels=L).objective for L in (5, 9, 17)]
         assert hs[0] <= hs[1] + 1e-12 <= hs[2] + 2e-12
 
     def test_deterministic(self):
@@ -152,7 +151,7 @@ class TestSizeGuards:
         cells = [[0, 1], [2, 3], [4, 5]]
         with pytest.raises(InstanceTooLarge, match="combinations"):
             brute_force(gains, noise, cells, np.ones(6), np.ones(3), np.ones((3, 2)),
-                        grid=GridSpec(levels=17))
+                        levels=17)
 
     def test_instance_limit_refusal(self):
         gains = np.full((4, 4, 1), 0.1)
@@ -160,6 +159,11 @@ class TestSizeGuards:
         with pytest.raises(InstanceTooLarge, match="limits"):
             brute_force(gains, noise, [[0], [1], [2], [3]], np.ones(4), np.ones(4),
                         np.ones((4, 1)))
+
+    def test_too_few_levels_rejected(self):
+        gains, noise, cells, weights, budgets, masks, _ = random_toy(0)
+        with pytest.raises(ValueError, match="levels"):
+            brute_force(gains, noise, cells, weights, budgets, masks, levels=1)
 
     def test_nonpositive_weights_rejected(self):
         gains, noise, cells, weights, budgets, masks, _ = random_toy(0)
@@ -182,9 +186,9 @@ class TestAlgorithmVsOracle:
     def test_oracle_dominates_up_to_grid_resolution(self, seed):
         gains, noise, cells, weights, budgets, masks, nbrs = random_toy(seed)
         h9 = brute_force(gains, noise, cells, weights, budgets, masks,
-                         grid=GridSpec(levels=9)).objective
+                         levels=9).objective
         h17 = brute_force(gains, noise, cells, weights, budgets, masks,
-                          grid=GridSpec(levels=17)).objective
+                          levels=17).objective
         assert h17 >= h9 - 1e-12
         # snapping continuous powers to the grid moves each p_{n,s} by at most
         # half a step; |dh/dp| is bounded by the zero-interference slope
@@ -213,6 +217,6 @@ class TestAlgorithmVsOracle:
         h_wf, _, _ = settle_algorithm("wf", gains, noise, cells, weights, budgets,
                                       masks, [[]])
         h17 = brute_force(gains, noise, cells, weights, budgets, masks,
-                          grid=GridSpec(levels=17)).objective
+                          levels=17).objective
         assert h17 <= h_wf + 1e-9
         assert h17 >= h_wf * 0.995

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,7 +95,7 @@ def one_row(weights, taxes, intf_noise, own_gains, budget, masks):
     """allocate_bisection_batch on a single BS; returns (p (S,), lam, iters)."""
     p, lam, iters = allocate_bisection_batch(
         weights[None, :], taxes[None, :], intf_noise[None, :], own_gains[None, :],
-        np.array([budget]), masks[None, :])
+        np.array([budget]), masks[None, :], intf_noise[None, :])
     return p[0], float(lam[0]), int(iters[0])
 
 
@@ -151,7 +149,7 @@ class TestBisection:
         W = np.stack([r[0] for r in rows]); T = np.stack([r[1] for r in rows])
         I = np.stack([r[2] for r in rows]); G = np.stack([r[3] for r in rows])
         B = np.array([r[4] for r in rows]); M = np.stack([r[5] for r in rows])
-        P, lams, iters = allocate_bisection_batch(W, T, I, G, B, M)
+        P, lams, iters = allocate_bisection_batch(W, T, I, G, B, M, I)
         for i, (w, t, f, g, b, m) in enumerate(rows):
             p1, l1, it1 = one_row(w, t, f, g, b, m)
             assert np.allclose(P[i], p1, atol=1e-12)
@@ -167,12 +165,10 @@ def reference_kkt(weight, lam, tax, intf_noise_w, own_gain, mask):
     return np.clip(p, 0.0, mask)
 
 
-def reference_bisection(weights, taxes, intf_noise, own_gains, budgets, masks,
-                        noise_w=None, lambda_max=None):
+def reference_bisection(weights, taxes, intf_noise, own_gains, budgets, masks, noise_w):
     """The lockstep bisection as written before the lean loop: every row is
     evaluated every iteration and p is copied out at each hit."""
     N = weights.shape[0]
-    noise_floor = intf_noise if noise_w is None else noise_w
 
     def eval_p(lam):
         return reference_kkt(weights, lam[:, None], taxes, intf_noise, own_gains, masks)
@@ -184,11 +180,8 @@ def reference_bisection(weights, taxes, intf_noise, own_gains, budgets, masks,
     active = p.sum(axis=1) > budgets + delta
     if not active.any():
         return p, lam, iters
-    if lambda_max is None:
-        with np.errstate(divide="ignore"):
-            hi = np.max(weights * own_gains / (noise_floor * power.LN2), axis=1)
-    else:
-        hi = np.full(N, float(lambda_max))
+    with np.errstate(divide="ignore"):
+        hi = np.max(weights * own_gains / (noise_w * power.LN2), axis=1)
     for _ in range(60):
         over = active & (eval_p(hi).sum(axis=1) > budgets)
         if not over.any():
@@ -220,8 +213,9 @@ def reference_bisection(weights, taxes, intf_noise, own_gains, budgets, masks,
 
 def random_batch(seed, n_bs, n_sub, inf_masks, slack, with_noise):
     """(N, S) bisection inputs: some zero taxes, some unscheduled (zero-mask,
-    zero-weight) entries and whole rows, optionally infinite masks, a separate
-    noise floor, or budgets no row can reach."""
+    zero-weight) entries and whole rows, optionally infinite masks, a noise
+    floor below the interference (else equal to it), or budgets no row can
+    reach."""
     rng = np.random.default_rng(seed)
     shape = (n_bs, n_sub)
     weights = rng.uniform(0.01, 10.0, size=shape)
@@ -237,7 +231,7 @@ def random_batch(seed, n_bs, n_sub, inf_masks, slack, with_noise):
     if slack:
         budgets = np.where(np.isinf(masks), 0.0, masks).sum(axis=1) * 2.0 + 1.0
         masks[np.isinf(masks)] = 1.0
-    noise = intf * rng.uniform(0.1, 1.0, size=shape) if with_noise else None
+    noise = intf * rng.uniform(0.1, 1.0, size=shape) if with_noise else intf
     return weights, taxes, intf, gains, budgets, masks, noise
 
 
@@ -245,31 +239,38 @@ class TestLeanBisection:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(seed=st.integers(0, 2**32 - 1), n_bs=st.integers(1, 7),
            n_sub=st.sampled_from([1, 2, 3, 7, 8, 9, 16, 17, 40]),
-           inf_masks=st.booleans(), slack=st.booleans(), with_noise=st.booleans(),
-           lambda_max=st.sampled_from([None, 1e-9, 1e-3, 1.0, 1e6]))
+           inf_masks=st.booleans(), slack=st.booleans(), with_noise=st.booleans())
     def test_bit_identical_to_reference(self, seed, n_bs, n_sub, inf_masks, slack,
-                                        with_noise, lambda_max):
+                                        with_noise):
         args = random_batch(seed, n_bs, n_sub, inf_masks, slack, with_noise)
-        *inputs, noise = args
         try:
-            want = reference_bisection(*inputs, noise_w=noise, lambda_max=lambda_max)
+            want = reference_bisection(*args)
         except RuntimeError:
             with pytest.raises(RuntimeError):
-                allocate_bisection_batch(*inputs, noise_w=noise, lambda_max=lambda_max)
+                allocate_bisection_batch(*args)
             return
-        got = allocate_bisection_batch(*inputs, noise_w=noise, lambda_max=lambda_max)
+        got = allocate_bisection_batch(*args)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
 
     def test_bracket_doubling_and_all_slack_batch(self):
-        # bracket doubling: a tiny lambda_max overshoots every searching row
-        args = random_batch(3, 4, 16, False, False, False)
-        p, lam, iters = allocate_bisection_batch(*args[:-1], lambda_max=1e-9)
-        assert np.any(lam > 1e-9 * 2.0 ** 10)
+        # bracket doubling: a noise floor 1e6 times the interference puts the
+        # first upper bracket, max_s w g/(noise ln2), below lambda* on every
+        # searching row, so each row's lambda ends above it
+        weights, taxes, intf, gains, budgets, masks, _ = random_batch(4, 4, 16, False,
+                                                                      False, False)
+        noise = intf * 1e6
+        with np.errstate(divide="ignore"):
+            first_hi = np.max(weights * gains / (noise * power.LN2), axis=1)
+        p, lam, iters = allocate_bisection_batch(weights, taxes, intf, gains, budgets,
+                                                 masks, noise)
+        searched = iters > 0
+        assert searched.sum() >= 2 and np.all(lam[searched] > first_hi[searched])
+        assert np.array_equal(lam, reference_bisection(weights, taxes, intf, gains, budgets,
+                                                       masks, noise)[1])
         # all rows slack: nothing is searched, lambda stays 0
-        p, lam, iters = allocate_bisection_batch(*random_batch(3, 4, 16, False, True,
-                                                               False)[:-1])
+        p, lam, iters = allocate_bisection_batch(*random_batch(3, 4, 16, False, True, False))
         assert not lam.any() and not iters.any()
 
     @pytest.mark.parametrize("bad", [-1e-12, -1.0])
@@ -278,13 +279,7 @@ class TestLeanBisection:
                                                                       False, False)
         taxes[1, 2] = bad
         with pytest.raises(ValueError):
-            allocate_bisection_batch(weights, taxes, intf, gains, budgets, masks)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
-    def test_nonpositive_lambda_max_rejected(self, bad):
-        args = random_batch(0, 3, 4, False, False, False)[:-1]
-        with pytest.raises(ValueError):
-            allocate_bisection_batch(*args, lambda_max=bad)
+            allocate_bisection_batch(weights, taxes, intf, gains, budgets, masks, intf)
 
     def test_budget_misses_counts_only_positive_lambda_off_budget(self):
         budgets = np.array([1.0, 2.0, 4.0])
@@ -308,11 +303,11 @@ class TestInitialPower:
 
     def test_previous_identity(self):
         prev = np.array([[0.3, 0.7]])
-        p = initial_power("previous", np.array([1.0]), np.ones((1, 2)), prev=prev, slot=5)
+        p = initial_power("previous", np.array([1.0]), np.ones((1, 2)), prev=prev)
         assert np.array_equal(p, prev)
 
     def test_previous_slot0_falls_back_to_uniform(self):
-        p = initial_power("previous", np.array([1.0]), np.ones((1, 2)), prev=None, slot=0)
+        p = initial_power("previous", np.array([1.0]), np.ones((1, 2)), prev=None)
         assert np.allclose(p, 0.5)
 
     def test_unknown_strategy(self):
@@ -460,7 +455,7 @@ class TestGroundTruthReferences:
     """ground_truth_taxes against the loop it replaced."""
 
     def _instance(self, seed, ties):
-        from refimsim.engine import Scenario, allowed_subchannels, build_network
+        from refimsim.engine import Scenario, build_network, power_limits
         # macros and femtos split the spectrum, so every BS has NO_USER entries
         sc = Scenario(kind="hetnet", rings=1, femtos_per_macro=2, macro_users_per_cell=3,
                       femto_users_per_cell=2, subchannels=6, seed=seed,
@@ -477,7 +472,7 @@ class TestGroundTruthReferences:
         powers = rng.uniform(0.1, 1.0, size=(N, S))
         cells = net.cells()
         sched = schedule_at(gains, powers, noise, net.serving, net.member_index, weights,
-                            allowed=allowed_subchannels(net, sc))[0]
+                            allowed=power_limits(net, sc)[2])[0]
         assert np.all((sched == NO_USER).any(axis=1))
         return cells, sched, gains, weights, noise, net.neighbor_sets, powers
 

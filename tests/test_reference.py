@@ -22,7 +22,7 @@ def protocol_network(n_sub=2):
         BaseStation(id=0, tier="macro", position=(0.0, 0.0), max_power_w=20.0, mask_w=20.0),
         BaseStation(id=1, tier="macro", position=(1000.0, 0.0), max_power_w=20.0, mask_w=20.0),
         BaseStation(id=2, tier="femto", position=(500.0, 300.0), max_power_w=0.03,
-                    mask_w=0.03, home_id=0, home_center=(500.0, 300.0)),
+                    mask_w=0.03, home_id=0),
     ]
     users = [User(id=k, position=(100.0 * k, 0.0), serving_bs=0) for k in range(3)]
     users += [User(id=k, position=(900.0 + 10 * k, 0.0), serving_bs=1) for k in range(3, 6)]

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from refimsim.oracle import enumerate_schedules, evaluate_objective, serving_of
 from refimsim.power import taxation_from_feedback, taxation_term
 from refimsim.scheduling import (
-    NO_USER, UserStates, link_state, pf_weights, rate, schedule_at, schedule_users,
-    scheduled_index, served_rates, sinr, update_throughput,
+    NO_USER, UserStates, link_state, rate, schedule_at, schedule_users,
+    scheduled_index, served_rates, sinr,
 )
 from refimsim.topology import pad_index_lists
 
@@ -116,21 +116,33 @@ class TestRate:
         assert np.all(np.diff(r) >= 0)
 
 
+def states_at(avg_bps, beta=1e-3, alpha=1.0):
+    """UserStates whose EWMA throughputs are avg_bps."""
+    st = UserStates(len(avg_bps), beta=beta, alpha=alpha)
+    st.avg_throughput_bps = np.array(avg_bps, dtype=float)
+    return st
+
+
 class TestWeights:
     def test_reciprocal(self):
-        assert pf_weights(np.array([2.0]))[0] == pytest.approx(0.5)
+        assert UserStates(1, initial_throughput_bps=2.0).weights()[0] == pytest.approx(0.5)
 
     def test_alpha_one_is_log_case(self):
         r = np.array([0.5, 2.0, 7.0])
-        assert np.allclose(pf_weights(r, alpha=1.0), 1.0 / r)
+        assert np.allclose(states_at(r, alpha=1.0).weights(), 1.0 / r)
+
+    def test_other_alpha_is_power_law(self):
+        r = np.array([0.5, 2.0, 7.0])
+        assert np.allclose(states_at(r, alpha=2.0).weights(), r ** -2.0)
+        assert np.array_equal(states_at(r, alpha=0.0).weights(), np.ones(3))
 
     def test_equal_throughputs_equal_weights(self):
-        w = pf_weights(np.full(5, 3.3))
+        w = UserStates(5, initial_throughput_bps=3.3).weights()
         assert np.all(w == w[0])
 
     def test_zero_throughput_rejected(self):
         with pytest.raises(ValueError):
-            pf_weights(np.array([0.0]))
+            states_at([1.0, 0.0]).weights()
 
 
 class TestScheduleUsers:
@@ -222,23 +234,26 @@ class TestLemma1Decomposition:
 
 class TestThroughputTracking:
     def test_ewma_arithmetic(self):
-        assert update_throughput(np.array([1.0]), np.array([3.0]), 0.5)[0] == pytest.approx(2.0)
+        st = states_at([1.0], beta=0.5)
+        st.update(np.array([3.0]))
+        assert st.avg_throughput_bps[0] == pytest.approx(2.0)
 
     def test_beta_one_instantaneous(self):
-        assert update_throughput(np.array([5.0]), np.array([3.0]), 1.0)[0] == pytest.approx(3.0)
+        st = states_at([5.0], beta=1.0)
+        st.update(np.array([3.0]))
+        assert st.avg_throughput_bps[0] == pytest.approx(3.0)
 
     def test_geometric_decay_when_unserved(self):
-        r = np.array([4.0])
+        st = states_at([4.0], beta=0.001)
         for _ in range(10):
-            r = update_throughput(r, np.zeros(1), 0.001)
-        assert r[0] == pytest.approx(4.0 * 0.999 ** 10)
-        assert r[0] > 0
+            st.update(np.zeros(1))
+        assert st.avg_throughput_bps[0] == pytest.approx(4.0 * 0.999 ** 10)
+        assert st.avg_throughput_bps[0] > 0
 
     def test_bad_beta_rejected(self):
-        with pytest.raises(ValueError):
-            update_throughput(np.ones(1), np.ones(1), 0.0)
-        with pytest.raises(ValueError):
-            update_throughput(np.ones(1), np.ones(1), 1.5)
+        for beta in (0.0, 1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                UserStates(1, beta=beta)
 
     def test_user_states_weights(self):
         st = UserStates(3, initial_throughput_bps=1e-3, beta=0.5)

@@ -90,6 +90,46 @@ class TestTwoCell:
             build_linear_two_cell(2000.0, (200.0, 400.0), (700.0, 2100.0), 1)
 
 
+HOME_SIZE_M = 24.0
+
+
+def seeded_hetnet():
+    """Seven macro cells with four femtos each, in every deployment case."""
+    return build_heterogeneous(build_hex_grid(1, 1000.0), 4, home_size_m=HOME_SIZE_M,
+                               rng_seed=0)
+
+
+def deployments(het):
+    """(case, femto ids) of each femto placement, told apart by geometry.
+
+    Paired femtos neighbor each other and their homes are their regions. A
+    symmetric pair sits at both home centers; an asymmetric pair puts its
+    first femto on the border between the homes. A single femto sits at its
+    home center. Anything else is "unclassified".
+    """
+    femtos = [b.id for b in het.base_stations if b.tier == topology.TIER_FEMTO]
+    at_center = {f: het.base_stations[f].position == het.regions[f].center for f in femtos}
+    out, i = [], 0
+    while i < len(femtos):
+        f = femtos[i]
+        g = femtos[i + 1] if i + 1 < len(femtos) else None
+        if g is None or g not in het.neighbor_sets[f]:
+            out.append(("single" if at_center[f] else "unclassified", (f,)))
+            i += 1
+            continue
+        h1, h2 = het.regions[f].center, het.regions[g].center
+        border = ((h1[0] + h2[0]) / 2, (h1[1] + h2[1]) / 2)
+        if at_center[f] and at_center[g]:
+            case = "symmetric-pair"
+        elif at_center[g] and math.dist(het.base_stations[f].position, border) < 1e-9:
+            case = "asymmetric-pair"
+        else:
+            case = "unclassified"
+        out.append((case, (f, g)))
+        i += 2
+    return out
+
+
 class TestHeterogeneous:
     def test_femto_count_on_19_cell_grid(self):
         net = build_hex_grid(2, 1000.0)
@@ -104,35 +144,38 @@ class TestHeterogeneous:
         assert build_heterogeneous(net, 0) is net
 
     def test_symmetric_pair_distance_is_home_size(self):
-        net = build_hex_grid(0, 1000.0)
-        het = build_heterogeneous(net, 2, deployment_mix={"symmetric-pair": 1.0},
-                                  home_size_m=24.0, rng_seed=2)
-        f1, f2 = het.base_stations[1], het.base_stations[2]
-        assert math.dist(f1.position, f2.position) == pytest.approx(24.0)
-        assert f1.position == f1.home_center and f2.position == f2.home_center
+        het = seeded_hetnet()
+        pairs = [ids for case, ids in deployments(het) if case == "symmetric-pair"]
+        assert pairs
+        for f1, f2 in pairs:
+            b1, b2 = het.base_stations[f1], het.base_stations[f2]
+            assert math.dist(b1.position, b2.position) == pytest.approx(HOME_SIZE_M)
+            assert b1.position == het.regions[f1].center
+            assert b2.position == het.regions[f2].center
 
     def test_asymmetric_pair_bs1_at_border(self):
-        net = build_hex_grid(0, 1000.0)
-        het = build_heterogeneous(net, 2, deployment_mix={"asymmetric-pair": 1.0},
-                                  home_size_m=20.0, rng_seed=2)
-        f1, f2 = het.base_stations[1], het.base_stations[2]
-        border = ((f1.home_center[0] + f2.home_center[0]) / 2,
-                  (f1.home_center[1] + f2.home_center[1]) / 2)
-        assert math.dist(f1.position, border) == pytest.approx(0.0, abs=1e-9)
-        assert math.dist(f1.position, f2.position) == pytest.approx(10.0)
+        het = seeded_hetnet()
+        pairs = [ids for case, ids in deployments(het) if case == "asymmetric-pair"]
+        assert pairs
+        for f1, f2 in pairs:
+            b1, b2 = het.base_stations[f1], het.base_stations[f2]
+            h1, h2 = het.regions[f1].center, het.regions[f2].center
+            border = ((h1[0] + h2[0]) / 2, (h1[1] + h2[1]) / 2)
+            assert math.dist(h1, h2) == pytest.approx(HOME_SIZE_M)
+            assert math.dist(b1.position, border) == pytest.approx(0.0, abs=1e-9)
+            assert math.dist(b1.position, b2.position) == pytest.approx(HOME_SIZE_M / 2)
 
     def test_neighbor_wiring(self):
-        net = build_hex_grid(0, 1000.0)
-        het = build_heterogeneous(net, 2, deployment_mix={"symmetric-pair": 1.0},
-                                  rng_seed=0)
-        assert het.neighbor_sets[0] == [1, 2]          # macro gains its femtos
-        assert het.neighbor_sets[1] == [0, 2]          # femto: macro + pair
-        assert het.neighbor_sets[2] == [0, 1]
-
-    def test_unknown_case_rejected(self):
-        net = build_hex_grid(0, 1000.0)
-        with pytest.raises(ValueError):
-            build_heterogeneous(net, 1, deployment_mix={"solo": 1.0})
+        het = seeded_hetnet()
+        placed = deployments(het)
+        assert {case for case, _ in placed} == set(topology.DEPLOYMENT_CASES)
+        for case, ids in placed:
+            macro = het.neighbor_sets[ids[0]][0]
+            assert het.base_stations[macro].tier == topology.TIER_MACRO
+            for f in ids:
+                assert f in het.neighbor_sets[macro]     # the macro gains its femtos
+                # a femto sees its macro, plus its partner when paired
+                assert het.neighbor_sets[f] == sorted({macro, *ids} - {f})
 
 
 class TestPlaceUsers:

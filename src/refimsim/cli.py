@@ -165,10 +165,11 @@ def cmd_sweep(args):
         raise ConfigError(f"unknown axis {args.axis!r}; expected one of {SWEEP_AXES}")
     try:  # every value is parsed and its scenario built (so validated) before any run
         values = parse_values(args.values, args.axis)
-        swept = [(v, engine.scenario_for_axis(sc, args.axis, v)) for v in values]
-    except (ValueError, TypeError) as e:
+        for v in values:
+            engine.scenario_for_axis(sc, args.axis, v)
+    except ValueError as e:
         raise ConfigError(f"bad {args.axis} values {args.values!r}: {e}") from e
-    results = [(v, engine.run(s)) for v, s in swept]
+    results = engine.sweep(sc, args.axis, values)
     if args.axis == "split_ratio":
         sharing = engine.run(dataclasses.replace(sc, spectrum_policy="sharing"))
         results.append(("sharing", sharing))

@@ -417,11 +417,10 @@ def scenario_for_axis(base, axis, value):
     if axis == "ref_count":
         return replace(base, ref_count=int(value))
     if axis == "loop_caps":
-        if isinstance(value, str):
-            a, b = value.lower().split("x")
-        else:
-            a, b = value
-        return replace(base, algorithm="general", sched_loops=int(a), power_loops=int(b))
+        ab = value.lower().split("x") if isinstance(value, str) else value
+        if not isinstance(ab, (tuple, list)) or len(ab) != 2:
+            raise ValueError(f"loop_caps value {value!r} is neither 'AxB' nor an (A, B) pair")
+        return replace(base, algorithm="general", sched_loops=int(ab[0]), power_loops=int(ab[1]))
     if axis == "deployment_fraction":
         return replace(base, deployment_fraction=float(value))
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")

@@ -209,24 +209,53 @@ def invalid_values(name):
 FIELD_NAMES = sorted(f.name for f in dataclasses.fields(Scenario))
 
 
+# Every numeric value below a field's lower bound is rejected, however far below.
+BELOW_LOWER_BOUND = {
+    **dict.fromkeys(["seed", "ref_count", "femto_feedback_period_slots", "rings",
+                     "femtos_per_macro"], st.integers(max_value=-1)),
+    **dict.fromkeys(["subchannels", "sched_loops", "power_loops", "feedback_period_slots",
+                     "macro_users_per_cell", "femto_users_per_cell", "users_per_group"],
+                    st.integers(max_value=0)),
+    **dict.fromkeys(["bandwidth_hz", "slot_duration_s", "inter_site_distance_m",
+                     "home_size_m", "carrier_freq_hz", "initial_throughput_bps"],
+                    st.floats(max_value=0.0, allow_infinity=False)),
+    **dict.fromkeys(["user_speed_kmh", "sinr_gap_db", "shadowing_sigma_macro_db",
+                     "shadowing_sigma_femto_db"],
+                    st.floats(max_value=-math.ulp(0.0), allow_infinity=False)),
+}
+
+
+def run_exit_1_empty_out_dir(tmp, name, value):
+    """`refimsim run` on the splitting two-cell base with field `name` set to
+    `value` exits 1 and writes nothing into its output directory."""
+    doc = {"preset": "two-cell", "spectrum_policy": "splitting", "macro_subchannels": 8,
+           name: value}
+    cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+    with open(cfg, "w") as f:
+        json.dump(doc, f)
+    os.mkdir(out)
+    assert main(["run", cfg, "--out", out]) == 1
+    assert os.listdir(out) == []
+
+
 class TestFuzzedConfig:
     def test_every_range_names_a_field(self):
         assert set(OUT_OF_RANGE) <= set(FIELD_NAMES)
+        assert set(BELOW_LOWER_BOUND) <= set(FIELD_NAMES)
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(st.sampled_from(FIELD_NAMES).flatmap(
-        lambda name: st.tuples(st.just(name), st.sampled_from(invalid_values(name)))))
-    def test_invalid_field_exit_1_empty_out_dir(self, field):
-        name, value = field
-        doc = {"preset": "two-cell", "spectrum_policy": "splitting", "macro_subchannels": 8,
-               name: value}
+    @pytest.mark.parametrize("name,value", [(n, v) for n in FIELD_NAMES
+                                            for v in invalid_values(n)],
+                             ids=[f"{n}={json.dumps(v)}" for n in FIELD_NAMES
+                                  for v in invalid_values(n)])
+    def test_invalid_field_exit_1_empty_out_dir(self, tmp_path, name, value):
+        run_exit_1_empty_out_dir(str(tmp_path), name, value)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.sampled_from(sorted(BELOW_LOWER_BOUND)).flatmap(
+        lambda name: st.tuples(st.just(name), BELOW_LOWER_BOUND[name])))
+    def test_any_value_below_the_bound_exit_1(self, field):
         with tempfile.TemporaryDirectory() as tmp:
-            cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
-            with open(cfg, "w") as f:
-                json.dump(doc, f)
-            os.mkdir(out)
-            assert main(["run", cfg, "--out", out]) == 1
-            assert os.listdir(out) == []
+            run_exit_1_empty_out_dir(tmp, *field)
 
 
 class TestConfigErrorsBeforeAnyRun:

@@ -284,6 +284,11 @@ class TestSweep:
         caps = scenario_for_axis(base, "loop_caps", "2x3")
         assert caps.algorithm == "general"
         assert (caps.sched_loops, caps.power_loops) == (2, 3)
+        pair = scenario_for_axis(base, "loop_caps", (4, 1))
+        assert (pair.sched_loops, pair.power_loops) == (4, 1)
+        for bad in (3, "3", "2x3x4", (1, 2, 3)):  # a ValueError, so the CLI reports it as config
+            with pytest.raises(ValueError):
+                scenario_for_axis(base, "loop_caps", bad)
         frac = scenario_for_axis(base, "deployment_fraction", 0.5)
         assert frac.deployment_fraction == 0.5
         assert scenario_for_axis(base, "femto_density", 4).femtos_per_macro == 4

@@ -23,6 +23,12 @@ BUDGET_RTOL = 1e-6
 LAMBDA_RTOL = 1e-9
 BISECTION_ITER_BOUND = math.ceil(math.log2(1.0 / LAMBDA_RTOL))
 _MAX_BRACKET_DOUBLINGS = 60
+# the spine pass samples every _SPINE_STRIDE-th halving, the last at the
+# bound; _SPINE_SKIPS[k] is the halvings skipped when the first k sampled
+# points step down on every row
+_SPINE_STRIDE = 4
+_SPINE_POINTS = np.arange(BISECTION_ITER_BOUND, 0, -_SPINE_STRIDE)[::-1]
+_SPINE_SKIPS = np.concatenate(([0], _SPINE_POINTS))
 # general_algorithm's inner loop stops once no power moves by this much (W)
 P_TOL = 1e-6
 
@@ -106,16 +112,28 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
     """Lockstep bisection over N base stations at once.
 
     weights/taxes/intf_noise/own_gains/masks/noise_w: (N, S); budgets: (N,);
-    taxes must be >= 0. The first upper bracket is max_s w g/(noise_w ln2),
-    doubled until every row undershoots its budget. Returns (p (N, S),
-    lam (N,), iters (N,)). Iterations per BS never exceed
-    BISECTION_ITER_BOUND.
+    taxes must be >= 0; weights are >= 0, as every caller passes them. The
+    first upper bracket is max_s w g/(noise_w ln2), doubled until every row
+    undershoots its budget. Returns (p (N, S), lam (N,), iters (N,)): iters
+    is the halving at which a row first meets its budget within delta, and
+    lam that midpoint; a row that never does takes its undershooting end hi
+    and iters = BISECTION_ITER_BOUND. A row with slack at lam = 0 has
+    lam = iters = 0.
 
-    Only the rows still searching are evaluated: a row leaves the working
-    arrays the iteration it meets its budget within delta. With taxes >= 0
-    and lam > 0 every denominator lam*ln2 + t is positive, so the loop needs
-    no unbounded-level case; p is evaluated once at the end from each row's
-    final lam.
+    The result is plain lockstep bisection's, bit for bit, in fewer numpy
+    calls:
+    - spine pass: while lo = 0 the j-th midpoint is exactly hi*2^-j, and the
+      computed row sum never rises with lam, since with weights >= 0 every
+      rounded step in it is monotone. One (rows, points, S) evaluation at
+      every _SPINE_STRIDE-th spine point counts the leading halvings that
+      step down on every row, and the loop starts after them;
+    - first hit after the loop: every row runs every remaining halving, and
+      its midpoints and sums are kept. The first iteration whose sum is
+      within delta of the budget is the row's hit; the halvings after it do
+      not change the result.
+    With taxes >= 0 and lam > 0 every denominator lam*ln2 + t is positive, so
+    the loop needs no unbounded-level case; p is evaluated once at the end
+    from each row's lam.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     taxes = np.atleast_2d(np.asarray(taxes, dtype=float))
@@ -152,33 +170,43 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
     else:
         raise RuntimeError("bisection bracket failure: sum p(hi) > budget")
 
-    rows = searching
-    lo = np.zeros(rows.size)
-    buf = np.empty((rows.size, S))
-    for it in range(1, BISECTION_ITER_BOUND + 1):
-        mid = 0.5 * (lo + hi)
-        np.add((mid * LN2)[:, None], t, out=buf)
-        sm = np.add.reduce(_kkt_into(buf, w, fl, m), axis=1)
-        hit = np.abs(sm - b) < d
-        if hit.any():
-            lam[rows[hit]] = mid[hit]
-            iters[rows[hit]] = it
-            keep = ~hit
-            if not keep.any():
-                break
-            rows, lo, hi, mid, sm, w, t, fl, m, b, d = (
-                a[keep] for a in (rows, lo, hi, mid, sm, w, t, fl, m, b, d))
-            buf = buf[:rows.size]
+    R = searching.size
+    # spine pass: while lo = 0 the j-th midpoint is hi*2^-j. Every rounded
+    # step of the row sum is monotone, so the sum never falls as j grows, and
+    # a sampled point where every row undershoots by delta or more implies the
+    # same downward step at every point before it
+    spine = np.full((R, BISECTION_ITER_BOUND + 1), 0.5)
+    spine[:, 0] = hi
+    np.multiply.accumulate(spine, axis=1, out=spine)
+    den = np.multiply(spine[:, _SPINE_POINTS], LN2)[:, :, None] + t[:, None]
+    spine_sums = np.add.reduce(_kkt_into(den, w[:, None], fl[:, None], m[:, None]), axis=2)
+    down = (spine_sums - b[:, None] <= -d[:, None]).all(axis=0)
+    skip = _SPINE_SKIPS[np.count_nonzero(down)]
+
+    # every row runs every remaining halving; each row's first hit is found
+    # after the loop
+    n = BISECTION_ITER_BOUND - skip
+    lo, hi = np.zeros(R), spine[:, skip].copy()
+    mids, sums = np.empty((n + 1, R)), np.empty((n, R))
+    buf, level = np.empty((R, S)), np.empty(R)
+    for mid, sm in zip(mids, sums):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.add(np.multiply(mid, LN2, out=level)[:, None], t, out=buf)
+        np.add.reduce(_kkt_into(buf, w, fl, m), axis=1, out=sm)
         go_up = sm > b
         lo = np.where(go_up, mid, lo)
         hi = np.where(go_up, hi, mid)
-    else:
-        # interval exhausted: take the feasible (undershooting) endpoint
-        lam[rows] = hi
-        iters[rows] = BISECTION_ITER_BOUND
+    # the sentinel row n gives a row without a hit its end hi and the bound
+    hit = np.empty((n + 1, R), dtype=bool)
+    np.less(np.abs(sums - b), d, out=hit[:n])
+    hit[n] = True
+    mids[n] = hi
+    first = hit.argmax(axis=0)
+    lam[searching] = mids[first, np.arange(R)]
+    iters[searching] = np.minimum(skip + 1 + first, BISECTION_ITER_BOUND)
 
-    denom = lam[searching, None] * LN2 + taxes[searching]
-    p[searching] = _kkt_into(denom, weights[searching], floor[searching], masks[searching])
+    p[searching] = _kkt_into(lam[searching, None] * LN2 + t, w, fl, m)
     return p, lam, iters
 
 

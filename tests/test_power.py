@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +237,48 @@ def random_batch(seed, n_bs, n_sub, inf_masks, slack, with_noise):
     return weights, taxes, intf, gains, budgets, masks, noise
 
 
+def assert_matches_reference(*args):
+    """allocate_bisection_batch(*args), checked bit for bit against the oracle."""
+    got = allocate_bisection_batch(*args)
+    for g, w in zip(got, reference_bisection(*args)):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    return got
+
+
+def spine_rows(n_bs):
+    """(N, 8) inputs with interior water levels along every row's spine: no
+    masks and some zero taxes, so every row searches, and the largest w g /
+    noise of each row sits on an untaxed subchannel."""
+    weights = np.outer(1 + 0.3 * np.arange(n_bs), [1.0, 2.0, 3.0, 0.5, 1.5, 2.5, 0.8, 1.2])
+    taxes = np.tile([0.0, 0.1, 0.0, 0.2, 0.0, 0.05, 0.3, 0.0], (n_bs, 1))
+    intf = np.tile(0.01 * (1 + np.arange(8) / 8), (n_bs, 1))
+    return weights, taxes, intf, np.ones_like(weights), np.full_like(weights, np.inf)
+
+
+def first_bracket(weights, gains, noise):
+    """The first upper bracket, computed as allocate_bisection_batch does."""
+    return np.max(weights * gains / (noise * power.LN2), axis=1)
+
+
+def row_sum(weights, taxes, intf, gains, masks, lam):
+    """Per-row power sum of the KKT formula at lam (N,)."""
+    return reference_kkt(weights, lam[:, None], taxes, intf, gains, masks).sum(axis=1)
+
+
+def count_kernel_passes(monkeypatch):
+    """Record the output shape of every in-place KKT kernel pass."""
+    passes = []
+    kernel = power._kkt_into
+
+    def counted(out, *args):
+        passes.append(out.shape)
+        return kernel(out, *args)
+
+    monkeypatch.setattr(power, "_kkt_into", counted)
+    return passes
+
+
 class TestLeanBisection:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(seed=st.integers(0, 2**32 - 1), n_bs=st.integers(1, 7),
@@ -272,6 +316,105 @@ class TestLeanBisection:
         # all rows slack: nothing is searched, lambda stays 0
         p, lam, iters = allocate_bisection_batch(*random_batch(3, 4, 16, False, True, False))
         assert not lam.any() and not iters.any()
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 6, 13, 14, 29, BISECTION_ITER_BOUND])
+    def test_budget_met_exactly_at_spine_point(self, k):
+        # row 0's budget is its own power sum at the k-th spine midpoint
+        # hi*2^-k; row 1 searches on for a budget it meets near the bound
+        weights, taxes, intf, gains, masks = spine_rows(2)
+        hi = first_bracket(weights, gains, intf)
+        budgets = np.array([row_sum(weights, taxes, intf, gains, masks, hi * 2.0 ** -k)[0],
+                            row_sum(weights, taxes, intf, gains, masks, hi * 2.0 ** -27)[1]
+                            * (1 + 1e-3)])
+        p, lam, iters = assert_matches_reference(weights, taxes, intf, gains, budgets, masks,
+                                                 intf)
+        assert iters[0] == k and lam[0] == hi[0] * 2.0 ** -k
+
+    def test_spine_never_steps_up_empty_loop(self, monkeypatch):
+        # every budget lies above the sum at the last spine point hi*2^-30:
+        # the spine pass skips every halving, and the kernel runs only for
+        # lam = 0, the bracket check, the spine and the final p
+        weights, taxes, intf, gains, masks = spine_rows(3)
+        hi = first_bracket(weights, gains, intf)
+        budgets = row_sum(weights, taxes, intf, gains, masks,
+                          hi * 2.0 ** -BISECTION_ITER_BOUND) * 10.0
+        passes = count_kernel_passes(monkeypatch)
+        p, lam, iters = assert_matches_reference(weights, taxes, intf, gains, budgets, masks,
+                                                 intf)
+        assert len(passes) == 4
+        assert np.all(iters == BISECTION_ITER_BOUND)
+        assert np.array_equal(lam, hi * 2.0 ** -BISECTION_ITER_BOUND)
+
+    def test_step_up_at_first_halving_skips_nothing(self, monkeypatch):
+        # row 1's sum at hi/2 overshoots its budget, so no halving is skipped
+        # and the loop makes all BISECTION_ITER_BOUND passes
+        weights, taxes, intf, gains, masks = spine_rows(2)
+        hi = first_bracket(weights, gains, intf)
+        budgets = row_sum(weights, taxes, intf, gains, masks, hi / 2.0) * np.array([4.0, 0.5])
+        passes = count_kernel_passes(monkeypatch)
+        assert_matches_reference(weights, taxes, intf, gains, budgets, masks, intf)
+        assert len(passes) == 4 + BISECTION_ITER_BOUND
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 8, 9, 10])
+    def test_single_row(self, seed):
+        # seeds whose one row searches
+        args = random_batch(seed, 1, 16, seed % 2 == 0, False, seed % 3 == 0)
+        _, _, iters = assert_matches_reference(*args)
+        assert iters[0] > 0
+
+    def test_rows_bisect_on_after_their_hit(self):
+        # rows 0-2 meet their budgets at halvings 3, 8 and 15, then keep
+        # bisecting in lockstep with row 3, which meets its budget nowhere
+        weights, taxes, intf, gains, masks = spine_rows(4)
+        hi = first_bracket(weights, gains, intf)
+        ks = np.array([3, 8, 15, 40])
+        budgets = row_sum(weights, taxes, intf, gains, masks, hi * 2.0 ** -ks)
+        budgets[3] *= 0.999
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, lam, iters = assert_matches_reference(weights, taxes, intf, gains, budgets,
+                                                     masks, intf)
+        assert list(iters) == [3, 8, 15, BISECTION_ITER_BOUND]
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n_bs=st.integers(1, 7),
+           n_sub=st.sampled_from([1, 2, 3, 7, 8, 9, 16, 17, 40]), inf_masks=st.booleans(),
+           lams=st.lists(st.floats(1e-9, 1e9), min_size=2, max_size=40))
+    def test_row_sum_never_rises_with_lambda(self, seed, n_bs, n_sub, inf_masks, lams):
+        # the fact the spine pass relies on: the kernel's computed row sum,
+        # one (N, S) evaluation per lambda as the loop makes it, never rises
+        # along a sorted grid, and one (N, G, S) evaluation of the whole grid
+        # gives the same sums bit for bit; zero weights and zero taxes included
+        weights, taxes, intf, gains, _, masks, _ = random_batch(seed, n_bs, n_sub, inf_masks,
+                                                                False, False)
+        grid = np.sort(np.array(lams))
+        floor = intf / gains
+        sums = np.stack([np.add.reduce(power._kkt_into(lam * power.LN2 + taxes, weights,
+                                                       floor, masks), axis=1)
+                         for lam in grid], axis=1)
+        assert np.all(np.diff(sums, axis=1) <= 0)
+        den = (grid * power.LN2)[None, :, None] + taxes[:, None]
+        batched = np.add.reduce(power._kkt_into(den, weights[:, None], floor[:, None],
+                                                masks[:, None]), axis=2)
+        assert np.array_equal(batched, sums)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n_bs=st.integers(1, 7),
+           n_sub=st.sampled_from([1, 2, 3, 7, 8, 9, 16, 17, 40]),
+           inf_masks=st.booleans(), slack=st.booleans(), with_noise=st.booleans())
+    def test_output_invariants(self, seed, n_bs, n_sub, inf_masks, slack, with_noise):
+        weights, taxes, intf, gains, budgets, masks, noise = random_batch(
+            seed, n_bs, n_sub, inf_masks, slack, with_noise)
+        try:
+            p, lam, iters = allocate_bisection_batch(weights, taxes, intf, gains, budgets,
+                                                     masks, noise)
+        except RuntimeError:
+            return
+        assert np.array_equal(p, reference_kkt(weights, lam[:, None], taxes, intf, gains,
+                                               masks))
+        assert np.all(p.sum(axis=1) <= budgets + power.BUDGET_RTOL * budgets)
+        assert np.array_equal(lam == 0, iters == 0)
+        assert np.all(iters <= BISECTION_ITER_BOUND)
 
     @pytest.mark.parametrize("bad", [-1e-12, -1.0])
     def test_negative_taxes_rejected(self, bad):

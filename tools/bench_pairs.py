@@ -1,0 +1,163 @@
+"""Run perfbench on a parent commit and on the working tree in alternated pairs.
+
+    python3 tools/bench_pairs.py --parent HEAD --out BENCH_15.json \
+        --what "..." --round "..." [--pairs 10] [--traced-pairs 2] [--seconds 20]
+
+Run it from the root of the repository. The parent is exported with
+`git archive`, and the working tree's files (uncommitted edits and
+untracked, not ignored files included) are copied, into two sibling
+directories of one temporary directory, `parent` and `change`, so that
+both sides run from equivalent paths. With the same code on both sides
+(6 pairs of 10 s on `hetnet10-reduced`), the side run from the
+repository itself read 4.3% higher median `slot_ms` and lost 5 of 6
+pairs; run from sibling directories, it read 1.3% higher and lost 2 of 6.
+For each seed, every
+workload in BENCHMARK.json (or each --workload given) runs once per side
+through `perfbench/run.py`, the side that runs first alternating with the
+seed (odd seeds: parent first). Seeds `--seed0 ...` run at --trace 0,
+seeds `--traced-seed0 ...` at --trace 1.
+
+The output has the schema of BENCH_12.json: every run's final JSON line
+under "runs", and per workload and end-to-end metric the trace-0 quartiles
+of each side with the pairs the change won ("better" from BENCHMARK.json)
+and tied. Uses only the standard library.
+"""
+
+import argparse
+import io
+import json
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export_commit(rev, dest):
+    """Write the files of commit rev into dest; return its short hash."""
+    data = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, filter="data")
+    return subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def copy_worktree(dest):
+    """Copy the working tree's tracked and untracked, not ignored files into dest."""
+    names = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"], cwd=ROOT,
+                           check=True, capture_output=True, text=True).stdout.split("\0")
+    for name in filter(None, names):
+        src = ROOT / name
+        if src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+
+
+def run_side(tree, workload, seed, seconds, trace):
+    """One perfbench/run.py call in tree; returns (returncode, absent, result)."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    absent = []
+    for line in lines:
+        if line.startswith("absent (reported as 0): "):
+            absent = line.split(": ", 1)[1].split(", ")
+    result = None
+    if proc.returncode == 0 and lines:
+        result = json.loads(lines[-1])
+    else:
+        sys.stderr.write(proc.stderr)
+    return proc.returncode, absent, result
+
+
+def quartiles(values):
+    q = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
+         else values * 3)
+    return {"n": len(values), "q1": q[0], "median": q[1], "q3": q[2]}
+
+
+def summarize(runs, workloads, end_to_end):
+    """Trace-0 quartiles per side and pairs won or tied by the change."""
+    out = {}
+    for w in workloads:
+        pairs = {}
+        for r in runs:
+            if r["workload"] == w and r["trace"] == 0 and r["result"] is not None:
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+        pairs = [p for p in pairs.values() if len(p) == 2]
+        out[w] = {}
+        for m in end_to_end:
+            name, lower = m["name"], m["better"] == "lower"
+            par = [p["parent"][name]["value"] for p in pairs]
+            chg = [p["change"][name]["value"] for p in pairs]
+            won = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+            out[w][name] = {"parent": quartiles(par), "change": quartiles(chg),
+                            "pairs_won_by_change": won,
+                            "pairs_tied": sum(c == p for p, c in zip(par, chg)),
+                            "pairs": len(pairs)}
+    return out
+
+
+def main(argv=None):
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    p = argparse.ArgumentParser(description="alternated parent/change perfbench pairs")
+    p.add_argument("--parent", default="HEAD", help="commit to compare against")
+    p.add_argument("--out", required=True, help="JSON file to write")
+    p.add_argument("--what", required=True, help="what the change is")
+    p.add_argument("--round", required=True, help="how this round was run")
+    p.add_argument("--host", default=f"{platform.machine()}, {platform.system()}, "
+                                     f"Python {platform.python_version()}")
+    p.add_argument("--workload", action="append",
+                   choices=[w["name"] for w in bench["workloads"]],
+                   help="repeatable; default: every workload in BENCHMARK.json")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed0", type=int, default=1501)
+    p.add_argument("--traced-pairs", type=int, default=2)
+    p.add_argument("--traced-seed0", type=int, default=1521)
+    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    args = p.parse_args(argv)
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    schedule = ([(s, 0) for s in range(args.seed0, args.seed0 + args.pairs)]
+                + [(s, 1) for s in range(args.traced_seed0,
+                                         args.traced_seed0 + args.traced_pairs)])
+
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        parent_commit = export_commit(args.parent, trees["parent"])
+        copy_worktree(trees["change"])
+        for seed, trace in schedule:
+            first = "parent" if seed % 2 else "change"
+            order = [first, "change" if first == "parent" else "parent"]
+            for w in workloads:
+                for side in order:
+                    rc, absent, result = run_side(trees[side], w, seed, args.seconds, trace)
+                    runs.append({"workload": w, "side": side, "trace": trace, "seed": seed,
+                                 "first": first, "returncode": rc, "absent": absent,
+                                 "result": result, "round": "1"})
+                    wall = result["metrics"].get("wall_s", {}).get("value") if result else None
+                    print(f"seed {seed} trace {trace} {w:22s} {side:6s} rc {rc} "
+                          f"wall_s {wall}", flush=True)
+
+    doc = {"what": args.what, "parent_commit": parent_commit,
+           "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
+                      f"--seconds {args.seconds:g} --trace <trace>",
+           "host": args.host, "rounds": {"1": args.round},
+           "final_round_trace0_quartiles": summarize(runs, workloads, bench["end_to_end"]),
+           "runs": runs}
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    failed = sum(r["returncode"] != 0 for r in runs)
+    print(f"wrote {args.out}: {len(runs)} runs, {failed} failed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -119,11 +119,15 @@ def write_users_csv(result, out_dir):
 
 
 def write_powers_csv(result, out_dir):
+    # csv.writer's bytes (ints, repr of each float, \r\n line ends), written
+    # one slot at a time so that the text never exists whole in memory
+    T, N, S = result.powers.shape
+    bs_sub = [f",{n},{s}," for n in range(N) for s in range(S)]
     path = os.path.join(out_dir, "powers.csv")
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["slot", "bs", "subchannel", "watts"])
-        w.writerows([*slot_bs_sub, _fmt(p)] for slot_bs_sub, p in np.ndenumerate(result.powers))
+        f.write("slot,bs,subchannel,watts\r\n")
+        for t, watts in enumerate(result.powers.reshape(T, -1)):
+            f.write("".join([f"{t}{key}{w!r}\r\n" for key, w in zip(bs_sub, watts.tolist())]))
     return path
 
 

@@ -311,6 +311,8 @@ def run(scenario, record=False):
 
     budgets, masks, allowed = power_limits(net, sc)
     enabled = np.array([b.refim_enabled for b in net.base_stations])
+    if enabled.all():
+        enabled = None   # full deployment: refresh and selection skip the mask
     bw_sub = sc.bandwidth_hz / S
     gap = chan.sinr_gap
 
@@ -358,21 +360,22 @@ def run(scenario, record=False):
         if sc.algorithm == "eq":
             sched = scheduling.schedule_at(gains, eq_powers, noise, serving, members, weights,
                                            gap, bw_sub, allowed)[0]
+            index = scheduling.scheduled_index(sched)
             committed = eq_powers
         else:
             p_eval = power.initial_power(sc.initial_power_rule, budgets, masks,
                                          prev=prev_powers, rng=rng_pow)
-            sched, committed, lam, iters = power.general_algorithm(
+            sched, index, committed, lam, iters = power.general_algorithm(
                 members, serving, gains, weights, noise, taxes, budgets, masks, p_eval, *caps,
                 subchannel_bw_hz=bw_sub, sinr_gap=gap, allowed=allowed)
             iter_max = max(iter_max, iters)
             budget_misses += power.budget_misses(committed, lam, budgets)
 
         violations += power.PowerMatrix(committed, budgets, masks).violations()
-        scheduled, ksafe, rows, cols = scheduling.scheduled_index(sched)
+        scheduled, ksafe, rows, cols = index
         violations += int(np.count_nonzero(scheduled & (serving[ksafe] != rows)))
 
-        served = scheduling.served_rates(gains, committed, sched, noise, gap, bw_sub)
+        served = scheduling.served_rates(gains, committed, index, noise, gap, bw_sub)
         states.update(served)
 
         if t >= sc.warmup_slots:

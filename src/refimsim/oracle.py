@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import power
-from .scheduling import schedule_at, served_rates
+from .scheduling import schedule_at, scheduled_index, served_rates
 from .topology import pad_index_lists
 
 MAX_BS = 3
@@ -46,7 +46,8 @@ def evaluate_objective(gains, noise_w, weights, powers, sched, subchannel_bw_hz=
                        sinr_gap=1.0):
     """Weighted sum rate of a (powers, schedule) pair; the shared scorer for
     oracle and algorithm outputs."""
-    rates = served_rates(gains, powers, sched, noise_w, sinr_gap, subchannel_bw_hz)
+    rates = served_rates(gains, powers, scheduled_index(sched), noise_w, sinr_gap,
+                         subchannel_bw_hz)
     return float(np.asarray(weights, dtype=float) @ rates)
 
 
@@ -158,7 +159,7 @@ def settle_algorithm(algo, gains, noise_w, cells, weights, budgets, masks,
 
         taxes = refim_taxes if algo == "refim" else power.no_taxes
         for _ in range(SETTLE_PASSES):
-            sched, p, _, _ = power.general_algorithm(
+            sched, _, p, _, _ = power.general_algorithm(
                 members, serving, gains, weights, noise_w, taxes, budgets, masks, p,
                 subchannel_bw_hz=subchannel_bw_hz, sinr_gap=sinr_gap)
     else:

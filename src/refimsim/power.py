@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheduling import NO_USER, link_state, schedule_at, scheduled_index
+from .scheduling import link_state, schedule_at, scheduled_index
 
 LN2 = math.log(2.0)
 
@@ -59,17 +59,6 @@ def taxation_from_feedback(weight, cross_gain, signal_w, intf_noise_w):
     return weight * cross_gain * sinr_ref / (signal_w + intf_noise_w)
 
 
-def taxation_term(weight_ref, ref_user, taxed_bs, serving_bs, gains, powers, noise_w,
-                  subchannel):
-    """Taxation computed from ground-truth gains and powers (one reference)."""
-    g = gains[ref_user, :, subchannel]
-    p = powers[:, subchannel]
-    signal = g[serving_bs] * p[serving_bs]
-    total = float(g @ p)
-    intf_noise = total - signal + noise_w[ref_user, subchannel]
-    return taxation_from_feedback(weight_ref, g[taxed_bs], signal, intf_noise)
-
-
 def _kkt_into(out, weights, floor, masks):
     """In place: out <- clip(weights/out - floor, 0, masks).
 
@@ -91,21 +80,8 @@ def _kkt(lam, weights, taxes, floor, masks):
     """
     denom = lam * LN2 + taxes
     unbounded = ~(denom > 0)
-    out = np.empty(np.broadcast_shapes(np.shape(denom), np.shape(weights), np.shape(floor),
-                                       np.shape(masks)))
-    out[...] = np.where(unbounded, 1.0, denom)
-    return _kkt_into(out, np.where(unbounded, np.inf, weights), floor, masks)
-
-
-def kkt_power(weight, lam, tax, intf_noise_w, own_gain, mask):
-    """Clipped KKT fixed point: [w/(lam*ln2 + t) - (I+sigma)/g] in [0, mask].
-
-    lam = 0 with t = 0 means an unbounded water level; the mask clip is the
-    only thing bounding the result then.
-    """
-    floor = np.asarray(intf_noise_w, dtype=float) / np.asarray(own_gain, dtype=float)
-    return _kkt(lam, np.asarray(weight, dtype=float), np.asarray(tax, dtype=float), floor,
-                np.asarray(mask, dtype=float))
+    return _kkt_into(np.where(unbounded, 1.0, denom), np.where(unbounded, np.inf, weights),
+                     floor, masks)
 
 
 def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, masks, noise_w):
@@ -141,9 +117,9 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
     own_gains = np.atleast_2d(np.asarray(own_gains, dtype=float))
     masks = np.atleast_2d(np.asarray(masks, dtype=float))
     budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
-    if np.any(budgets <= 0):
+    if (budgets <= 0).any():
         raise ValueError("budgets must be > 0")
-    if np.any(taxes < 0):
+    if (taxes < 0).any():
         raise ValueError("taxes must be >= 0")
     N, S = weights.shape
     noise_w = np.atleast_2d(np.asarray(noise_w, dtype=float))
@@ -154,23 +130,29 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
     lam = np.zeros(N)
     iters = np.zeros(N, dtype=int)
     searching = np.flatnonzero(p.sum(axis=1) > budgets + delta)
-    if searching.size == 0:
+    R = searching.size
+    if R == 0:
         return p, lam, iters
-
+    if R == N:
+        searching = slice(None)   # every row searches: views, not gathered copies
     w, t, fl, m = (a[searching] for a in (weights, taxes, floor, masks))
     b, d = budgets[searching], delta[searching]
     with np.errstate(divide="ignore"):
         hi = np.max(w * own_gains[searching] / (noise_w[searching] * LN2), axis=1)
-    # ensure the upper bracket undershoots the budget everywhere
+    # ensure the upper bracket undershoots the budget everywhere; with every
+    # hi > 0 every denominator is > 0, so no unbounded level can occur
     for _ in range(_MAX_BRACKET_DOUBLINGS):
-        over = _kkt(hi[:, None], w, t, fl, m).sum(axis=1) > b
+        if (hi > 0).all():
+            p_hi = _kkt_into(hi[:, None] * LN2 + t, w, fl, m)
+        else:
+            p_hi = _kkt(hi[:, None], w, t, fl, m)
+        over = p_hi.sum(axis=1) > b
         if not over.any():
             break
         hi = np.where(over, hi * 2.0, hi)
     else:
         raise RuntimeError("bisection bracket failure: sum p(hi) > budget")
 
-    R = searching.size
     # spine pass: while lo = 0 the j-th midpoint is hi*2^-j. Every rounded
     # step of the row sum is monotone, so the sum never falls as j grows, and
     # a sampled point where every row undershoots by delta or more implies the
@@ -245,39 +227,42 @@ def initial_power(strategy, budgets, masks, prev=None, rng=None):
     raise ValueError(f"unknown initial power strategy {strategy!r}")
 
 
-def measured_interference(gains, powers, sched, noise_w, total=None):
+def measured_interference(gains, powers, index, noise_w, total=None):
     """(N, S) interference-plus-noise at each scheduled user, at `powers`.
 
-    The simulator plays the role of the once-per-slot user measurement
-    report; entries without a scheduled user are set to 1 (never consumed:
-    the mask is zero there). `total` short-circuits the received-power
-    einsum when the caller already has it.
+    index is the schedule's `scheduling.scheduled_index`. The simulator plays
+    the role of the once-per-slot user measurement report; entries without a
+    scheduled user are set to 1 (never consumed: the mask is zero there).
+    `total` short-circuits the received-power einsum when the caller already
+    has it.
     """
-    scheduled, user, bs, sub = scheduled_index(sched)
+    scheduled, user, bs, sub = index
     _, intf_noise = link_state(gains, powers, noise_w, user, bs, sub, total)
     return np.where(scheduled, intf_noise, 1.0)
 
 
-def scheduled_arrays(gains, sched, weights, noise_w):
-    """Per-(bs, subchannel) weight, own gain and noise of the scheduled user."""
-    scheduled, user, bs, sub = scheduled_index(sched)
+def scheduled_arrays(gains, index, weights, noise_w):
+    """Per-(bs, subchannel) weight, own gain and noise of the scheduled user,
+    from the schedule's `scheduling.scheduled_index`."""
+    scheduled, user, bs, sub = index
     w = np.where(scheduled, np.asarray(weights)[user], 0.0)
     g = np.where(scheduled, gains[user, bs, sub], 1.0)
     sig = np.where(scheduled, noise_w[user, sub], 1.0)
     return w, g, sig
 
 
-def allocate(gains, powers, sched, weights, noise_w, taxes, budgets, masks, total=None):
+def allocate(gains, powers, index, weights, noise_w, taxes, budgets, masks, total=None):
     """One power step for every BS: the KKT allocation for its scheduled
     users, with their interference measured at `powers`.
 
-    taxes: (N, S), zero for selfish water-filling. Unscheduled pairs get a
-    zero mask. `total` is the (K, S) received power at `powers`, when the
-    caller has it. Returns (p, lam, iters) of allocate_bisection_batch.
+    index is the schedule's `scheduling.scheduled_index`; taxes: (N, S), zero
+    for selfish water-filling. Unscheduled pairs get a zero mask. `total` is
+    the (K, S) received power at `powers`, when the caller has it. Returns
+    (p, lam, iters) of allocate_bisection_batch.
     """
-    w, g, sig = scheduled_arrays(gains, sched, weights, noise_w)
-    intf = measured_interference(gains, powers, sched, noise_w, total=total)
-    masks = np.where(sched == NO_USER, 0.0, masks)
+    w, g, sig = scheduled_arrays(gains, index, weights, noise_w)
+    intf = measured_interference(gains, powers, index, noise_w, total=total)
+    masks = np.where(index[0], masks, 0.0)
     return allocate_bisection_batch(w, taxes, intf, g, budgets, masks, noise_w=sig)
 
 
@@ -322,9 +307,10 @@ def general_algorithm(members, serving, gains, weights, noise_w, taxes, budgets,
 
     The outer loop reschedules at the current powers, the inner one re-taxes
     and re-allocates until no power moves by P_TOL or a cap is hit. Returns
-    (sched, powers, lam, iter_max): lam is the budget multiplier of the
-    bisection that produced `powers`, iter_max the largest bisection
-    iteration count over the slot.
+    (sched, index, powers, lam, iter_max): index is the schedule's
+    `scheduled_index`, lam the budget multiplier of the bisection that
+    produced `powers`, iter_max the largest bisection iteration count over
+    the slot.
     """
     if sched_iters < 1 or power_iters < 1:
         raise ValueError("iteration caps must be >= 1")
@@ -337,10 +323,11 @@ def general_algorithm(members, serving, gains, weights, noise_w, taxes, budgets,
         if sched is not None and np.array_equal(new_sched, sched):
             break
         sched = new_sched
+        index = scheduled_index(sched)
         for i in range(power_iters):
             if i > 0:
                 total = np.einsum("kms,ms->ks", gains, p)
-            p_new, lam, iters = allocate(gains, p, sched, weights, noise_w,
+            p_new, lam, iters = allocate(gains, p, index, weights, noise_w,
                                          taxes(sched, p, total, signal, intf_noise),
                                          budgets, masks, total=total)
             iter_max = max(iter_max, int(iters.max()))
@@ -349,4 +336,4 @@ def general_algorithm(members, serving, gains, weights, noise_w, taxes, budgets,
             p = p_new
             if done:
                 break
-    return sched, p, lam, iter_max
+    return sched, index, p, lam, iter_max

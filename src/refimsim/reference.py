@@ -144,16 +144,26 @@ def refresh_candidate_tables(network, tables, slot, scenario, mean_gains=None, e
         if mean_gains is None:
             raise ValueError("edge_only refresh needs mean_gains")
         keep &= femto_user | classify_edge_users(network, mean_gains, scenario.edge_threshold_db)
-    # Divided in place under the mask: `pub[keep] = acc[keep] / cnt` would
-    # copy the kept rows of the F0 table twice. Assigning a scalar through a
-    # boolean mask copies nothing. F0 rows follow their owner's count and
-    # mask; the other tables have one row per user.
+    # When every user is kept, and so due, each table is published by one
+    # unmasked divide and its window cleared by a fill. Otherwise it is
+    # divided in place under the mask: `pub[keep] = acc[keep] / cnt` would
+    # copy the kept rows of the F0 table twice, while assigning a scalar
+    # through a boolean mask copies nothing. F0 rows follow their owner's
+    # count and mask; the other tables have one row per user.
     cnt = np.maximum(tables.acc_count, 1).astype(float)
     every = slice(None)
     fields = ((tables.acc_f0, tables.pub_f0, tables.f0_user),
               (tables.acc_f1, tables.pub_f1, every),
               (tables.acc_f2, tables.pub_f2, every),
               (tables.acc_f3, tables.pub_f3, every))
+    if keep.all():
+        for acc, pub, owner in fields:
+            np.divide(acc, cnt[(owner,) + (None,) * (acc.ndim - 1)], out=pub)
+            acc.fill(0)
+        tables.pub_valid.fill(True)
+        tables.last_update.fill(slot)
+        tables.acc_count.fill(0)
+        return events
     for acc, pub, owner in fields:
         per_row = (owner,) + (None,) * (acc.ndim - 1)
         np.divide(acc, cnt[per_row], out=pub, where=keep[per_row])
@@ -210,7 +220,8 @@ def select_references(views, tables, count, enabled=None):
     """
     nbr = tables.nbr
     cand = views.macro_view[nbr]                       # (N, B, S)
-    cand[tables.femto] = views.femto_view[nbr[tables.femto]]
+    if views.femto_view is not views.macro_view:       # femto viewers do not overhear
+        cand[tables.femto] = views.femto_view[nbr[tables.femto]]
     usable = tables.pub_valid[cand]
     if enabled is not None:
         usable &= np.asarray(enabled, dtype=bool)[:, None, None]
@@ -234,19 +245,31 @@ def rank_references(nbr, cand, cross, count):
     nbr: (N, B) neighbor ids padded with -1. cand: (N, B, S) candidate user
     of each neighbor, NO_USER where there is none. cross: (N, B, S) gain of
     each candidate toward the viewer, read only where a candidate exists;
-    candidates are ranked by it, and ties keep neighbor order (stable sort).
+    candidates are ranked by it, and ties keep neighbor order, as a stable
+    sort would.
 
     Returns (selection, (n, s, m), users): the selection has ref_bs, ref_user
     and f0 set and f1-f3 at their defaults; (n, s, m) index its valid
     entries in C order and users holds the reference user of each, so the
     caller fills f1-f3 from its own source.
     """
-    N, _, S = cand.shape
+    N, B, S = cand.shape
     valid = (cand != NO_USER) & (nbr >= 0)[:, :, None]
     key = np.where(valid, cross, -np.inf)
-    order = np.argsort(-key, axis=1, kind="stable")[:, :count]   # (N, M, S)
-    n, s, m = np.nonzero(np.take_along_axis(valid, order, axis=1).transpose(0, 2, 1))
-    b = order[n, m, s]                           # neighbor position of each reference
+    # pass m takes the m-th strongest candidate: argmax returns the first
+    # maximum, the lowest neighbor index among equal keys, as a stable sort
+    # of -key does. A taken entry drops to -inf; once a row has no valid
+    # candidate left, its later passes land on taken or invalid entries,
+    # which the rank test below drops
+    M = min(count, B)
+    order = np.empty((N, S, M), dtype=int)
+    rows, cols = np.arange(N)[:, None], np.arange(S)
+    for m in range(M):
+        if m:
+            key[rows, b, cols] = -np.inf
+        order[:, :, m] = b = key.argmax(axis=1)
+    n, s, m = np.nonzero(np.arange(M) < valid.sum(axis=1)[:, :, None])
+    b = order[n, s, m]                           # neighbor position of each reference
     users = cand[n, b, s]
     sel = _empty_selection(N, S, max(count, 1))
     sel.ref_bs[n, s, m] = nbr[n, b]

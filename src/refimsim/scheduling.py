@@ -10,15 +10,6 @@ import numpy as np
 NO_USER = -1
 
 
-def sinr(gains, powers, user, bs, subchannel, noise_w):
-    """Received SINR of `user` from `bs`: signal over other-BS power + noise."""
-    g = gains[user, :, subchannel]
-    p = powers[:, subchannel]
-    signal = g[bs] * p[bs]
-    interference = float(g @ p) - signal
-    return signal / (interference + noise_w[user, subchannel])
-
-
 def link_state(gains, powers, noise_w, user, bs, sub, total=None):
     """Signal and interference-plus-noise of the links bs -> user on sub.
 
@@ -50,7 +41,8 @@ def schedule_users(members, weights, rate_ks, allowed=None):
     # one row per user plus a last, -inf row that the -1 padding gathers
     score = np.full((rate_ks.shape[0] + 1, rate_ks.shape[1]), -np.inf)
     np.multiply(weights[:, None], rate_ks, out=score[:-1])
-    sched = np.take_along_axis(members, np.take(score, members, axis=0).argmax(axis=1), axis=1)
+    sched = members[np.arange(members.shape[0])[:, None],
+                    np.take(score, members, axis=0).argmax(axis=1)]
     return sched if allowed is None else np.where(allowed, sched, NO_USER)
 
 
@@ -72,15 +64,17 @@ def schedule_at(gains, powers, noise_w, serving, members, weights, gap=1.0,
 def scheduled_index(sched):
     """(scheduled, user, bs, sub) for an (N, S) schedule: the mask of pairs
     with a scheduled user and the broadcastable link index of every pair,
-    user 0 standing in where nobody is scheduled."""
+    user 0 standing in where nobody is scheduled. Built once per schedule and
+    passed to every function that reads the scheduled links."""
     N, S = sched.shape
     scheduled = sched != NO_USER
     return scheduled, np.where(scheduled, sched, 0), np.arange(N)[:, None], np.arange(S)
 
 
-def served_rates(gains, powers, sched, noise_w, gap=1.0, subchannel_bw_hz=1.0):
-    """(K,) per-user sum rate actually served under the committed powers."""
-    scheduled, user, bs, sub = scheduled_index(sched)
+def served_rates(gains, powers, index, noise_w, gap=1.0, subchannel_bw_hz=1.0):
+    """(K,) per-user sum rate actually served under the committed powers;
+    index is the schedule's `scheduled_index`."""
+    scheduled, user, bs, sub = index
     signal, intf_noise = link_state(gains, powers, noise_w, user, bs, sub)
     r = rate(signal / intf_noise, gap, subchannel_bw_hz)
     return np.bincount(user[scheduled], weights=r[scheduled], minlength=gains.shape[0])
@@ -100,7 +94,7 @@ class UserStates:
 
     def weights(self):
         r = self.avg_throughput_bps
-        if np.any(r <= 0):
+        if (r <= 0).any():
             raise ValueError("average throughputs must be > 0")
         if self.alpha == 1.0:
             return 1.0 / r

@@ -18,7 +18,7 @@ from refimsim.cli import main as cli_main
 from refimsim.oracle import brute_force, settle_algorithm
 from refimsim.presets import get_preset
 from refimsim.reference import ReferenceSelection
-from refimsim.scheduling import NO_USER, schedule_at
+from refimsim.scheduling import NO_USER, schedule_at, scheduled_index
 from refimsim.topology import pad_index_lists
 from refimsim.oracle import enumerate_schedules, evaluate_objective, serving_of
 
@@ -167,9 +167,10 @@ def test_criterion_03_waterfilling_reduction():
             f0=np.zeros((n_bs, n_sub, 1)), f1=np.zeros((n_bs, n_sub, 1)),
             f2=np.ones((n_bs, n_sub, 1)), f3=np.ones((n_bs, n_sub, 1)))
         budgets, masks = np.full(n_bs, 1.5), np.full((n_bs, n_sub), 1.5)
-        p_ref, _, _ = power.allocate(gains, prev, sched, weights, noise, empty.taxes(),
+        index = scheduled_index(sched)
+        p_ref, _, _ = power.allocate(gains, prev, index, weights, noise, empty.taxes(),
                                      budgets, masks)
-        p_wf, _, _ = power.allocate(gains, prev, sched, weights, noise,
+        p_wf, _, _ = power.allocate(gains, prev, index, weights, noise,
                                     np.zeros((n_bs, n_sub)), budgets, masks)
         worst = max(worst, float(np.abs(p_ref - p_wf).max()))
     _line(3, f"max |p_refim(no refs) - p_wf| over 100 instances = {worst:.2e} W")

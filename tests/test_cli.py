@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -117,6 +118,22 @@ class TestRunCommand:
         assert lines[0] == "slot,sender,receiver,message_type,bytes"
         assert any("table_refresh" in l for l in lines[1:])
         assert any("index_exchange" in l for l in lines[1:])
+
+    def test_output_bytes_pinned(self, tmp_path):
+        # sha256 of each file, recorded before the writers were rewritten
+        pinned = {
+            "summary.json": "a6024253aa0c0e57c5bdf81410678cd4d7ca2d30a53fcca326142dd2c0f00932",
+            "users.csv": "37be22e4c5c778d695e52d675fbb8bd2385c321bf41e170f0150ad426b0f775e",
+            "powers.csv": "70d1ca058735ebca2dffc904e98ada4f0dbf61c2c58cc142355f9965341d1d12",
+            "protocol.csv": "0d855ae58368296828fe5c0dcdbac8131c52e3ff3eba052bc4c6f8e20f251fa9",
+        }
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg.write_text(json.dumps({"preset": "two-cell", "seed": 7, "slots": 120,
+                                   "warmup_slots": 40}))
+        assert main(["run", str(cfg), "--dump-powers", "--dump-protocol",
+                     "--out", str(out)]) == 0
+        assert {name: hashlib.sha256(read(out / name)).hexdigest()
+                for name in pinned} == pinned
 
     def test_missing_config_exit_1_no_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "never"

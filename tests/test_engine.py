@@ -231,7 +231,8 @@ class TestConservationReplay:
         accum = np.zeros(chan.noise.shape[0])
         for t, (powers, sched) in enumerate(zip(res.powers, res.schedules)):
             chan.advance()
-            served = scheduling.served_rates(chan.gains(), powers, sched, chan.noise, gap, bw_sub)
+            index = scheduling.scheduled_index(sched)
+            served = scheduling.served_rates(chan.gains(), powers, index, chan.noise, gap, bw_sub)
             if t >= sc.warmup_slots:
                 accum += served
         assert np.array_equal(accum, res.accumulated_rate_bps)

@@ -8,12 +8,15 @@ from refimsim import power
 from refimsim.oracle import evaluate_objective, serving_of
 from refimsim.power import (
     BISECTION_ITER_BOUND, PowerMatrix, allocate, allocate_bisection_batch,
-    general_algorithm, initial_power, kkt_power, measured_interference, scheduled_arrays,
-    taxation_from_feedback, taxation_term,
+    general_algorithm, initial_power, measured_interference, scheduled_arrays,
+    taxation_from_feedback,
 )
 from refimsim.reference import ReferenceSelection
-from refimsim.scheduling import NO_USER, link_state, rate, schedule_at, schedule_users
+from refimsim.scheduling import (
+    NO_USER, link_state, rate, schedule_at, schedule_users, scheduled_index,
+)
 from refimsim.topology import pad_index_lists
+from scalar_oracles import kkt_power, taxation_term
 
 
 def random_alloc_inputs(seed, n_sub=8):
@@ -73,24 +76,39 @@ class TestTaxation:
                                                          signal, intf))
 
 
+def kkt(weight, lam, tax, intf_noise_w, own_gain, mask):
+    """power._kkt, the bisection's KKT evaluation, on the arguments of the
+    scalar oracle kkt_power."""
+    weight, tax, intf_noise_w, own_gain, mask = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (weight, tax, intf_noise_w, own_gain, mask)))
+    return power._kkt(lam, weight, tax, intf_noise_w / own_gain, mask)
+
+
 class TestKktPower:
     def test_interior_value(self):
         # lam*ln2 + t = 2 via tax alone
-        assert kkt_power(1.0, 0.0, 2.0, 0.1, 1.0, 10.0) == pytest.approx(0.4)
+        assert kkt(1.0, 0.0, 2.0, 0.1, 1.0, 10.0) == pytest.approx(0.4)
 
     def test_upper_clamp(self):
-        assert kkt_power(1.0, 0.0, 0.05, 0.1, 1.0, 10.0) == pytest.approx(10.0)
+        assert kkt(1.0, 0.0, 0.05, 0.1, 1.0, 10.0) == pytest.approx(10.0)
 
     def test_lower_clamp(self):
-        assert kkt_power(1.0, 0.0, 2.0, 5.0, 1.0, 10.0) == 0.0
+        assert kkt(1.0, 0.0, 2.0, 5.0, 1.0, 10.0) == 0.0
 
     def test_zero_denominator_hits_mask(self):
-        assert kkt_power(1.0, 0.0, 0.0, 0.1, 1.0, 7.0) == pytest.approx(7.0)
+        assert kkt(1.0, 0.0, 0.0, 0.1, 1.0, 7.0) == pytest.approx(7.0)
 
     def test_monotone_nonincreasing_in_tax(self):
         taxes = np.linspace(0.0, 5.0, 40)
-        p = kkt_power(1.0, 0.3, taxes, 0.1, 1.0, 10.0)
+        p = kkt(1.0, 0.3, taxes, 0.1, 1.0, 10.0)
         assert np.all(np.diff(p) <= 1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scalar_oracle_equals_kernel(self, seed):
+        weights, taxes, intf, gains, _, masks = random_alloc_inputs(seed)
+        for lam in (0.0, 0.05, 0.7, 3.0):
+            assert np.array_equal(kkt_power(weights, lam, taxes, intf, gains, masks),
+                                  kkt(weights, lam, taxes, intf, gains, masks))
 
 
 def one_row(weights, taxes, intf_noise, own_gains, budget, masks):
@@ -137,13 +155,13 @@ class TestBisection:
     def test_power_sum_nonincreasing_in_lambda(self, seed):
         weights, taxes, intf, gains, budget, masks = random_alloc_inputs(seed)
         lams = np.linspace(0.0, 5.0, 60)
-        sums = [kkt_power(weights, l, taxes, intf, gains, masks).sum() for l in lams]
+        sums = [kkt(weights, l, taxes, intf, gains, masks).sum() for l in lams]
         assert np.all(np.diff(sums) <= 1e-12)
 
     def test_taxation_never_raises_power_at_fixed_lambda(self):
         weights, _, intf, gains, budget, masks = random_alloc_inputs(4)
-        base = kkt_power(weights, 0.7, np.zeros_like(weights), intf, gains, masks)
-        taxed = kkt_power(weights, 0.7, np.full_like(weights, 0.5), intf, gains, masks)
+        base = kkt(weights, 0.7, np.zeros_like(weights), intf, gains, masks)
+        taxed = kkt(weights, 0.7, np.full_like(weights, 0.5), intf, gains, masks)
         assert np.all(taxed <= base + 1e-15)
 
     def test_batch_matches_single(self):
@@ -157,23 +175,13 @@ class TestBisection:
             assert np.allclose(P[i], p1, atol=1e-12)
 
 
-def reference_kkt(weight, lam, tax, intf_noise_w, own_gain, mask):
-    """The KKT evaluation as written before the in-place kernel."""
-    weight = np.asarray(weight, dtype=float)
-    denom = lam * power.LN2 + np.asarray(tax, dtype=float)
-    with np.errstate(divide="ignore"):
-        level = np.where(denom > 0, weight / np.where(denom > 0, denom, 1.0), np.inf)
-    p = level - np.asarray(intf_noise_w, dtype=float) / np.asarray(own_gain, dtype=float)
-    return np.clip(p, 0.0, mask)
-
-
 def reference_bisection(weights, taxes, intf_noise, own_gains, budgets, masks, noise_w):
     """The lockstep bisection as written before the lean loop: every row is
     evaluated every iteration and p is copied out at each hit."""
     N = weights.shape[0]
 
     def eval_p(lam):
-        return reference_kkt(weights, lam[:, None], taxes, intf_noise, own_gains, masks)
+        return kkt_power(weights, lam[:, None], taxes, intf_noise, own_gains, masks)
 
     delta = power.BUDGET_RTOL * budgets
     p = eval_p(np.zeros(N))
@@ -263,7 +271,7 @@ def first_bracket(weights, gains, noise):
 
 def row_sum(weights, taxes, intf, gains, masks, lam):
     """Per-row power sum of the KKT formula at lam (N,)."""
-    return reference_kkt(weights, lam[:, None], taxes, intf, gains, masks).sum(axis=1)
+    return kkt_power(weights, lam[:, None], taxes, intf, gains, masks).sum(axis=1)
 
 
 def count_kernel_passes(monkeypatch):
@@ -410,7 +418,7 @@ class TestLeanBisection:
                                                      masks, noise)
         except RuntimeError:
             return
-        assert np.array_equal(p, reference_kkt(weights, lam[:, None], taxes, intf, gains,
+        assert np.array_equal(p, kkt_power(weights, lam[:, None], taxes, intf, gains,
                                                masks))
         assert np.all(p.sum(axis=1) <= budgets + power.BUDGET_RTOL * budgets)
         assert np.array_equal(lam == 0, iters == 0)
@@ -475,8 +483,8 @@ def make_step_instance(seed, n_bs=2, n_sub=4, upc=2):
 def step_powers(sched, taxes, prev, gains, weights, noise, budget, masks):
     """Every BS's power step at one shared budget and (S,) mask."""
     N, S = sched.shape
-    p, _, _ = allocate(gains, prev, sched, weights, noise, taxes, np.full(N, budget),
-                       np.broadcast_to(masks, (N, S)))
+    p, _, _ = allocate(gains, prev, scheduled_index(sched), weights, noise, taxes,
+                       np.full(N, budget), np.broadcast_to(masks, (N, S)))
     return p
 
 
@@ -522,7 +530,7 @@ class TestRefimStep:
 class TestMeasuredArrays:
     def test_interference_excludes_own_signal(self):
         cells, gains, noise, weights, prev, sched, budget, masks = make_step_instance(1)
-        intf = measured_interference(gains, prev, sched, noise)
+        intf = measured_interference(gains, prev, scheduled_index(sched), noise)
         k = sched[0, 0]
         expected = (gains[k, :, 0] @ prev[:, 0] - gains[k, 0, 0] * prev[0, 0]
                     + noise[k, 0])
@@ -530,7 +538,7 @@ class TestMeasuredArrays:
 
     def test_scheduled_arrays_gather(self):
         cells, gains, noise, weights, prev, sched, budget, masks = make_step_instance(2)
-        w, g, sig = scheduled_arrays(gains, sched, weights, noise)
+        w, g, sig = scheduled_arrays(gains, scheduled_index(sched), weights, noise)
         k = sched[1, 2]
         assert w[1, 2] == weights[k]
         assert g[1, 2] == gains[k, 1, 2]
@@ -539,7 +547,8 @@ class TestMeasuredArrays:
     def test_unscheduled_slots_inert(self):
         gains = np.ones((1, 1, 2))
         sched = np.array([[0, NO_USER]])
-        w, g, sig = scheduled_arrays(gains, sched, np.array([2.0]), np.ones((1, 2)))
+        w, g, sig = scheduled_arrays(gains, scheduled_index(sched), np.array([2.0]),
+                                     np.ones((1, 2)))
         assert w[0, 1] == 0.0 and g[0, 1] == 1.0
 
 
@@ -648,7 +657,7 @@ class TestGeneralAlgorithm:
         p0 = initial_power("uniform", budgets, masks)
         hs = []
         for i in (1, 2, 3, 4):
-            sched, p, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets,
+            sched, _, p, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets,
                                           masks, p0, sched_iters=i, power_iters=2)
             hs.append(evaluate_objective(gains, noise, weights, p, sched))
         assert all(hs[j + 1] >= hs[j] - 1e-9 for j in range(len(hs) - 1))
@@ -657,9 +666,9 @@ class TestGeneralAlgorithm:
     def test_more_loops_never_hurt_from_uniform_start(self, seed):
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(seed)
         p0 = initial_power("uniform", budgets, masks)
-        s1, p1, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets,
+        s1, _, p1, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets,
                                     masks, p0, 1, 1)
-        s3, p3, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets,
+        s3, _, p3, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets,
                                     masks, p0, 3, 3)
         h1 = evaluate_objective(gains, noise, weights, p1, s1)
         h3 = evaluate_objective(gains, noise, weights, p3, s3)
@@ -668,7 +677,7 @@ class TestGeneralAlgorithm:
     def test_degenerate_caps_equal_one_pass_pipeline(self):
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(2)
         p0 = initial_power("uniform", budgets, masks)
-        sched_g, p_g, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets,
+        sched_g, _, p_g, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets,
                                           masks, p0, 1, 1)
         signal, intf = link_state(gains, p0, noise, np.arange(4), np.array([0, 0, 1, 1]),
                                   slice(None))
@@ -677,8 +686,8 @@ class TestGeneralAlgorithm:
         total = np.einsum("kms,ms->ks", gains, p0)
         taxes = power.ground_truth_taxes(sched, gains, weights, noise, pad_index_lists(nbrs),
                                          p0, total, 1)
-        w, g, sig = scheduled_arrays(gains, sched, weights, noise)
-        intf = measured_interference(gains, p0, sched, noise)
+        w, g, sig = scheduled_arrays(gains, scheduled_index(sched), weights, noise)
+        intf = measured_interference(gains, p0, scheduled_index(sched), noise)
         p_manual, _, _ = allocate_bisection_batch(w, taxes, intf, g, budgets, masks,
                                                   noise_w=sig)
         assert np.allclose(p_g, p_manual, atol=1e-12)
@@ -687,6 +696,6 @@ class TestGeneralAlgorithm:
     def test_emitted_powers_feasible(self, seed):
         cells, gains, noise, weights, budgets, masks, nbrs = general_instance(seed, n_bs=2)
         p0 = initial_power("uniform", budgets, masks)
-        _, p, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets, masks,
+        _, _, p, _, _ = general_step(cells, gains, weights, noise, nbrs, budgets, masks,
                                   p0, 3, 3)
         assert PowerMatrix(p, budgets, masks).violations() == 0

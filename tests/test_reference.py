@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refimsim.engine import Scenario, build_network
-from refimsim.power import taxation_term
 from refimsim.presets import get_preset
 from refimsim.reference import (
     CandidateTables, ReferenceSelection, exchange_scheduled_indices,
-    protocol_rows, refresh_candidate_tables, representative_users, select_references,
-    viewer_index,
+    protocol_rows, rank_references, refresh_candidate_tables, representative_users,
+    select_references, viewer_index,
 )
 from refimsim.scheduling import NO_USER, link_state
 from refimsim.topology import (
     TIER_FEMTO, BaseStation, Network, User, classify_edge_users, pad_index_lists,
 )
+from scalar_oracles import taxation_term
 
 
 def protocol_network(n_sub=2):
@@ -428,6 +428,56 @@ class TestBatchSelection:
                          neighbor_sets=[[], [], []], subchannel_count=3,
                          bandwidth_hz=10e6)
         self._check(lonely, Scenario(), 0)
+
+
+
+def argsort_ranking(nbr, cand, cross, count):
+    """The ranking as a stable argsort of the negated key over all neighbors
+    (reference): (n, s, m) of every kept entry in C order and its neighbor
+    position b."""
+    valid = (cand != NO_USER) & (nbr >= 0)[:, :, None]
+    key = np.where(valid, cross, -np.inf)
+    order = np.argsort(-key, axis=1, kind="stable")[:, :count]   # (N, M, S)
+    n, s, m = np.nonzero(np.take_along_axis(valid, order, axis=1).transpose(0, 2, 1))
+    return (n, s, m), order[n, m, s]
+
+
+@st.composite
+def ranking_inputs(draw):
+    """Padded neighbor ids, candidates and cross gains of N viewers with B
+    neighbor slots on S subchannels. Gains come from a few levels, so ties
+    are common; -1 padding and NO_USER candidates are mixed in."""
+    N, B, S = draw(st.integers(0, 4)), draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    nbr = rng.integers(0, max(N, 1), size=(N, B))
+    nbr[rng.random((N, B)) < draw(st.sampled_from([0.0, 0.3]))] = -1
+    cand = rng.integers(0, 50, size=(N, B, S))
+    cand[rng.random((N, B, S)) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = NO_USER
+    levels = draw(st.sampled_from([1, 2, 3, 1000]))
+    cross = rng.integers(0, levels, size=(N, B, S)) / levels
+    return nbr, cand, cross, draw(st.integers(0, 3))
+
+
+class TestRanking:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(ranking_inputs())
+    def test_equals_stable_argsort(self, inputs):
+        nbr, cand, cross, count = inputs
+        sel, idx, users = rank_references(nbr, cand, cross, count)
+        want_idx, b = argsort_ranking(nbr, cand, cross, count)
+        n, s, m = want_idx
+        for got, want in zip(idx, want_idx):
+            assert np.array_equal(got, want)
+        assert np.array_equal(users, cand[n, b, s])
+        N, _, S = cand.shape
+        ref_bs = np.full((N, S, max(count, 1)), -1)
+        ref_bs[n, s, m] = nbr[n, b]
+        f0 = np.zeros((N, S, max(count, 1)))
+        f0[n, s, m] = cross[n, b, s]
+        assert np.array_equal(sel.ref_bs, ref_bs) and np.array_equal(sel.f0, f0)
+        # no (viewer, subchannel) lists one neighbor position twice
+        assert len(set(zip(n, s, b))) == n.size
 
 
 def full_table_select(views, tables, full_f0, count, enabled=None):

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refimsim.oracle import enumerate_schedules, evaluate_objective, serving_of
-from refimsim.power import taxation_from_feedback, taxation_term
+from refimsim.power import taxation_from_feedback
 from refimsim.scheduling import (
     NO_USER, UserStates, link_state, rate, schedule_at, schedule_users,
-    scheduled_index, served_rates, sinr,
+    scheduled_index, served_rates,
 )
 from refimsim.topology import pad_index_lists
+from scalar_oracles import sinr, taxation_term
 
 
 def random_instance(seed, n_bs=2, n_sub=2, users_per_cell=3):
@@ -269,7 +270,7 @@ class TestServedRates:
         sched, _, signal, intf = schedule_at(gains, powers, noise, serving,
                                              pad_index_lists(cells), weights)
         rates = rate(signal / intf)
-        served = served_rates(gains, powers, sched, noise)
+        served = served_rates(gains, powers, scheduled_index(sched), noise)
         expected = np.zeros(6)
         for n in range(2):
             for s in range(2):

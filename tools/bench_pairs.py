@@ -1,7 +1,8 @@
 """Run perfbench on a parent commit and on the working tree in alternated pairs.
 
     python3 tools/bench_pairs.py --parent HEAD --out BENCH_15.json \
-        --what "..." --round "..." [--pairs 10] [--traced-pairs 2] [--seconds 20]
+        --what "..." --round "..." [--pairs 10] [--traced-pairs 2] [--seconds 20] \
+        [--tier1]
 
 Run it from the root of the repository. The parent is exported with
 `git archive`, and the working tree's files (uncommitted edits and
@@ -15,7 +16,9 @@ For each seed, every
 workload in BENCHMARK.json (or each --workload given) runs once per side
 through `perfbench/run.py`, the side that runs first alternating with the
 seed (odd seeds: parent first). Seeds `--seed0 ...` run at --trace 0,
-seeds `--traced-seed0 ...` at --trace 1.
+seeds `--traced-seed0 ...` at --trace 1. With --tier1, each side first runs
+the Tier-1 suite once (ROADMAP's "Tier-1 verify" command, parent first), and
+its wall time, exit code and pytest summary line go under "tier1".
 
 The output has the schema of BENCH_12.json: every run's final JSON line
 under "runs", and per workload and end-to-end metric the trace-0 quartiles
@@ -26,6 +29,7 @@ and tied. Uses only the standard library.
 import argparse
 import io
 import json
+import os
 import platform
 import shutil
 import statistics
@@ -33,9 +37,11 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def export_commit(rev, dest):
@@ -76,6 +82,19 @@ def run_side(tree, workload, seed, seconds, trace):
     else:
         sys.stderr.write(proc.stderr)
     return proc.returncode, absent, result
+
+
+def run_tier1(tree):
+    """One Tier-1 run in tree, with its src/ first on PYTHONPATH; returns its
+    wall seconds, exit code and pytest's last output line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"),
+                                                      env.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    last = proc.stdout.strip().splitlines()[-1:] or [""]
+    return {"wall_s": round(wall, 1), "returncode": proc.returncode, "summary": last[0]}
 
 
 def quartiles(values):
@@ -123,17 +142,22 @@ def main(argv=None):
     p.add_argument("--traced-pairs", type=int, default=2)
     p.add_argument("--traced-seed0", type=int, default=1521)
     p.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    p.add_argument("--tier1", action="store_true",
+                   help="time one Tier-1 run per side before the pairs")
     args = p.parse_args(argv)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     schedule = ([(s, 0) for s in range(args.seed0, args.seed0 + args.pairs)]
                 + [(s, 1) for s in range(args.traced_seed0,
                                          args.traced_seed0 + args.traced_pairs)])
 
-    runs = []
+    runs, tier1 = [], {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         parent_commit = export_commit(args.parent, trees["parent"])
         copy_worktree(trees["change"])
+        for side in trees if args.tier1 else ():
+            tier1[side] = run_tier1(trees[side])
+            print(f"tier1 {side:6s} {tier1[side]}", flush=True)
         for seed, trace in schedule:
             first = "parent" if seed % 2 else "change"
             order = [first, "change" if first == "parent" else "parent"]
@@ -151,10 +175,12 @@ def main(argv=None):
            "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                       f"--seconds {args.seconds:g} --trace <trace>",
            "host": args.host, "rounds": {"1": args.round},
+           **({"tier1": tier1} if tier1 else {}),
            "final_round_trace0_quartiles": summarize(runs, workloads, bench["end_to_end"]),
            "runs": runs}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    failed = sum(r["returncode"] != 0 for r in runs)
+    failed = sum(r["returncode"] != 0 for r in runs) + sum(
+        t["returncode"] != 0 for t in tier1.values())
     print(f"wrote {args.out}: {len(runs)} runs, {failed} failed")
     return 1 if failed else 0
 

@@ -74,12 +74,16 @@ def _kkt_into(out, weights, floor, masks):
 def _kkt(lam, weights, taxes, floor, masks):
     """KKT powers for a denominator lam*ln2 + t of any sign.
 
-    A denominator that is not > 0 (lam = 0 with t = 0) means an unbounded
-    water level: the weight there is replaced by inf over a unit denominator,
-    and the mask clip is the only thing bounding the result.
+    lam*ln2 + taxes must already have the output shape. A denominator that
+    is not > 0 (lam = 0 with t = 0) means an unbounded water level: the
+    weight there is replaced by inf over a unit denominator, and the mask
+    clip is the only thing bounding the result. When every denominator is
+    > 0 they are used as they are.
     """
     denom = lam * LN2 + taxes
     unbounded = ~(denom > 0)
+    if not unbounded.any():
+        return _kkt_into(denom, weights, floor, masks)
     return _kkt_into(np.where(unbounded, 1.0, denom), np.where(unbounded, np.inf, weights),
                      floor, masks)
 
@@ -139,13 +143,9 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
     b, d = budgets[searching], delta[searching]
     with np.errstate(divide="ignore"):
         hi = np.max(w * own_gains[searching] / (noise_w[searching] * LN2), axis=1)
-    # ensure the upper bracket undershoots the budget everywhere; with every
-    # hi > 0 every denominator is > 0, so no unbounded level can occur
+    # ensure the upper bracket undershoots the budget everywhere
     for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if (hi > 0).all():
-            p_hi = _kkt_into(hi[:, None] * LN2 + t, w, fl, m)
-        else:
-            p_hi = _kkt(hi[:, None], w, t, fl, m)
+        p_hi = _kkt(hi[:, None], w, t, fl, m)
         over = p_hi.sum(axis=1) > b
         if not over.any():
             break

@@ -119,7 +119,11 @@ class CandidateTables:
 
 
 def refresh_candidate_tables(network, tables, slot, scenario, mean_gains=None, enabled=None):
-    """Publish the averaged records of every due cell in one masked pass.
+    """Publish the averaged records of every due cell at once.
+
+    When every user is kept, each table is published by one unmasked divide
+    and its window cleared by a fill; otherwise one masked divide publishes
+    the kept users.
 
     A cell is due when `slot` is a multiple of its tier's period: the
     scenario's `feedback_period_slots`, or for femto cells its

@@ -78,10 +78,13 @@ class TestTaxation:
 
 def kkt(weight, lam, tax, intf_noise_w, own_gain, mask):
     """power._kkt, the bisection's KKT evaluation, on the arguments of the
-    scalar oracle kkt_power."""
-    weight, tax, intf_noise_w, own_gain, mask = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (weight, tax, intf_noise_w, own_gain, mask)))
-    return power._kkt(lam, weight, tax, intf_noise_w / own_gain, mask)
+    scalar oracle kkt_power. _kkt takes its output shape from lam*ln2 + tax,
+    so every argument is broadcast and flattened first; scalars give a 0-d
+    array."""
+    args = [np.asarray(a, dtype=float) for a in (weight, tax, intf_noise_w, own_gain, mask)]
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    weight, tax, intf_noise_w, own_gain, mask = (np.broadcast_to(a, shape).ravel() for a in args)
+    return power._kkt(lam, weight, tax, intf_noise_w / own_gain, mask).reshape(shape)
 
 
 class TestKktPower:

@@ -495,10 +495,7 @@ def full_table_select(views, tables, full_f0, count, enabled=None):
     valid = (cand != NO_USER) & (nbr >= 0)[:, :, None]
     ksafe = np.where(valid, cand, 0)
     cross = full_f0[ksafe, np.arange(N)[:, None, None], np.arange(S)]
-    key = np.where(valid, cross, -np.inf)
-    order = np.argsort(-key, axis=1, kind="stable")[:, :count]
-    n, s, m = np.nonzero(np.take_along_axis(valid, order, axis=1).transpose(0, 2, 1))
-    b = order[n, m, s]
+    (n, s, m), b = argsort_ranking(nbr, cand, cross, count)
     users = ksafe[n, b, s]
     sel = ReferenceSelection(
         ref_bs=np.full((N, S, M), -1, dtype=int), ref_user=np.full((N, S, M), NO_USER, dtype=int),

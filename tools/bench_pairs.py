@@ -1,8 +1,7 @@
 """Run perfbench on a parent commit and on the working tree in alternated pairs.
 
     python3 tools/bench_pairs.py --parent HEAD --out BENCH_15.json \
-        --what "..." --round "..." [--pairs 10] [--traced-pairs 2] [--seconds 20] \
-        [--tier1]
+        --what "..." --round "..." [--pairs 10] [--traced-pairs 2] [--seconds 20]
 
 Run it from the root of the repository. The parent is exported with
 `git archive`, and the working tree's files (uncommitted edits and
@@ -12,13 +11,14 @@ both sides run from equivalent paths. With the same code on both sides
 (6 pairs of 10 s on `hetnet10-reduced`), the side run from the
 repository itself read 4.3% higher median `slot_ms` and lost 5 of 6
 pairs; run from sibling directories, it read 1.3% higher and lost 2 of 6.
-For each seed, every
-workload in BENCHMARK.json (or each --workload given) runs once per side
-through `perfbench/run.py`, the side that runs first alternating with the
-seed (odd seeds: parent first). Seeds `--seed0 ...` run at --trace 0,
-seeds `--traced-seed0 ...` at --trace 1. With --tier1, each side first runs
-the Tier-1 suite once (ROADMAP's "Tier-1 verify" command, parent first), and
-its wall time, exit code and pytest summary line go under "tier1".
+
+Each side first runs the Tier-1 suite once (ROADMAP's "Tier-1 verify"
+command, parent first), and its wall time, exit code and pytest summary
+line go under "tier1". Then, for each seed, every workload in
+BENCHMARK.json (or each --workload given) runs once per side through
+`perfbench/run.py`, the side that runs first alternating with the seed
+(odd seeds: parent first). Seeds `--seed0 ...` run at --trace 0, seeds
+`--traced-seed0 ...` at --trace 1.
 
 The output has the schema of BENCH_12.json: every run's final JSON line
 under "runs", and per workload and end-to-end metric the trace-0 quartiles
@@ -142,8 +142,6 @@ def main(argv=None):
     p.add_argument("--traced-pairs", type=int, default=2)
     p.add_argument("--traced-seed0", type=int, default=1521)
     p.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    p.add_argument("--tier1", action="store_true",
-                   help="time one Tier-1 run per side before the pairs")
     args = p.parse_args(argv)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     schedule = ([(s, 0) for s in range(args.seed0, args.seed0 + args.pairs)]
@@ -155,7 +153,7 @@ def main(argv=None):
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         parent_commit = export_commit(args.parent, trees["parent"])
         copy_worktree(trees["change"])
-        for side in trees if args.tier1 else ():
+        for side in trees:
             tier1[side] = run_tier1(trees[side])
             print(f"tier1 {side:6s} {tier1[side]}", flush=True)
         for seed, trace in schedule:
@@ -175,7 +173,7 @@ def main(argv=None):
            "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                       f"--seconds {args.seconds:g} --trace <trace>",
            "host": args.host, "rounds": {"1": args.round},
-           **({"tier1": tier1} if tier1 else {}),
+           "tier1": tier1,
            "final_round_trace0_quartiles": summarize(runs, workloads, bench["end_to_end"]),
            "runs": runs}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")

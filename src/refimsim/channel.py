@@ -6,11 +6,13 @@ Gains are linear power gains; the per-slot tensor is indexed
 
 import os
 import threading
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 
 from .topology import TIER_FEMTO, WaypointMobility
+from .workers import fork, release, shared_array, stop
 
 SPEED_OF_LIGHT = 299792458.0
 # Distance law a + b*log10(d[m]) in dB of each path loss model: outdoor
@@ -48,14 +50,20 @@ def wall_mask(network):
     return (bs_in[None, :] | user_in[:, None]) & ~same_home
 
 
-def path_loss_matrix_db(network, positions=None, walls=None):
+def distance_laws(network):
+    """(a, b): (N,) arrays of each BS's distance law, indoor for femto BSs."""
+    return np.array([_distance_law("indoor" if bs.tier == TIER_FEMTO else "macro")
+                     for bs in network.base_stations]).T
+
+
+def path_loss_matrix_db(network, positions=None, walls=None, laws=None):
     """(K, N) path loss incl. wall penetration at the given user positions.
 
-    `walls` is `wall_mask(network)`, which depends on home ids only, so a
-    caller that moves the users can build it once.
+    `walls` is `wall_mask(network)` and `laws` is `distance_laws(network)`.
+    They depend on home ids and tiers only, so a caller that moves the users
+    can build them once.
     """
-    a, b = np.array([_distance_law("indoor" if bs.tier == TIER_FEMTO else "macro")
-                     for bs in network.base_stations]).T
+    a, b = distance_laws(network) if laws is None else laws
     d = np.maximum(network.distances(positions), MIN_DISTANCE_M)
     pl = a + b * np.log10(d)
     np.add(pl, WALL_LOSS_DB, out=pl,
@@ -82,8 +90,8 @@ def noise_power_w(noise_figure_db, subchannel_bw_hz):
 
 # Links per fading tile, at most. At OSCILLATORS = 8 an oscillator tile and its
 # step tile take 2 x 8 x 4096 x 16 B = 1 MB, so one tile is rotated, summed
-# and squared while it stays in a 2 MB L2 cache. Each worker thread works on
-# its own run of tiles with its own scratch, so its tile stays in its own
+# and squared while it stays in a 2 MB L2 cache. Each thread or process works
+# on its own run of tiles with its own scratch, so its tile stays in its own
 # core's L2. A run that draws angles or phases seeks a copy of the saved
 # generator state to its first tile with `bit_generator.advance`, which
 # counts draws: PCG64 takes one per double.
@@ -96,6 +104,20 @@ def _cpu_count():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _worker_processes(n_tiles):
+    """Worker processes a fading state of n_tiles tiles forks: one per CPU
+    but this process's, at most one per tile but the first, and none
+    without os.fork."""
+    return max(0, min(_cpu_count(), n_tiles) - 1) if hasattr(os, "fork") else 0
+
+
+def _leads(a, buffer):
+    """Whether array a is buffer[:len(a)]."""
+    return (isinstance(a, np.ndarray) and a.shape[1:] == buffer.shape[1:]
+            and len(a) <= len(buffer) and a.strides == buffer.strides
+            and a.ctypes.data == buffer.ctypes.data)
 
 
 class FadingState:
@@ -127,6 +149,15 @@ class FadingState:
     its first tile's draws. So the results are bit-identical for any number
     of threads. The threads call only private methods, and none outlives
     the call that started it.
+
+    Short calls, such as a slot's rotations, keep taking the interpreter
+    lock back, so threads barely overlap on them. `fork_workers` hands the
+    passes to min(CPUs, tiles) - 1 forked worker processes instead, each
+    holding its own run of tiles: the same split, so the same results. Each
+    process then keeps only its own tiles resident, and a worker writes its
+    gains into MAP_SHARED buffers. A pass that no worker can share (the
+    coefficients, say) first takes the workers' tiles back and ends them;
+    `close` ends them and drops their tiles.
     """
 
     def __init__(self, rng, n_users, n_bs, n_subchannels, speeds_mps, carrier_freq_hz):
@@ -147,22 +178,139 @@ class FadingState:
         self._step_dt = None
         self._step = None
         self._scratch = []  # one tile's draws and sums per worker, made on first use
+        self._no_workers()
+        self._tiles_lost = False  # closed while workers held tiles
         self._share_tiles(self._draw_phases, phase_stream)
         bitgen.advance(links * OSCILLATORS)  # past the phases, as if drawn here
 
+    _PROCESS_STATE = ("_scratch", "_workers", "_run", "_shared", "_stop")
+
     def __getstate__(self):
-        # Copied views would not alias the copied scratch, so it is not kept.
-        return {k: v for k, v in vars(self).items() if k != "_scratch"}
+        # Copied views would not alias the copied scratch, so it is not kept;
+        # the workers' tiles come back first.
+        self._join()
+        if self._tiles_lost:
+            raise ValueError("the fading state was closed while workers held its tiles")
+        return {k: v for k, v in vars(self).items() if k not in self._PROCESS_STATE}
 
     def __setstate__(self, state):
         vars(self).update(state)
         self._scratch = []
+        self._no_workers()
 
-    def _share_tiles(self, work, *args):
+    def _no_workers(self):
+        self._workers = []   # (pid, pipe, first tile, end tile) per worker process
+        self._run = None     # (first, end) tiles of this process while workers run
+        self._shared = None  # (out, scale) buffers the workers write and read
+        self._stop = None    # ends the workers, also when the state is collected
+
+    def fork_workers(self, out, scale):
+        """Share later tile passes with min(CPUs, tiles) - 1 forked worker
+        processes; none if that is 0 or they run already.
+
+        `out` (slots, K, N, S) and `scale` (slots, K, N) are `shared_array`s:
+        an `advance` that writes nothing, or writes out[:n] with scale[:n],
+        runs on the workers too. Each worker takes a contiguous run of tiles,
+        this process the first, and from here on each process keeps only its
+        own run resident. A worker leaves with os._exit when its pipe closes
+        (`close`, or this process ending) and raises its errors here.
+        """
+        count = 0 if self._workers or self._tiles_lost else _worker_processes(len(self.osc))
+        if count == 0:
+            return
+        n_tiles, procs = len(self.osc), count + 1
+        runs = [(n_tiles * w // procs, n_tiles * (w + 1) // procs) for w in range(procs)]
+        self._shared = (out, scale)
+        forked = []
+        try:
+            for first, end in runs[1:]:
+                forked.append(fork(self._start_worker, first, end) + (first, end))
+            for _, pipe, _, _ in forked:
+                pipe.recv()  # it has let go of the other tiles
+        except BaseException:
+            stop(forked)
+            self._shared = None
+            raise
+        for _, _, first, end in forked:
+            self._release_tiles(first, end)
+        self._workers, self._run = forked, runs[0]
+        self._stop = weakref.finalize(self, stop, forked)
+
+    def _start_worker(self, pipe, first, end):
+        """In a new worker: let go of the tiles outside [first, end), tell
+        the forking process, and return the handler of its passes."""
+        self._release_tiles(0, first)
+        self._release_tiles(end, len(self.osc))
+        scratch = self._new_scratch()
+        pipe.send(None)
+
+        def handle(message, pipe):
+            kind, arg = message
+            if kind == "step":
+                if self._step is None:
+                    self._step = np.empty_like(self.osc)
+                self._step_tiles(first, end, scratch, arg)
+            elif kind == "advance":
+                dt_s, slots = arg
+                rows = scale_rows = None
+                if slots is not None:
+                    out, scale = self._shared
+                    rows = [self._pair_rows(o) for o in out[:slots]]
+                    scale_rows = [np.reshape(g, (-1, 1)) for g in scale[:slots]]
+                self._advance_tiles(first, end, scratch, dt_s, rows, scale_rows)
+            else:  # "fetch": send the tiles back
+                step = self._step
+                for t in range(first, end):
+                    pipe.send((self.osc[t], None if step is None else step[t]))
+
+        return handle
+
+    def _release_tiles(self, first, end):
+        """Let go of tiles [first, end) of the oscillators and steps."""
+        for a in (self.osc, self._step):
+            if a is not None and end > first:
+                release(a[first:end])
+
+    def _join(self):
+        """Take the workers' tiles back, then end the workers."""
+        if not self._workers:
+            return
+        try:
+            for _, pipe, _, _ in self._workers:
+                pipe.send(("fetch", None))
+            for _, pipe, first, end in self._workers:
+                for t in range(first, end):
+                    osc, step = pipe.recv()
+                    self.osc[t] = osc
+                    if step is not None:
+                        self._step[t] = step
+                pipe.recv()
+        except EOFError:
+            self.close()
+            raise RuntimeError("a fading worker process exited") from None
+        self._stop()
+        self._no_workers()
+
+    def close(self):
+        """End the worker processes, if any. The tiles they hold go with
+        them, so a state that had workers cannot be used after this."""
+        if self._workers:
+            self._stop()
+            self._no_workers()
+            self._tiles_lost = True
+
+    def _share_tiles(self, work, *args, command=None):
         """Run work(first, end, scratch, *args) over contiguous runs of tiles,
         one per worker: the first on the calling thread, each other on a
         thread of its own, all joined before this returns. Then re-raises
-        the error of the first run, in tile order, that failed."""
+        the error of the first run, in tile order, that failed.
+
+        While worker processes run, this process runs work over its own run
+        and each worker runs `command` over its run instead."""
+        if self._tiles_lost:
+            raise ValueError("the fading state was closed while workers held its tiles")
+        if self._workers:
+            return self._share_with_workers(command, work, *args)
         n_tiles = len(self.osc)
         workers = min(_cpu_count(), n_tiles)
         while len(self._scratch) < workers:
@@ -189,6 +337,27 @@ class FadingState:
         for exc in errors:
             if exc is not None:
                 raise exc
+
+    def _share_with_workers(self, command, work, *args):
+        """_share_tiles while worker processes run."""
+        for _, pipe, _, _ in self._workers:
+            pipe.send(command)
+        if not self._scratch:
+            self._scratch.append(self._new_scratch())
+        error = None
+        try:
+            work(*self._run, self._scratch[0], *args)
+        except BaseException as exc:  # raised once every worker has replied
+            error = exc
+        for _, pipe, _, _ in self._workers:
+            try:
+                reply = pipe.recv()
+            except EOFError:
+                self.close()
+                raise RuntimeError("a fading worker process exited") from None
+            error = reply if error is None else error
+        if error is not None:
+            raise error
 
     def _new_scratch(self):
         """One worker's scratch: a tile's draws and its sum, with the sum's
@@ -247,7 +416,7 @@ class FadingState:
         re-drawing the angles tile by tile from the saved generator state."""
         if self._step is None:
             self._step = np.empty_like(self.osc)
-        self._share_tiles(self._step_tiles, dt_s)
+        self._share_tiles(self._step_tiles, dt_s, command=("step", dt_s))
         self._step_dt = dt_s
 
     def _step_tiles(self, first, end, scratch, dt_s):
@@ -272,17 +441,24 @@ class FadingState:
         `out` is a C-contiguous (slots, K, N, S) array and `scale` holds one
         (K, N) large-scale gain per slot: after the i-th rotation of a tile,
         scale[i] x |h|^2 of its links is written into out[i] while the tile
-        is in cache.
+        is in cache. The worker processes share the pass if `out` is None or
+        `out` and `scale` lead the buffers given to `fork_workers`;
+        otherwise they are ended first.
         """
         if dt_s < 0:
             raise ValueError("dt_s must be >= 0")
+        if self._workers and out is not None and not (
+                _leads(out, self._shared[0]) and _leads(scale, self._shared[1])
+                and len(scale) == len(out)):
+            self._join()
         if dt_s != self._step_dt and dt_s != 0.0:
             self._build_step(dt_s)
         rows = scale_rows = None
         if out is not None:
             rows = [self._pair_rows(o) for o in out]
             scale_rows = [np.reshape(g, (-1, 1)) for g in scale]
-        self._share_tiles(self._advance_tiles, dt_s, rows, scale_rows)
+        self._share_tiles(self._advance_tiles, dt_s, rows, scale_rows,
+                          command=("advance", (dt_s, None if out is None else len(out))))
 
     def _advance_tiles(self, first, end, scratch, dt_s, rows, scale_rows):
         """advance for tiles [first, end): per slot, rotate unless dt_s is 0,
@@ -328,6 +504,7 @@ class FadingState:
 
     def coefficients(self):
         """(K, N, S) complex channel coefficients at the current time."""
+        self._join()
         h = np.empty(self.osc[:, 0].shape, dtype=complex)
         self._share_tiles(self._copy_coefficients, h)
         # Only the last tile is padded, at its end: the links come first.
@@ -337,6 +514,7 @@ class FadingState:
         """(K, N, S) |h|^2 at the current time, times `scale` (a (K, N)
         large-scale gain, say) if given, written into `out` (C-contiguous)
         or into a fresh array."""
+        self._join()
         out = np.empty(self._shape) if out is None else out
         scale_rows = None if scale is None else np.reshape(scale, (-1, 1))
         self._share_tiles(self._advance_tiles, 0.0, [self._pair_rows(out)], [scale_rows])
@@ -363,6 +541,11 @@ class Channel:
     BLOCK_SLOTS - 1 slots ahead of the current slot; `large_scale` and
     `gains()` are the current slot's. `noise` is the (K, S) noise power in
     Watts.
+
+    If the fading state would fork worker processes and the run is longer
+    than a block, the block and its large-scale gains are `shared_array`s,
+    and the workers are forked when the run reaches its second block: a
+    one-block run pays for neither. `close` ends them.
     """
 
     def __init__(self, scenario, network):
@@ -377,20 +560,29 @@ class Channel:
         self.mobility = None
         if scenario.mobile_users:
             self.mobility = WaypointMobility(network, speeds, rng["mobility"])
-        self._walls = wall_mask(network)
+        self._walls, self._laws = wall_mask(network), distance_laws(network)
         self._update_large_scale()
         self.noise = np.full((K, S), noise_power_w(scenario.noise_figure_db,
                                                    network.bandwidth_hz / S))
         self._dt = scenario.slot_duration_s
         self._slots_left = scenario.slots
-        self._block = np.empty((BLOCK_SLOTS, K, N, S))
+        self._forks = (scenario.slots > BLOCK_SLOTS
+                       and _worker_processes(len(self.fading.osc)) > 0)
+        buffer = shared_array if self._forks else np.empty
+        self._block = buffer((BLOCK_SLOTS, K, N, S))
+        # the block's large-scale gains: while the users stand still, one row
+        # read as every slot's
+        self._scales = buffer((1 if self.mobility is None else BLOCK_SLOTS, K, N))
+        self._scales[0] = self._large_scale
+        self._scale_view = np.broadcast_to(self._scales, (BLOCK_SLOTS, K, N))
         self._block_scales = [self._large_scale]  # each block slot's large-scale gain
         self._slot = 0                            # the current slot's index in the block
         self._filled = False                      # no gains computed yet
+        self._blocks = 0                          # blocks computed
 
     def _update_large_scale(self):
         positions = None if self.mobility is None else self.mobility.positions
-        pl_db = path_loss_matrix_db(self.network, positions, self._walls)
+        pl_db = path_loss_matrix_db(self.network, positions, self._walls, self._laws)
         self._large_scale = large_scale_linear(pl_db, self.shadow_db)
 
     @property
@@ -407,12 +599,17 @@ class Channel:
         slots = min(BLOCK_SLOTS, max(1, self._slots_left))
         self._slots_left -= slots
         scales = []
-        for _ in range(slots):  # path loss is recomputed only if the users moved
-            if self.mobility is not None and self.mobility.advance(self._dt):
-                self._update_large_scale()
+        for i in range(slots):
+            if self.mobility is not None:
+                if self.mobility.advance(self._dt):  # path loss changes only if they moved
+                    self._update_large_scale()
+                self._scales[i] = self._large_scale
             scales.append(self._large_scale)
-        self.fading.advance(self._dt, out=self._block[:slots], scale=scales)
+        if self._forks and self._blocks:
+            self.fading.fork_workers(self._block, self._scale_view)
+        self.fading.advance(self._dt, out=self._block[:slots], scale=self._scale_view[:slots])
         self._block_scales, self._slot, self._filled = scales, 0, True
+        self._blocks += 1
 
     def gains(self):
         """(K, N, S) linear gains of the current slot: a read-only view that
@@ -423,3 +620,8 @@ class Channel:
         view = self._block[self._slot].view()
         view.flags.writeable = False
         return view
+
+    def close(self):
+        """End the fading's worker processes; the channel cannot advance
+        after this if it had any."""
+        self.fading.close()

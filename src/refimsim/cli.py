@@ -137,8 +137,7 @@ def write_protocol_csv(result, out_dir):
         w = csv.writer(f)
         w.writerow(["slot", "sender", "receiver", "message_type", "bytes"])
         if result.scenario.algorithm == "refim":  # the only algorithm with feedback
-            for slot, counts in enumerate(result.published_users):
-                w.writerows(reference.protocol_rows(result.network, slot, counts))
+            w.writerows(reference.protocol_rows(result.network, result.published_users))
     return path
 
 

@@ -352,41 +352,44 @@ def run(scenario, record=False):
         taxes = power.no_taxes   # wf; eq never calls it
     caps = (sc.sched_loops, sc.power_loops) if sc.algorithm == "general" else (1, 1)
 
-    for t in range(sc.slots):
-        chan.advance()
-        gains = chan.gains()  # read-only; valid until the channel's next block
+    try:
+        for t in range(sc.slots):
+            chan.advance()
+            gains = chan.gains()  # read-only; valid until the channel's next block
 
-        weights = states.weights()
-        if sc.algorithm == "eq":
-            sched = scheduling.schedule_at(gains, eq_powers, noise, serving, members, weights,
-                                           gap, bw_sub, allowed)[0]
-            index = scheduling.scheduled_index(sched)
-            committed = eq_powers
-        else:
-            p_eval = power.initial_power(sc.initial_power_rule, budgets, masks,
-                                         prev=prev_powers, rng=rng_pow)
-            sched, index, committed, lam, iters = power.general_algorithm(
-                members, serving, gains, weights, noise, taxes, budgets, masks, p_eval, *caps,
-                subchannel_bw_hz=bw_sub, sinr_gap=gap, allowed=allowed)
-            iter_max = max(iter_max, iters)
-            budget_misses += power.budget_misses(committed, lam, budgets)
+            weights = states.weights()
+            if sc.algorithm == "eq":
+                sched = scheduling.schedule_at(gains, eq_powers, noise, serving, members, weights,
+                                               gap, bw_sub, allowed)[0]
+                index = scheduling.scheduled_index(sched)
+                committed = eq_powers
+            else:
+                p_eval = power.initial_power(sc.initial_power_rule, budgets, masks,
+                                             prev=prev_powers, rng=rng_pow)
+                sched, index, committed, lam, iters = power.general_algorithm(
+                    members, serving, gains, weights, noise, taxes, budgets, masks, p_eval, *caps,
+                    subchannel_bw_hz=bw_sub, sinr_gap=gap, allowed=allowed)
+                iter_max = max(iter_max, iters)
+                budget_misses += power.budget_misses(committed, lam, budgets)
 
-        violations += power.PowerMatrix(committed, budgets, masks).violations()
-        scheduled, ksafe, rows, cols = index
-        violations += int(np.count_nonzero(scheduled & (serving[ksafe] != rows)))
+            violations += power.PowerMatrix(committed, budgets, masks).violations()
+            scheduled, ksafe, rows, cols = index
+            violations += int(np.count_nonzero(scheduled & (serving[ksafe] != rows)))
 
-        served = scheduling.served_rates(gains, committed, index, noise, gap, bw_sub)
-        states.update(served)
+            served = scheduling.served_rates(gains, committed, index, noise, gap, bw_sub)
+            states.update(served)
 
-        if t >= sc.warmup_slots:
-            accum += served
-            powered = scheduled & (committed > 1e-15)
-            serve_counts += np.bincount((ksafe * S + cols)[powered], minlength=K * S)
-            power_sum += committed
-            measured += 1
-        if record:
-            rec_powers[t], rec_scheds[t] = committed, sched
-        prev_powers = committed
+            if t >= sc.warmup_slots:
+                accum += served
+                powered = scheduled & (committed > 1e-15)
+                serve_counts += np.bincount((ksafe * S + cols)[powered], minlength=K * S)
+                power_sum += committed
+                measured += 1
+            if record:
+                rec_powers[t], rec_scheds[t] = committed, sched
+            prev_powers = committed
+    finally:
+        chan.close()  # ends the fading's worker processes
 
     throughput = accum / measured
     is_edge = topology.classify_edge_users(net, chan.large_scale, sc.edge_threshold_db)

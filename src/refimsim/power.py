@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheduling import link_state, schedule_at, scheduled_index
+from .scheduling import NO_USER, link_state, schedule_at, scheduled_index
 
 LN2 = math.log(2.0)
 
@@ -287,7 +287,8 @@ def ground_truth_taxes(sched, gains, weights, noise_w, nbr, powers, total, ref_c
     # each candidate's gain toward the viewer; where there is none (NO_USER
     # or -1 padding), the wrapped index reads a row the ranking masks
     cross = gains[cand, np.arange(N)[:, None, None], np.arange(S)]
-    sel, idx, users = rank_references(nbr, cand, cross, ref_count)
+    present = (cand != NO_USER) & (nbr >= 0)[:, :, None]
+    sel, idx, users = rank_references(nbr, cand, cross, ref_count, present)
     sel.f1[idx] = np.asarray(weights)[users]
     sel.f2[idx], sel.f3[idx] = link_state(gains, powers, noise_w, users, sel.ref_bs[idx],
                                           idx[1], total)

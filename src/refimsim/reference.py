@@ -179,18 +179,23 @@ def refresh_candidate_tables(network, tables, slot, scenario, mean_gains=None, e
     return events
 
 
-def protocol_rows(network, slot, published):
-    """protocol.csv rows of one REFIM slot, from the (N,) users each BS
-    published: a publishing BS sends users x 4 items x S subchannels x 4
-    bytes to every neighbor (Table II), then every macro BS sends its
-    scheduled indices, 2 bytes per subchannel, to each macro neighbor."""
-    S = network.subchannel_count
+def protocol_rows(network, published_users):
+    """protocol.csv rows of a REFIM run, slot by slot, from the (slots, N)
+    users each BS published: a publishing BS sends users x 4 items x S
+    subchannels x 4 bytes to every neighbor (Table II), then every macro BS
+    sends its scheduled indices, 2 bytes per subchannel, to each macro
+    neighbor. The index-exchange rows are the same every slot, so they are
+    listed once."""
+    S, neighbors = network.subchannel_count, network.neighbor_sets
     macro = [b.tier != TIER_FEMTO for b in network.base_stations]
-    rows = [(slot, n, m, "table_refresh", int(count) * S * 4 * 4)
-            for n, count in enumerate(published) if count for m in network.neighbor_sets[n]]
-    rows += [(slot, n, m, "index_exchange", 2 * S) for n in range(network.n_bs) if macro[n]
-             for m in network.neighbor_sets[n] if macro[m]]
-    return rows
+    exchange = [(n, m, "index_exchange", 2 * S) for n in range(network.n_bs) if macro[n]
+                for m in neighbors[n] if macro[m]]
+    for slot, published in enumerate(np.asarray(published_users).tolist()):
+        for n, count in enumerate(published):
+            if count:
+                yield from ((slot, n, m, "table_refresh", count * S * 4 * 4)
+                            for m in neighbors[n])
+        yield from ((slot, *row) for row in exchange)
 
 
 @dataclass
@@ -235,7 +240,7 @@ def select_references(views, tables, count, enabled=None):
     present = (cand != NO_USER) & (nbr >= 0)[:, :, None]
     row = np.where(present, tables.f0_start[cand] + tables.nbr_pos[:, :, None], 0)
     cross = tables.pub_f0[row, np.arange(cand.shape[2])]
-    sel, idx, users = rank_references(nbr, cand, cross, count)
+    sel, idx, users = rank_references(nbr, cand, cross, count, present)
     s = idx[1]
     sel.f1[idx] = tables.pub_f1[users]
     sel.f2[idx] = tables.pub_f2[users, s]
@@ -243,14 +248,15 @@ def select_references(views, tables, count, enabled=None):
     return sel
 
 
-def rank_references(nbr, cand, cross, count):
+def rank_references(nbr, cand, cross, count, present):
     """Keep the `count` strongest candidates per (viewer, subchannel).
 
     nbr: (N, B) neighbor ids padded with -1. cand: (N, B, S) candidate user
-    of each neighbor, NO_USER where there is none. cross: (N, B, S) gain of
-    each candidate toward the viewer, read only where a candidate exists;
-    candidates are ranked by it, and ties keep neighbor order, as a stable
-    sort would.
+    of each neighbor, NO_USER where there is none. present: (N, B, S) bool,
+    where a candidate exists: cand != NO_USER at a neighbor that is not
+    padding. cross: (N, B, S) gain of each candidate toward the viewer,
+    read only where one is present; candidates are ranked by it, and ties
+    keep neighbor order, as a stable sort would.
 
     Returns (selection, (n, s, m), users): the selection has ref_bs, ref_user
     and f0 set and f1-f3 at their defaults; (n, s, m) index its valid
@@ -258,8 +264,7 @@ def rank_references(nbr, cand, cross, count):
     caller fills f1-f3 from its own source.
     """
     N, B, S = cand.shape
-    valid = (cand != NO_USER) & (nbr >= 0)[:, :, None]
-    key = np.where(valid, cross, -np.inf)
+    key = np.where(present, cross, -np.inf)
     # pass m takes the m-th strongest candidate: argmax returns the first
     # maximum, the lowest neighbor index among equal keys, as a stable sort
     # of -key does. A taken entry drops to -inf; once a row has no valid
@@ -272,7 +277,7 @@ def rank_references(nbr, cand, cross, count):
         if m:
             key[rows, b, cols] = -np.inf
         order[:, :, m] = b = key.argmax(axis=1)
-    n, s, m = np.nonzero(np.arange(M) < valid.sum(axis=1)[:, :, None])
+    n, s, m = np.nonzero(np.arange(M) < present.sum(axis=1)[:, :, None])
     b = order[n, s, m]                           # neighbor position of each reference
     users = cand[n, b, s]
     sel = _empty_selection(N, S, max(count, 1))

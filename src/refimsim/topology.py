@@ -161,15 +161,28 @@ class Network:
     def user_positions(self):
         return np.array([u.position for u in self.users], dtype=float).reshape(self.n_users, 2)
 
+    @cached_property
+    def bs_images(self):
+        """(2, I, N) x and y of every BS shifted by each wrap vector, the
+        unshifted position first; read-only, derived once."""
+        bp = self.bs_positions().reshape(-1, 2)
+        images = [bp] + [bp + np.array([vx, vy]) for vx, vy in self.wrap_vectors]
+        return _frozen(np.stack(images).transpose(2, 0, 1).copy())
+
     def distances(self, user_positions=None):
-        """(K, N) user-to-BS distances in meters, min over wrap images."""
+        """(K, N) user-to-BS distances in meters, min over wrap images.
+
+        One sqrt of the smallest squared distance: sqrt is correctly rounded
+        and monotone, so this is the smallest of the images' distances.
+        """
         up = self.user_positions() if user_positions is None else np.asarray(user_positions, dtype=float)
-        bp = self.bs_positions()
-        d = np.linalg.norm(up[:, None, :] - bp[None, :, :], axis=2)
-        for vx, vy in self.wrap_vectors:
-            shifted = bp + np.array([vx, vy])
-            d = np.minimum(d, np.linalg.norm(up[:, None, :] - shifted[None, :, :], axis=2))
-        return d
+        bx, by = self.bs_images
+        dx = up[:, 0, None, None] - bx
+        dy = up[:, 1, None, None] - by
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        np.add(dx, dy, out=dx)
+        return np.sqrt(dx.min(axis=1))
 
 
 def _axial_to_xy(q, r, isd):

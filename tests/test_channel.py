@@ -1,5 +1,9 @@
 import copy
+import dataclasses
+import gc
+import os
 import pickle
+import signal
 import sys
 import threading
 from types import SimpleNamespace
@@ -10,9 +14,9 @@ from scipy.special import j0
 
 from refimsim import channel, engine
 from refimsim.channel import (
-    BLOCK_SLOTS, OSCILLATORS, TILE_LINKS, WALL_LOSS_DB, Channel, FadingState,
+    BLOCK_SLOTS, OSCILLATORS, TILE_LINKS, WALL_LOSS_DB, Channel, FadingState, distance_laws,
     large_scale_linear, noise_power_w, path_loss_db, path_loss_matrix_db,
-    shadowing_matrix_db, wall_mask,
+    shadowing_matrix_db, shared_array, wall_mask,
 )
 from refimsim.engine import Scenario, build_network
 from refimsim.presets import get_preset
@@ -76,6 +80,28 @@ class TestPathLoss:
         expected[wall_mask(net)] += WALL_LOSS_DB
         assert np.array_equal(path_loss_matrix_db(net, positions), expected)
         assert np.array_equal(path_loss_matrix_db(net, positions, wall_mask(net)), expected)
+        assert np.array_equal(path_loss_matrix_db(net, positions, wall_mask(net),
+                                                  distance_laws(net)), expected)
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("preset", ["hex19", "hetnet5"])
+    def test_distances_equal_the_norm_per_image(self, preset, wrap):
+        # the norm of each wrap image's offset, the smallest kept: one sqrt of
+        # the smallest squared distance is bit-identical
+        net = build_network(dataclasses.replace(get_preset(preset, seed=3), wrap=wrap))
+        assert len(net.wrap_vectors) == (6 if wrap else 0)
+        rng = np.random.default_rng(8)
+        span = 3000.0 if wrap else 1e4
+        for positions in (net.user_positions(),
+                          rng.uniform(-span, span, (net.n_users, 2)),
+                          net.bs_positions()[rng.integers(0, net.n_bs, net.n_users)]):
+            bp = net.bs_positions()
+            d = np.linalg.norm(positions[:, None, :] - bp[None, :, :], axis=2)
+            for vx, vy in net.wrap_vectors:
+                shifted = bp + np.array([vx, vy])
+                d = np.minimum(d, np.linalg.norm(positions[:, None, :] - shifted[None, :, :],
+                                                 axis=2))
+            assert np.array_equal(net.distances(positions), d)
 
 
 def tier_shadowing(rng, sigma_db, users, n_bs=1, tier="macro"):
@@ -296,11 +322,18 @@ class TestTiledFading:
             st.advance(1e-3)
             st.power_gains()
             _, O, width = st.osc.shape
-            assert len(st._scratch) == workers  # every worker's scratch is counted below
+            assert len(st._scratch) == workers  # every thread's scratch is counted below
+            # worker processes add no array of the state's own: the buffers
+            # they write are the caller's, and this process runs on scratch 0
+            st.fork_workers(shared_array((1, K, N, S)), shared_array((1, K, N)))
+            st.advance(1e-3)
+            assert len(st._workers) == min(workers, len(st.osc)) - 1
+            assert len(st._scratch) == workers
             held = _owned_nbytes(vars(st).values())
             osc_and_step = 2 * st.osc.nbytes
             scratch = width * O * 8 + 6 * width * 16  # one tile's draws and partial sums
             assert held <= osc_and_step + workers * scratch + K * 8  # K: per-user Doppler
+            st.close()
 
     @pytest.mark.parametrize("workers", [2, 3, 64])
     @pytest.mark.parametrize("size", SIZES)
@@ -562,3 +595,221 @@ class TestChannelBlocks:
         assert chan.fading.osc.shape == (1, 8, 1280)
         chan.gains()
         chan.advance()
+
+
+def _no_child_left():
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestWorkerProcesses:
+    """Tile passes on forked worker processes, from a run's second block on."""
+
+    K, N, S = 41, 11, 19  # three tiles: [0, 1) here and [1, 3) on one worker, at 2 CPUs
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, rather than hang, a test whose wait for a worker never ends."""
+        def expire(*_):
+            raise TimeoutError("a worker process did not end")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def _forked(self, workers, monkeypatch, slots=3):
+        monkeypatch.setattr(channel, "_cpu_count", lambda: workers)
+        K, N, S = self.K, self.N, self.S
+        st = FadingState(np.random.default_rng(4), K, N, S,
+                         np.random.default_rng(K).uniform(0.0, 30.0, K), 2e9)
+        st.advance(1e-3)
+        out, scale = shared_array((slots, K, N, S)), shared_array((slots, K, N))
+        scale[...] = np.random.default_rng(5).uniform(0.5, 2.0, scale.shape)
+        st.fork_workers(out, scale)
+        assert len(st._workers) == channel._worker_processes(len(st.osc))
+        return st, out, scale
+
+    @staticmethod
+    def _hetnet(slots, **overrides):
+        # 60 users x 11 BSs x 16 subchannels: three tiles of 220 (user, bs) pairs
+        sc = Scenario(kind="hetnet", rings=0, femtos_per_macro=10, macro_users_per_cell=20,
+                      femto_users_per_cell=4, subchannels=16, seed=5, slots=slots,
+                      warmup_slots=0, **overrides)
+        return sc, build_network(sc)
+
+    def _trajectory(self, workers, duplicate, monkeypatch):
+        """The shared outputs of blocked advances, then the coefficients and
+        gains of the state and of a copy made while its workers ran."""
+        st, out, scale = self._forked(workers, monkeypatch)
+        seq = []
+        for dt, slots in ((1e-3, 3), (1e-3, 2), (2.5e-3, 3), (0.0, 1)):
+            out[...] = np.nan
+            st.advance(dt, out=out[:slots], scale=scale[:slots])
+            seq.append(out[:slots].copy())
+        st.advance(1e-3)  # rotates without gains, still on the workers
+        assert len(st._workers) == min(workers, len(st.osc)) - 1
+        twin = duplicate(st)  # takes the workers' tiles back and ends them
+        assert not st._workers and _no_child_left()
+        for state in (twin, st):
+            state.advance(1e-3)
+            seq += [state.coefficients(), state.power_gains(scale[1])]
+        return seq
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy,
+                                           lambda st: pickle.loads(pickle.dumps(st))],
+                             ids=["deepcopy", "pickle"])
+    def test_outputs_equal_at_any_cpu_count(self, duplicate, monkeypatch):
+        serial = self._trajectory(1, duplicate, monkeypatch)
+        for workers in (2, 3):
+            forked = self._trajectory(workers, duplicate, monkeypatch)
+            assert len(forked) == len(serial)
+            for a, b in zip(forked, serial):
+                assert np.array_equal(a, b)
+
+    def test_unshared_pass_takes_the_tiles_back(self, monkeypatch):
+        st, out, scale = self._forked(2, monkeypatch)
+        ref, _, _ = self._forked(1, monkeypatch)
+        private = np.empty(out.shape)
+        st.advance(1e-3, out=private, scale=scale)  # the workers cannot write here
+        assert not st._workers and _no_child_left()
+        ref.advance(1e-3, out=out, scale=scale)
+        assert np.array_equal(private, out)
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+        st.fork_workers(out, scale)  # they can be forked again
+        assert len(st._workers) == 1
+        st.close()
+
+    def test_worker_error_is_raised_here(self, monkeypatch):
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+        K, N, S = self.K, self.N, self.S
+        st = FadingState(np.random.default_rng(1), K, N, S, np.full(K, 20.0), 2e9)
+        st.advance(1e-3)
+        tile_pairs = FadingState._tile_pairs
+
+        def failing(self, t):
+            if t == 2:
+                raise RuntimeError(f"tile 2 in process {os.getpid()}")
+            return tile_pairs(self, t)
+
+        monkeypatch.setattr(FadingState, "_tile_pairs", failing)  # the worker forks with it
+        out, scale = shared_array((2, K, N, S)), shared_array((2, K, N))
+        st.fork_workers(out, scale)
+        with pytest.raises(RuntimeError, match="tile 2 in process") as raised:
+            st.advance(1e-3, out=out, scale=scale)
+        assert str(os.getpid()) not in str(raised.value)  # raised on the worker
+        st.close()
+        assert _no_child_left()
+
+    def test_worker_leaves_when_its_pipe_closes(self, monkeypatch):
+        st, _, _ = self._forked(2, monkeypatch)
+        (pid, conn, _, _), = st._workers
+        conn.close()
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        st._stop.detach()
+
+    def test_collected_state_reaps_its_workers(self, monkeypatch):
+        st, _, _ = self._forked(3, monkeypatch)
+        assert len(st._workers) == 2
+        del st
+        gc.collect()
+        assert _no_child_left()
+
+    def test_closed_state_cannot_be_used(self, monkeypatch):
+        st, out, scale = self._forked(2, monkeypatch)
+        st.close()
+        assert _no_child_left()
+        for use in (st.coefficients, st.power_gains, lambda: st.advance(1e-3),
+                    lambda: pickle.dumps(st)):
+            with pytest.raises(ValueError, match="closed"):
+                use()
+        st.close()  # a second close does nothing
+
+    def test_no_worker_for_one_cpu_or_tile(self, monkeypatch):
+        st, out, scale = self._forked(1, monkeypatch)
+        assert not st._workers
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 8)
+        one = FadingState(np.random.default_rng(1), 3, 2, 4, np.full(3, 20.0), 2e9)
+        one.fork_workers(shared_array((1, 3, 2, 4)), shared_array((1, 3, 2)))
+        assert not one._workers
+
+    def test_no_worker_without_fork(self, monkeypatch):
+        monkeypatch.delattr(channel.os, "fork")
+        st, _, _ = self._forked(2, monkeypatch)
+        assert not st._workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_channel_gains_at_any_cpu_count(self, workers, monkeypatch):
+        sc, net = self._hetnet(11, mobile_users=True, user_speed_kmh=60.0)
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 1)
+        expected = [(large, gains) for large, gains in _slot_by_slot(sc, net, 11)]
+        monkeypatch.setattr(channel, "_cpu_count", lambda: workers)
+        chan = Channel(sc, net)
+        assert chan.fading.osc.shape[0] == 3
+        assert chan._block.flags.owndata == (workers == 1)  # shared only if it forks
+        for slot, (large, gains) in enumerate(expected):
+            chan.advance()
+            # the workers start with the second block, BLOCK_SLOTS slots in
+            assert len(chan.fading._workers) == (workers - 1 if slot >= BLOCK_SLOTS else 0)
+            assert np.array_equal(chan.large_scale, large)
+            assert np.array_equal(chan.gains(), gains)
+        chan.close()
+        assert _no_child_left()
+
+    def test_one_block_run_forks_nothing(self, monkeypatch):
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+        sc, net = self._hetnet(BLOCK_SLOTS)
+        chan = Channel(sc, net)
+        for _ in range(BLOCK_SLOTS + 2):
+            chan.advance()
+            assert not chan.fading._workers
+        assert chan._block.flags.owndata  # a private block, not a shared_array
+
+    def test_no_child_after_engine_run(self, monkeypatch):
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 3)
+        sc, _ = self._hetnet(12)
+        forks = []
+        fork = channel.FadingState.fork_workers
+
+        def counted(self, *args):
+            fork(self, *args)
+            forks.append(len(self._workers))
+
+        monkeypatch.setattr(channel.FadingState, "fork_workers", counted)
+        assert engine.run(sc).constraint_violations == 0
+        assert 2 in forks and _no_child_left()
+
+    def test_no_child_after_engine_run_raises(self, monkeypatch):
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+        sc, _ = self._hetnet(12)
+        served_rates = engine.scheduling.served_rates
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 8:
+                raise RuntimeError("slot 7")
+            return served_rates(*args)
+
+        monkeypatch.setattr(engine.scheduling, "served_rates", failing)
+        with pytest.raises(RuntimeError, match="slot 7"):
+            engine.run(sc)
+        assert _no_child_left()
+
+    def test_states_close_in_any_order(self, monkeypatch):
+        # a worker forked later holds no copy of an earlier worker's pipe
+        first, _, _ = self._forked(2, monkeypatch)
+        second, _, _ = self._forked(3, monkeypatch)
+        assert len(first._workers) == 1 and len(second._workers) == 2
+        first.close()  # would wait for the second's workers if they kept its pipe open
+        assert len(second._workers) == 2
+        second.close()
+        assert _no_child_left()

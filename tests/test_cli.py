@@ -356,3 +356,49 @@ class TestOracleCommand:
     def test_large_instance_refused(self, capsys):
         assert main(["oracle", "hex19"]) == 1
         assert "exceeds" in capsys.readouterr().err
+
+
+class TestNoChildProcessLeft:
+    """The fading's worker processes end with the command that forked them."""
+
+    @staticmethod
+    def _no_child_left():
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return True
+        return False
+
+    def test_runtime_error_exit_2(self, tmp_path, capsys, monkeypatch):
+        from refimsim import channel
+
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+        forked, fork = [], channel.FadingState.fork_workers
+
+        def counted(self, *args):
+            fork(self, *args)
+            forked.append(len(self._workers))
+
+        served_rates, calls = cli.engine.scheduling.served_rates, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 8:
+                raise RuntimeError("slot 7")
+            return served_rates(*args)
+
+        monkeypatch.setattr(channel.FadingState, "fork_workers", counted)
+        monkeypatch.setattr(cli.engine.scheduling, "served_rates", failing)
+        cfg = tmp_path / "hetnet.json"  # three fading tiles
+        cfg.write_text(json.dumps({"kind": "hetnet", "rings": 0, "femtos_per_macro": 10,
+                                   "subchannels": 16, "slots": 12, "warmup_slots": 0}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "slot 7" in capsys.readouterr().err
+        assert 1 in forked and self._no_child_left()
+
+    def test_oracle(self, capsys, monkeypatch):
+        from refimsim import channel
+
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+        assert main(["oracle", "toy2"]) == 0
+        assert self._no_child_left()

@@ -464,7 +464,8 @@ class TestRanking:
     @given(ranking_inputs())
     def test_equals_stable_argsort(self, inputs):
         nbr, cand, cross, count = inputs
-        sel, idx, users = rank_references(nbr, cand, cross, count)
+        present = (cand != NO_USER) & (nbr >= 0)[:, :, None]
+        sel, idx, users = rank_references(nbr, cand, cross, count, present)
         want_idx, b = argsort_ranking(nbr, cand, cross, count)
         n, s, m = want_idx
         for got, want in zip(idx, want_idx):
@@ -586,14 +587,14 @@ class TestProtocolDeterminism:
         net = protocol_network()
         def run_once():
             tables = CandidateTables(net)
-            trace = []
+            published = []
             cfg = Scenario(feedback_period_slots=2)
             for t in range(6):
                 gains, powers, noise, weights, serving = random_slot(net, t)
                 accumulate(tables, gains, powers, noise, weights, serving)
                 refresh_candidate_tables(net, tables, t, cfg)
-                trace += protocol_rows(net, t, published_users(tables, t))
-            return trace, tables.pub_f0.copy()
+                published.append(published_users(tables, t))
+            return list(protocol_rows(net, published)), tables.pub_f0.copy()
         t1, f1 = run_once()
         t2, f2 = run_once()
         assert t1 == t2
@@ -606,16 +607,31 @@ class TestProtocolDeterminism:
         tables = CandidateTables(net)
         accumulate(tables, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, tables, 0, Scenario())
-        trace = protocol_rows(net, 0, published_users(tables, 0))
+        trace = list(protocol_rows(net, [published_users(tables, 0)]))
         from_bs0 = [row for row in trace if row[1] == 0 and row[3] == "table_refresh"]
         assert len(from_bs0) == 2  # two neighbors
         assert from_bs0[0][4] == 3 * 4 * net.subchannel_count * 4
 
     def test_index_exchange_only_between_macros(self):
         net = protocol_network()
-        rows = protocol_rows(net, 4, np.zeros(net.n_bs, dtype=int))
+        rows = list(protocol_rows(net, np.zeros((5, net.n_bs), dtype=int)))
         nbytes = 2 * net.subchannel_count
-        assert rows == [(4, 0, 1, "index_exchange", nbytes), (4, 1, 0, "index_exchange", nbytes)]
+        assert rows == [(t, n, m, "index_exchange", nbytes)
+                        for t in range(5) for n, m in ((0, 1), (1, 0))]
+
+    def test_rows_equal_slot_by_slot_rule(self):
+        # every slot: each publishing BS's table to each neighbor, then the
+        # index exchange between macro neighbors, as Table II counts them
+        net = build_network(get_preset("hetnet5"))
+        published = np.random.default_rng(3).integers(0, 3, size=(7, net.n_bs))
+        S, macro = net.subchannel_count, [b.tier != TIER_FEMTO for b in net.base_stations]
+        want = []
+        for t, counts in enumerate(published):
+            want += [(t, n, m, "table_refresh", int(c) * S * 4 * 4)
+                     for n, c in enumerate(counts) if c for m in net.neighbor_sets[n]]
+            want += [(t, n, m, "index_exchange", 2 * S) for n in range(net.n_bs) if macro[n]
+                     for m in net.neighbor_sets[n] if macro[m]]
+        assert list(protocol_rows(net, published)) == want
 
 
 def looped_refresh(network, tables, slot, config, mean_gains=None, enabled=None):

@@ -18,7 +18,10 @@ line go under "tier1". Then, for each seed, every workload in
 BENCHMARK.json (or each --workload given) runs once per side through
 `perfbench/run.py`, the side that runs first alternating with the seed
 (odd seeds: parent first). Seeds `--seed0 ...` run at --trace 0, seeds
-`--traced-seed0 ...` at --trace 1.
+`--traced-seed0 ...` at --trace 1. Each run.py starts in a session of its
+own; a process of that session still alive after it returns (a worker the
+simulator forked and did not end, say) is killed, listed under
+"left_running", and fails the round, as a failed run does.
 
 The output has the schema of BENCH_12.json: every run's final JSON line
 under "runs", and per workload and end-to-end metric the trace-0 quartiles
@@ -32,6 +35,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -65,13 +69,38 @@ def copy_worktree(dest):
             shutil.copy2(src, dest / name)
 
 
+def session_processes(sid):
+    """Pids of the live (not zombie) processes in session sid, read from /proc."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:  # it ended while being listed
+                continue
+            state, _, _, session = stat.rsplit(")", 1)[1].split()[:4]
+            if int(session) == sid and state != "Z":
+                pids.append(int(entry.name))
+    return pids
+
+
 def run_side(tree, workload, seed, seconds, trace):
-    """One perfbench/run.py call in tree; returns (returncode, absent, result)."""
-    proc = subprocess.run(
+    """One perfbench/run.py call in tree, in a session of its own; returns
+    (returncode, absent, result, left): `left` lists the pids of the session
+    still alive after run.py returned, which are then killed."""
+    proc = subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    stdout, stderr = proc.communicate()
+    left = session_processes(proc.pid)
+    for pid in left:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    lines = stdout.strip().splitlines()
     absent = []
     for line in lines:
         if line.startswith("absent (reported as 0): "):
@@ -80,8 +109,10 @@ def run_side(tree, workload, seed, seconds, trace):
     if proc.returncode == 0 and lines:
         result = json.loads(lines[-1])
     else:
-        sys.stderr.write(proc.stderr)
-    return proc.returncode, absent, result
+        sys.stderr.write(stderr)
+    if left:
+        sys.stderr.write(f"{workload} seed {seed} left processes running: {left}\n")
+    return proc.returncode, absent, result, left
 
 
 def run_tier1(tree):
@@ -161,10 +192,11 @@ def main(argv=None):
             order = [first, "change" if first == "parent" else "parent"]
             for w in workloads:
                 for side in order:
-                    rc, absent, result = run_side(trees[side], w, seed, args.seconds, trace)
+                    rc, absent, result, left = run_side(trees[side], w, seed, args.seconds,
+                                                        trace)
                     runs.append({"workload": w, "side": side, "trace": trace, "seed": seed,
                                  "first": first, "returncode": rc, "absent": absent,
-                                 "result": result, "round": "1"})
+                                 "left_running": left, "result": result, "round": "1"})
                     wall = result["metrics"].get("wall_s", {}).get("value") if result else None
                     print(f"seed {seed} trace {trace} {w:22s} {side:6s} rc {rc} "
                           f"wall_s {wall}", flush=True)
@@ -177,7 +209,7 @@ def main(argv=None):
            "final_round_trace0_quartiles": summarize(runs, workloads, bench["end_to_end"]),
            "runs": runs}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    failed = sum(r["returncode"] != 0 for r in runs) + sum(
+    failed = sum(r["returncode"] != 0 or bool(r["left_running"]) for r in runs) + sum(
         t["returncode"] != 0 for t in tier1.values())
     print(f"wrote {args.out}: {len(runs)} runs, {failed} failed")
     return 1 if failed else 0

@@ -6,6 +6,7 @@ Gains are linear power gains; the per-slot tensor is indexed
 
 import os
 import threading
+import time
 import weakref
 from types import SimpleNamespace
 
@@ -113,11 +114,35 @@ def _worker_processes(n_tiles):
     return max(0, min(_cpu_count(), n_tiles) - 1) if hasattr(os, "fork") else 0
 
 
+def _split(n_tiles, workers, own_s, worker_s, step_s):
+    """m: this process passes tiles [0, m) of a posted pass, the workers
+    share [m, n_tiles) evenly.
+
+    own_s and worker_s are one tile's pass time here and on a worker, None
+    before they are measured; step_s is the time this process spends
+    between posting the pass and passing its own tiles. m balances the two
+    sides, (n_tiles - m) worker_s / workers = step_s + m own_s, so that the
+    workers are done when this process wants their tiles; the even split
+    before anything is measured. The workers keep at least one tile.
+    """
+    if own_s is None or worker_s is None:
+        m = n_tiles // (workers + 1)
+    else:
+        share = worker_s / workers
+        m = round((n_tiles * share - step_s) / (own_s + share))
+    return min(n_tiles - 1, max(0, m))
+
+
 def _leads(a, buffer):
     """Whether array a is buffer[:len(a)]."""
     return (isinstance(a, np.ndarray) and a.shape[1:] == buffer.shape[1:]
             and len(a) <= len(buffer) and a.strides == buffer.strides
             and a.ctypes.data == buffer.ctypes.data)
+
+
+def _is_view(a, b):
+    """Whether array a views b's memory with b's shape and strides."""
+    return _leads(a, b) and len(a) == len(b)
 
 
 class FadingState:
@@ -142,25 +167,36 @@ class FadingState:
     are added in the order numpy's pairwise `sum(axis=-1)` uses, so the
     gains are bit-identical to rotating and summing one (K, N, S, O) array.
 
-    Every pass over the tiles is shared among min(CPUs, tiles) threads, one
-    contiguous run of tiles each, the calling thread taking the first. Each
-    writes only its own tiles and sums into its own scratch, and a run that
-    draws starts from its own copy of the saved generator state, advanced to
-    its first tile's draws. So the results are bit-identical for any number
-    of threads. The threads call only private methods, and none outlives
-    the call that started it.
+    Every pass over the tiles in this process is shared among min(CPUs,
+    tiles) threads, one contiguous run of tiles each, the calling thread
+    taking the first. Each writes only its own tiles and sums into its own
+    scratch, and a run that draws starts from its own copy of the saved
+    generator state, advanced to its first tile's draws. So the results are
+    bit-identical for any number of threads. The threads call only private
+    methods, and none outlives the call that started it.
 
     Short calls, such as a slot's rotations, keep taking the interpreter
-    lock back, so threads barely overlap on them. `fork_workers` hands the
-    passes to min(CPUs, tiles) - 1 forked worker processes instead, each
-    holding its own run of tiles: the same split, so the same results. Each
-    process then keeps only its own tiles resident, and a worker writes its
-    gains into MAP_SHARED buffers. A pass that no worker can share (the
-    coefficients, say) first takes the workers' tiles back and ends them;
-    `close` ends them and drops their tiles.
+    lock back, so threads barely overlap on them. A state made with `forks`
+    keeps `osc` in MAP_SHARED memory, if this process would fork any worker
+    (`forks` then stays True), and `fork_workers` forks min(CPUs, tiles) - 1
+    worker processes. From then on `post` starts a blocked advance on them:
+    the workers rotate tiles [m, n) while this process does other work, and
+    the `advance` with the same arguments that follows passes this
+    process's tiles [0, m) and waits for theirs. m is chosen per post by
+    `_split` from the pass times measured on both sides and the time this
+    process spent between the last post and its own pass, so that both
+    sides finish together. Each tile is still rotated once per slot, in
+    order, by one process, and which one changes no arithmetic: the results
+    are bit-identical for any split as well as any CPU count. Each process
+    keeps only the oscillators of its own tiles mapped. The step stays
+    private: the workers read the pages they forked with, and a new `dt`
+    is built on both sides. Every other pass (and `close`, a copy or
+    pickle) first finishes a posted one, then runs here, while the workers
+    wait; `close` ends them.
     """
 
-    def __init__(self, rng, n_users, n_bs, n_subchannels, speeds_mps, carrier_freq_hz):
+    def __init__(self, rng, n_users, n_bs, n_subchannels, speeds_mps, carrier_freq_hz,
+                 forks=False):
         self._shape = (n_users, n_bs, n_subchannels)
         links = n_users * n_bs * n_subchannels
         n_tiles = max(1, -(-n_users * n_bs // max(1, TILE_LINKS // n_subchannels)))
@@ -171,146 +207,168 @@ class FadingState:
         self._angle_stream = (type(bitgen), bitgen.state)
         bitgen.advance(links * OSCILLATORS)
         phase_stream = (type(bitgen), bitgen.state)
-        self.osc = np.empty((n_tiles, OSCILLATORS, self._pairs_per_tile * n_subchannels),
-                            dtype=complex)
+        self.forks = forks and _worker_processes(n_tiles) > 0
+        self.osc = (shared_array if self.forks else np.empty)(
+            (n_tiles, OSCILLATORS, self._pairs_per_tile * n_subchannels), complex)
         self.osc[-1] = 1.0  # padding links
         self.scale = 1.0 / np.sqrt(OSCILLATORS)
         self._step_dt = None
         self._step = None
         self._scratch = []  # one tile's draws and sums per worker, made on first use
         self._no_workers()
-        self._tiles_lost = False  # closed while workers held tiles
         self._share_tiles(self._draw_phases, phase_stream)
         bitgen.advance(links * OSCILLATORS)  # past the phases, as if drawn here
 
-    _PROCESS_STATE = ("_scratch", "_workers", "_run", "_shared", "_stop")
+    _PROCESS_STATE = ("_scratch", "_workers", "_buffers", "_posted", "_costs", "_stop")
 
     def __getstate__(self):
         # Copied views would not alias the copied scratch, so it is not kept;
-        # the workers' tiles come back first.
-        self._join()
-        if self._tiles_lost:
-            raise ValueError("the fading state was closed while workers held its tiles")
+        # a posted pass is finished first.
+        self._finish()
         return {k: v for k, v in vars(self).items() if k not in self._PROCESS_STATE}
 
     def __setstate__(self, state):
         vars(self).update(state)
+        self.forks = False  # the copy's arrays are its own
         self._scratch = []
         self._no_workers()
 
     def _no_workers(self):
-        self._workers = []   # (pid, pipe, first tile, end tile) per worker process
-        self._run = None     # (first, end) tiles of this process while workers run
-        self._shared = None  # (out, scale) buffers the workers write and read
+        self._workers = []   # (pid, pipe) per worker process
+        self._buffers = ()   # (out, scale) pairs a posted pass may write and read
+        self._posted = None  # the pass the workers run, until `advance` finishes it
+        # seconds per tile-slot here and on a worker, and per post-to-pass wait
+        self._costs = SimpleNamespace(own=None, worker=None, step=0.0)
         self._stop = None    # ends the workers, also when the state is collected
 
-    def fork_workers(self, out, scale):
-        """Share later tile passes with min(CPUs, tiles) - 1 forked worker
-        processes; none if that is 0 or they run already.
+    def fork_workers(self, *buffers):
+        """Fork min(CPUs, tiles) - 1 worker processes for later `post`s;
+        none if the state was not made to fork or they run already.
 
-        `out` (slots, K, N, S) and `scale` (slots, K, N) are `shared_array`s:
-        an `advance` that writes nothing, or writes out[:n] with scale[:n],
-        runs on the workers too. Each worker takes a contiguous run of tiles,
-        this process the first, and from here on each process keeps only its
-        own run resident. A worker leaves with os._exit when its pipe closes
-        (`close`, or this process ending) and raises its errors here.
+        Each buffer is an (out, scale) pair of a (slots, K, N, S) and a
+        (slots, K, N) array in `shared_array` memory (or a view of one): a
+        posted pass writes and reads a leading slice of one pair. A worker
+        leaves with os._exit when its pipe closes (`close`, or this process
+        ending) and raises its errors here.
         """
-        count = 0 if self._workers or self._tiles_lost else _worker_processes(len(self.osc))
+        count = _worker_processes(len(self.osc)) if self.forks and not self._workers else 0
         if count == 0:
             return
-        n_tiles, procs = len(self.osc), count + 1
-        runs = [(n_tiles * w // procs, n_tiles * (w + 1) // procs) for w in range(procs)]
-        self._shared = (out, scale)
         forked = []
         try:
-            for first, end in runs[1:]:
-                forked.append(fork(self._start_worker, first, end) + (first, end))
-            for _, pipe, _, _ in forked:
-                pipe.recv()  # it has let go of the other tiles
+            for _ in range(count):
+                forked.append(fork(self._start_worker, buffers))
         except BaseException:
             stop(forked)
-            self._shared = None
             raise
-        for _, _, first, end in forked:
-            self._release_tiles(first, end)
-        self._workers, self._run = forked, runs[0]
+        self._workers, self._buffers = forked, buffers
         self._stop = weakref.finalize(self, stop, forked)
 
-    def _start_worker(self, pipe, first, end):
-        """In a new worker: let go of the tiles outside [first, end), tell
-        the forking process, and return the handler of its passes."""
-        self._release_tiles(0, first)
-        self._release_tiles(end, len(self.osc))
+    def _start_worker(self, buffers):
+        """In a new worker: return the handler of the passes posted to it."""
         scratch = self._new_scratch()
-        pipe.send(None)
 
-        def handle(message, pipe):
-            kind, arg = message
-            if kind == "step":
-                if self._step is None:
-                    self._step = np.empty_like(self.osc)
-                self._step_tiles(first, end, scratch, arg)
-            elif kind == "advance":
-                dt_s, slots = arg
-                rows = scale_rows = None
-                if slots is not None:
-                    out, scale = self._shared
-                    rows = [self._pair_rows(o) for o in out[:slots]]
-                    scale_rows = [np.reshape(g, (-1, 1)) for g in scale[:slots]]
-                self._advance_tiles(first, end, scratch, dt_s, rows, scale_rows)
-            else:  # "fetch": send the tiles back
-                step = self._step
-                for t in range(first, end):
-                    pipe.send((self.osc[t], None if step is None else step[t]))
+        def handle(message):
+            dt_s, index, slots, first, end = message
+            start = time.perf_counter()
+            release(self.osc[:first])
+            release(self.osc[end:])
+            if dt_s != self._step_dt and dt_s != 0.0:
+                self._build_step(dt_s)
+            out, scale = buffers[index]
+            self._advance_tiles(first, end, scratch, dt_s,
+                                *self._rows(out[:slots], scale[:slots]))
+            return time.perf_counter() - start
 
         return handle
 
-    def _release_tiles(self, first, end):
-        """Let go of tiles [first, end) of the oscillators and steps."""
-        for a in (self.osc, self._step):
-            if a is not None and end > first:
-                release(a[first:end])
+    def post(self, dt_s, out, scale):
+        """Start advance(dt_s, out, scale) on the worker processes.
 
-    def _join(self):
-        """Take the workers' tiles back, then end the workers."""
-        if not self._workers:
+        `out` and `scale` lead one (out, scale) pair given to `fork_workers`.
+        The workers pass their tiles now; the call to `advance` with the same
+        arguments, which must come next, passes this process's tiles and
+        waits for theirs. Without workers, every tile waits for that call.
+        """
+        self._finish()
+        if dt_s < 0:
+            raise ValueError("dt_s must be >= 0")
+        if dt_s != self._step_dt and dt_s != 0.0:
+            self._build_step(dt_s)  # each worker rebuilds its own too
+        n_tiles = m = len(self.osc)
+        if self._workers:
+            index = next((i for i, (o, g) in enumerate(self._buffers) if _leads(out, o)
+                          and _leads(scale, g) and len(scale) == len(out)), None)
+            if index is None:
+                raise ValueError("out and scale must lead a pair of the workers' buffers")
+            workers, slots, c = len(self._workers), len(out), self._costs
+            m = _split(n_tiles, workers, None if c.own is None else c.own * slots,
+                       None if c.worker is None else c.worker * slots, c.step)
+            release(self.osc[m:])
+            try:
+                for w, (_, pipe) in enumerate(self._workers):
+                    pipe.send((dt_s, index, slots, m + (n_tiles - m) * w // workers,
+                               m + (n_tiles - m) * (w + 1) // workers))
+            except OSError:
+                self._worker_exited()
+        self._posted = SimpleNamespace(dt_s=dt_s, out=out, scale=scale, m=m,
+                                       at=time.perf_counter())
+
+    def _finish(self):
+        """Pass this process's tiles of the posted pass, if any, then wait
+        for the workers' and update the measured costs."""
+        posted, c = self._posted, self._costs
+        if posted is None:
             return
+        self._posted = None
+        start = time.perf_counter()
+        c.step = start - posted.at
+        if not self._scratch:
+            self._scratch.append(self._new_scratch())
+        error = None
         try:
-            for _, pipe, _, _ in self._workers:
-                pipe.send(("fetch", None))
-            for _, pipe, first, end in self._workers:
-                for t in range(first, end):
-                    osc, step = pipe.recv()
-                    self.osc[t] = osc
-                    if step is not None:
-                        self._step[t] = step
-                pipe.recv()
-        except EOFError:
-            self.close()
-            raise RuntimeError("a fading worker process exited") from None
-        self._stop()
-        self._no_workers()
+            self._advance_tiles(0, posted.m, self._scratch[0], posted.dt_s,
+                                *self._rows(posted.out, posted.scale))
+        except BaseException as exc:  # raised once every worker has replied
+            error = exc
+        tile_slots = len(posted.out) * (len(self.osc) - posted.m)
+        if posted.m:
+            c.own = (time.perf_counter() - start) / (len(posted.out) * posted.m)
+        busy = 0.0
+        for _, pipe in self._workers:
+            try:
+                reply = pipe.recv()
+            except EOFError:
+                self._worker_exited()
+            if isinstance(reply, BaseException):
+                error = reply if error is None else error
+            else:
+                busy += reply
+        if error is not None:
+            raise error
+        if tile_slots:
+            c.worker = busy / tile_slots
+
+    def _worker_exited(self):
+        self.close()
+        raise RuntimeError("a fading worker process exited") from None
 
     def close(self):
-        """End the worker processes, if any. The tiles they hold go with
-        them, so a state that had workers cannot be used after this."""
-        if self._workers:
-            self._stop()
-            self._no_workers()
-            self._tiles_lost = True
+        """Finish a posted pass, then end the worker processes, if any, for
+        good: later passes run in this process."""
+        try:
+            self._finish()
+        finally:
+            self.forks = False
+            if self._workers:
+                self._stop()
+                self._no_workers()
 
-    def _share_tiles(self, work, *args, command=None):
+    def _share_tiles(self, work, *args):
         """Run work(first, end, scratch, *args) over contiguous runs of tiles,
         one per worker: the first on the calling thread, each other on a
         thread of its own, all joined before this returns. Then re-raises
-        the error of the first run, in tile order, that failed.
-
-        While worker processes run, this process runs work over its own run
-        and each worker runs `command` over its run instead."""
-        if self._tiles_lost:
-            raise ValueError("the fading state was closed while workers held its tiles")
-        if self._workers:
-            return self._share_with_workers(command, work, *args)
+        the error of the first run, in tile order, that failed."""
         n_tiles = len(self.osc)
         workers = min(_cpu_count(), n_tiles)
         while len(self._scratch) < workers:
@@ -337,27 +395,6 @@ class FadingState:
         for exc in errors:
             if exc is not None:
                 raise exc
-
-    def _share_with_workers(self, command, work, *args):
-        """_share_tiles while worker processes run."""
-        for _, pipe, _, _ in self._workers:
-            pipe.send(command)
-        if not self._scratch:
-            self._scratch.append(self._new_scratch())
-        error = None
-        try:
-            work(*self._run, self._scratch[0], *args)
-        except BaseException as exc:  # raised once every worker has replied
-            error = exc
-        for _, pipe, _, _ in self._workers:
-            try:
-                reply = pipe.recv()
-            except EOFError:
-                self.close()
-                raise RuntimeError("a fading worker process exited") from None
-            error = reply if error is None else error
-        if error is not None:
-            raise error
 
     def _new_scratch(self):
         """One worker's scratch: a tile's draws and its sum, with the sum's
@@ -416,7 +453,7 @@ class FadingState:
         re-drawing the angles tile by tile from the saved generator state."""
         if self._step is None:
             self._step = np.empty_like(self.osc)
-        self._share_tiles(self._step_tiles, dt_s, command=("step", dt_s))
+        self._share_tiles(self._step_tiles, dt_s)
         self._step_dt = dt_s
 
     def _step_tiles(self, first, end, scratch, dt_s):
@@ -441,24 +478,27 @@ class FadingState:
         `out` is a C-contiguous (slots, K, N, S) array and `scale` holds one
         (K, N) large-scale gain per slot: after the i-th rotation of a tile,
         scale[i] x |h|^2 of its links is written into out[i] while the tile
-        is in cache. The worker processes share the pass if `out` is None or
-        `out` and `scale` lead the buffers given to `fork_workers`;
-        otherwise they are ended first.
+        is in cache. With the arguments of the pending `post`, this finishes
+        that pass: it passes this process's tiles and waits for the
+        workers'. Otherwise it finishes a posted pass first, then runs here.
         """
         if dt_s < 0:
             raise ValueError("dt_s must be >= 0")
-        if self._workers and out is not None and not (
-                _leads(out, self._shared[0]) and _leads(scale, self._shared[1])
-                and len(scale) == len(out)):
-            self._join()
+        posted = self._posted
+        self._finish()
+        if (posted is not None and dt_s == posted.dt_s and _is_view(out, posted.out)
+                and _is_view(scale, posted.scale)):
+            return
         if dt_s != self._step_dt and dt_s != 0.0:
             self._build_step(dt_s)
-        rows = scale_rows = None
-        if out is not None:
-            rows = [self._pair_rows(o) for o in out]
-            scale_rows = [np.reshape(g, (-1, 1)) for g in scale]
-        self._share_tiles(self._advance_tiles, dt_s, rows, scale_rows,
-                          command=("advance", (dt_s, None if out is None else len(out))))
+        self._share_tiles(self._advance_tiles, dt_s, *self._rows(out, scale))
+
+    def _rows(self, out, scale):
+        """(rows, scale_rows) of a pass's out and scale, one (pairs, S) and one
+        (pairs, 1) view per slot; (None, None) without out."""
+        if out is None:
+            return None, None
+        return [self._pair_rows(o) for o in out], [np.reshape(g, (-1, 1)) for g in scale]
 
     def _advance_tiles(self, first, end, scratch, dt_s, rows, scale_rows):
         """advance for tiles [first, end): per slot, rotate unless dt_s is 0,
@@ -504,7 +544,7 @@ class FadingState:
 
     def coefficients(self):
         """(K, N, S) complex channel coefficients at the current time."""
-        self._join()
+        self._finish()
         h = np.empty(self.osc[:, 0].shape, dtype=complex)
         self._share_tiles(self._copy_coefficients, h)
         # Only the last tile is padded, at its end: the links come first.
@@ -514,7 +554,7 @@ class FadingState:
         """(K, N, S) |h|^2 at the current time, times `scale` (a (K, N)
         large-scale gain, say) if given, written into `out` (C-contiguous)
         or into a fresh array."""
-        self._join()
+        self._finish()
         out = np.empty(self._shape) if out is None else out
         scale_rows = None if scale is None else np.reshape(scale, (-1, 1))
         self._share_tiles(self._advance_tiles, 0.0, [self._pair_rows(out)], [scale_rows])
@@ -536,16 +576,21 @@ class Channel:
     each drawn from its own child of the scenario seed.
 
     The gains are computed BLOCK_SLOTS slots at a time, never past
-    `scenario.slots`: one `advance` in every block moves the users and
-    rotates the fading through the whole block. So `mobility` may stand up to
-    BLOCK_SLOTS - 1 slots ahead of the current slot; `large_scale` and
-    `gains()` are the current slot's. `noise` is the (K, S) noise power in
-    Watts.
+    `scenario.slots`: one `advance` in every block rotates the fading
+    through the whole block. `large_scale` and `gains()` are the current
+    slot's. `noise` is the (K, S) noise power in Watts.
 
     If the fading state would fork worker processes and the run is longer
-    than a block, the block and its large-scale gains are `shared_array`s,
-    and the workers are forked when the run reaches its second block: a
-    one-block run pays for neither. `close` ends them.
+    than a block, the channel keeps two blocks and their large-scale gains
+    in `shared_array`s and pipelines them. The first block is computed
+    here; then the workers are forked. When block k starts, this process
+    passes its own tiles of block k, collects the workers' tiles of block
+    k, which they computed during block k - 1, then moves the users
+    through block k + 1 and posts that block to the workers, who fade it
+    while the run steps block k. So `mobility` may stand up to
+    2 BLOCK_SLOTS - 1 slots ahead of the current slot (BLOCK_SLOTS - 1
+    without workers). A one-block run forks nothing and allocates no shared
+    memory. `close` ends the workers.
     """
 
     def __init__(self, scenario, network):
@@ -556,7 +601,8 @@ class Channel:
         K, N, S = network.n_users, network.n_bs, network.subchannel_count
         speeds = np.full(K, scenario.user_speed_kmh / 3.6)
         self.shadow_db = shadowing_matrix_db(network, scenario, rng["shadowing"])
-        self.fading = FadingState(rng["fading"], K, N, S, speeds, scenario.carrier_freq_hz)
+        self.fading = FadingState(rng["fading"], K, N, S, speeds, scenario.carrier_freq_hz,
+                                  forks=scenario.slots > BLOCK_SLOTS)
         self.mobility = None
         if scenario.mobile_users:
             self.mobility = WaypointMobility(network, speeds, rng["mobility"])
@@ -566,19 +612,22 @@ class Channel:
                                                    network.bandwidth_hz / S))
         self._dt = scenario.slot_duration_s
         self._slots_left = scenario.slots
-        self._forks = (scenario.slots > BLOCK_SLOTS
-                       and _worker_processes(len(self.fading.osc)) > 0)
-        buffer = shared_array if self._forks else np.empty
-        self._block = buffer((BLOCK_SLOTS, K, N, S))
-        # the block's large-scale gains: while the users stand still, one row
-        # read as every slot's
-        self._scales = buffer((1 if self.mobility is None else BLOCK_SLOTS, K, N))
-        self._scales[0] = self._large_scale
-        self._scale_view = np.broadcast_to(self._scales, (BLOCK_SLOTS, K, N))
-        self._block_scales = [self._large_scale]  # each block slot's large-scale gain
+        buffer, count = (shared_array, 2) if self.fading.forks else (np.empty, 1)
+        self._blocks = [buffer((BLOCK_SLOTS, K, N, S)) for _ in range(count)]
+        # each block's large-scale gains: while the users stand still, one
+        # row, read as every slot's of both blocks
+        self._scales = ([buffer((BLOCK_SLOTS, K, N)) for _ in range(count)]
+                        if self.mobility is not None else [buffer((1, K, N))])
+        self._scales[0][0] = self._large_scale
+        self._pairs = [(block, np.broadcast_to(self._scales[i % len(self._scales)],
+                                               (BLOCK_SLOTS, K, N)))
+                       for i, block in enumerate(self._blocks)]
+        self._out = self._blocks[0]               # the current block's gains
+        self._block_scales = [self._large_scale]  # each current block slot's large-scale gain
+        self._next = None                         # the posted block's large-scale gains
         self._slot = 0                            # the current slot's index in the block
         self._filled = False                      # no gains computed yet
-        self._blocks = 0                          # blocks computed
+        self._count = 0                           # blocks computed
 
     def _update_large_scale(self):
         positions = None if self.mobility is None else self.mobility.positions
@@ -590,38 +639,52 @@ class Channel:
         """(K, N) path loss and shadowing gain of the current slot."""
         return self._block_scales[self._slot]
 
-    def advance(self):
-        """Step one slot of `scenario.slot_duration_s`; at the end of a
-        block, compute the next one."""
-        self._slot += 1
-        if self._slot < len(self._block_scales):
-            return
+    def _move(self, i):
+        """Move the users through the next block, BLOCK_SLOTS slots but
+        never past the run (past it, one); write its large-scale gains into
+        scale buffer i if they move, and return them, one per slot."""
         slots = min(BLOCK_SLOTS, max(1, self._slots_left))
         self._slots_left -= slots
         scales = []
-        for i in range(slots):
+        for s in range(slots):
             if self.mobility is not None:
                 if self.mobility.advance(self._dt):  # path loss changes only if they moved
                     self._update_large_scale()
-                self._scales[i] = self._large_scale
+                self._scales[i][s] = self._large_scale
             scales.append(self._large_scale)
-        if self._forks and self._blocks:
-            self.fading.fork_workers(self._block, self._scale_view)
-        self.fading.advance(self._dt, out=self._block[:slots], scale=self._scale_view[:slots])
-        self._block_scales, self._slot, self._filled = scales, 0, True
-        self._blocks += 1
+        return scales
+
+    def advance(self):
+        """Step one slot of `scenario.slot_duration_s`; at the end of a
+        block, compute the next one and post the one after it."""
+        self._slot += 1
+        if self._slot < len(self._block_scales):
+            return
+        i = self._count % len(self._blocks)
+        scales = self._move(i) if self._next is None else self._next
+        out, scale = self._pairs[i]
+        self.fading.advance(self._dt, out=out[:len(scales)], scale=scale[:len(scales)])
+        self._count += 1
+        self._next = None
+        if self.fading.forks and self._slots_left > 0:
+            self.fading.fork_workers(*self._pairs)
+            j = self._count % len(self._blocks)
+            self._next = self._move(j)
+            post, post_scale = self._pairs[j]
+            self.fading.post(self._dt, post[:len(self._next)], post_scale[:len(self._next)])
+        self._out, self._block_scales, self._slot, self._filled = out, scales, 0, True
 
     def gains(self):
         """(K, N, S) linear gains of the current slot: a read-only view that
         the channel overwrites within BLOCK_SLOTS advances."""
         if not self._filled:  # before the first advance: the slot-0 gains
-            self.fading.power_gains(self.large_scale, out=self._block[0])
+            self.fading.power_gains(self.large_scale, out=self._out[0])
             self._filled = True
-        view = self._block[self._slot].view()
+        view = self._out[self._slot].view()
         view.flags.writeable = False
         return view
 
     def close(self):
-        """End the fading's worker processes; the channel cannot advance
-        after this if it had any."""
+        """End the fading's worker processes, if any; the channel goes on
+        without them."""
         self.fading.close()

@@ -2,8 +2,8 @@
 
 A worker starts as a copy of this process: it reads the arrays this process
 held when it forked without copying them, `shared_array` buffers stay
-shared both ways, and `release` lets either side drop the pages it leaves
-to the other. Each worker answers the messages sent down its pipe, one
+shared both ways, and `release` lets either side drop the pages of a buffer
+that it leaves to the other. Each worker answers the messages sent down its pipe, one
 reply each, until the pipe closes, and then leaves with os._exit, so it
 never runs this process's exit handlers or returns into its caller.
 """
@@ -25,16 +25,19 @@ if hasattr(os, "fork") and hasattr(mmap, "MADV_DONTNEED"):
     _LIBC.madvise.restype = ctypes.c_int
 
 
-def shared_array(shape):
-    """Zeroed float64 array in anonymous MAP_SHARED memory: this process and
-    the workers it forks afterwards read and write the same pages."""
-    size = int(np.prod(shape))
-    return np.frombuffer(mmap.mmap(-1, max(size, 1) * 8), count=size).reshape(shape)
+def shared_array(shape, dtype=np.float64):
+    """Zeroed array in anonymous MAP_SHARED memory: this process and the
+    workers it forks afterwards read and write the same pages."""
+    size, dtype = int(np.prod(shape)), np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype=dtype,
+                         count=size).reshape(shape)
 
 
 def release(a):
-    """Hand the whole pages of C-contiguous array a back to the OS, where it
-    can. Its values are lost: read them again only after overwriting them."""
+    """Drop this process's whole pages of C-contiguous array a, where it can.
+    A `shared_array` keeps its values, and the next access maps them back. In
+    private memory they are lost: read them again only after overwriting
+    them."""
     if _LIBC is None:
         return
     start, page = a.ctypes.data, mmap.PAGESIZE
@@ -71,10 +74,9 @@ _OPEN_PIPES = weakref.WeakSet()
 def fork(start, *args):
     """Fork a worker; return (pid, pipe), this process's end of its pipe.
 
-    The worker calls start(pipe, *args) on its own end, which returns a handler,
-    then sends back handler(message, pipe), or the error it raised, for each
-    message until the pipe closes. A handler may send more messages itself
-    before the reply.
+    The worker calls start(*args), which returns a handler, then sends back
+    handler(message), or the error it raised, for each message until the
+    pipe closes.
     """
     down, up = os.pipe(), os.pipe()
     here, there = Pipe(up[0], down[1]), Pipe(down[0], up[1])
@@ -96,7 +98,7 @@ def fork(start, *args):
             for pipe in list(_OPEN_PIPES):
                 pipe.close()
             gc.disable()  # a collection would touch, and so copy, the parent's pages
-            _serve(there, start(there, *args))
+            _serve(there, start(*args))
         finally:
             os._exit(0)
     there.close()
@@ -111,7 +113,7 @@ def _serve(pipe, handle):
         except EOFError:
             return
         try:
-            reply = handle(message, pipe)
+            reply = handle(message)
         except BaseException as exc:  # raised in the forking process
             reply = exc
         try:

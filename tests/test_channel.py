@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import mmap
 import os
 import pickle
 import signal
@@ -239,12 +240,13 @@ class _UntiledFading:
 
 
 def _owned_nbytes(values):
-    """Bytes of the arrays among values that own their data, looking into
-    lists and namespaces (views are counted with their base)."""
+    """Bytes of the arrays among values that own their data or all of a
+    `shared_array`'s, looking into lists and namespaces (views are counted
+    with their base)."""
     total = 0
     for v in values:
         if isinstance(v, np.ndarray):
-            total += v.nbytes if v.base is None else 0
+            total += v.nbytes if v.base is None or isinstance(v.base, mmap.mmap) else 0
         elif isinstance(v, list):
             total += _owned_nbytes(v)
         elif isinstance(v, SimpleNamespace):
@@ -318,15 +320,19 @@ class TestTiledFading:
         K, N, S = 41, 11, 19
         for workers in (1, 2, 3):
             monkeypatch.setattr(channel, "_cpu_count", lambda: workers)
-            st = FadingState(np.random.default_rng(2), K, N, S, np.full(K, 20.0), 2e9)
+            st = FadingState(np.random.default_rng(2), K, N, S, np.full(K, 20.0), 2e9,
+                             forks=True)
             st.advance(1e-3)
             st.power_gains()
             _, O, width = st.osc.shape
             assert len(st._scratch) == workers  # every thread's scratch is counted below
             # worker processes add no array of the state's own: the buffers
-            # they write are the caller's, and this process runs on scratch 0
-            st.fork_workers(shared_array((1, K, N, S)), shared_array((1, K, N)))
-            st.advance(1e-3)
+            # they write are the caller's, and this process passes its tiles
+            # on scratch 0
+            out, scale = shared_array((1, K, N, S)), shared_array((1, K, N))
+            st.fork_workers((out, scale))
+            st.post(1e-3, out, scale)
+            st.advance(1e-3, out=out, scale=scale)
             assert len(st._workers) == min(workers, len(st.osc)) - 1
             assert len(st._scratch) == workers
             held = _owned_nbytes(vars(st).values())
@@ -571,18 +577,31 @@ class TestChannelBlocks:
             assert np.array_equal(chan.gains(), gains)
 
     @pytest.mark.parametrize("slots, rotations", [(1, 1), (2, 2), (3, 3), (7, BLOCK_SLOTS)])
-    def test_block_stops_at_the_run_length(self, slots, rotations):
+    def test_block_stops_at_the_run_length(self, slots, rotations, monkeypatch):
         sc, net = self._hetnet(slots)
+        streams = sc.seed_streams()
+
+        def rotated(times):
+            ref = FadingState(np.random.default_rng(streams["fading"]), net.n_users, net.n_bs,
+                              net.subchannel_count, np.full(net.n_users, sc.user_speed_kmh / 3.6),
+                              sc.carrier_freq_hz)
+            for _ in range(times):
+                ref.advance(sc.slot_duration_s)
+            return ref.coefficients()
+
+        # in this process, the first advance rotates through one block
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 1)
         chan = Channel(sc, net)
         assert chan.fading.osc.shape[0] == 2
-        streams = sc.seed_streams()
-        ref = FadingState(np.random.default_rng(streams["fading"]), net.n_users, net.n_bs,
-                          net.subchannel_count, np.full(net.n_users, sc.user_speed_kmh / 3.6),
-                          sc.carrier_freq_hz)
         chan.advance()
-        for _ in range(rotations):
-            ref.advance(sc.slot_duration_s)
-        assert np.array_equal(chan.fading.coefficients(), ref.coefficients())
+        assert np.array_equal(chan.fading.coefficients(), rotated(rotations))
+        # with a worker, the block after it is posted too; the last stops at the run
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+        chan = Channel(sc, net)
+        for _ in range(slots):
+            chan.advance()
+        assert np.array_equal(chan.fading.coefficients(), rotated(slots))
+        chan.close()
 
     def test_two_cell_is_one_tile(self, monkeypatch):
         def no_thread(*args, **kwargs):
@@ -607,7 +626,7 @@ def _no_child_left():
 
 
 class TestWorkerProcesses:
-    """Tile passes on forked worker processes, from a run's second block on."""
+    """Tile passes posted to forked worker processes, one block ahead."""
 
     K, N, S = 41, 11, 19  # three tiles: [0, 1) here and [1, 3) on one worker, at 2 CPUs
 
@@ -629,11 +648,11 @@ class TestWorkerProcesses:
         monkeypatch.setattr(channel, "_cpu_count", lambda: workers)
         K, N, S = self.K, self.N, self.S
         st = FadingState(np.random.default_rng(4), K, N, S,
-                         np.random.default_rng(K).uniform(0.0, 30.0, K), 2e9)
+                         np.random.default_rng(K).uniform(0.0, 30.0, K), 2e9, forks=True)
         st.advance(1e-3)
         out, scale = shared_array((slots, K, N, S)), shared_array((slots, K, N))
         scale[...] = np.random.default_rng(5).uniform(0.5, 2.0, scale.shape)
-        st.fork_workers(out, scale)
+        st.fork_workers((out, scale))
         assert len(st._workers) == channel._worker_processes(len(st.osc))
         return st, out, scale
 
@@ -646,21 +665,24 @@ class TestWorkerProcesses:
         return sc, build_network(sc)
 
     def _trajectory(self, workers, duplicate, monkeypatch):
-        """The shared outputs of blocked advances, then the coefficients and
+        """The shared outputs of posted advances, then the coefficients and
         gains of the state and of a copy made while its workers ran."""
         st, out, scale = self._forked(workers, monkeypatch)
         seq = []
         for dt, slots in ((1e-3, 3), (1e-3, 2), (2.5e-3, 3), (0.0, 1)):
             out[...] = np.nan
+            st.post(dt, out[:slots], scale[:slots])
             st.advance(dt, out=out[:slots], scale=scale[:slots])
             seq.append(out[:slots].copy())
-        st.advance(1e-3)  # rotates without gains, still on the workers
+        st.post(1e-3, out, scale)
+        twin = duplicate(st)  # finishes the posted pass first
         assert len(st._workers) == min(workers, len(st.osc)) - 1
-        twin = duplicate(st)  # takes the workers' tiles back and ends them
-        assert not st._workers and _no_child_left()
+        seq.append(out.copy())
         for state in (twin, st):
             state.advance(1e-3)
             seq += [state.coefficients(), state.power_gains(scale[1])]
+        st.close()
+        assert _no_child_left()
         return seq
 
     @pytest.mark.parametrize("duplicate", [copy.deepcopy,
@@ -674,23 +696,31 @@ class TestWorkerProcesses:
             for a, b in zip(forked, serial):
                 assert np.array_equal(a, b)
 
-    def test_unshared_pass_takes_the_tiles_back(self, monkeypatch):
+    def test_other_pass_finishes_the_posted_one(self, monkeypatch):
         st, out, scale = self._forked(2, monkeypatch)
         ref, _, _ = self._forked(1, monkeypatch)
+        st.post(1e-3, out, scale)
         private = np.empty(out.shape)
         st.advance(1e-3, out=private, scale=scale)  # the workers cannot write here
-        assert not st._workers and _no_child_left()
-        ref.advance(1e-3, out=out, scale=scale)
-        assert np.array_equal(private, out)
-        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
-        st.fork_workers(out, scale)  # they can be forked again
-        assert len(st._workers) == 1
+        assert len(st._workers) == 1 and st._posted is None
+        expected = np.empty(out.shape)
+        ref.advance(1e-3, out=expected, scale=scale)
+        assert np.array_equal(out, expected)  # the posted pass, finished first
+        ref.advance(1e-3, out=expected, scale=scale)
+        assert np.array_equal(private, expected)
+        st.post(1e-3, out[:2], scale[:2])  # the workers take later posts
+        st.advance(1e-3, out=out[:2], scale=scale[:2])
+        ref.advance(1e-3, out=expected[:2], scale=scale[:2])
+        assert np.array_equal(out[:2], expected[:2])
+        with pytest.raises(ValueError, match="lead"):
+            st.post(1e-3, private, scale)
         st.close()
+        assert _no_child_left()
 
     def test_worker_error_is_raised_here(self, monkeypatch):
         monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
         K, N, S = self.K, self.N, self.S
-        st = FadingState(np.random.default_rng(1), K, N, S, np.full(K, 20.0), 2e9)
+        st = FadingState(np.random.default_rng(1), K, N, S, np.full(K, 20.0), 2e9, forks=True)
         st.advance(1e-3)
         tile_pairs = FadingState._tile_pairs
 
@@ -701,7 +731,8 @@ class TestWorkerProcesses:
 
         monkeypatch.setattr(FadingState, "_tile_pairs", failing)  # the worker forks with it
         out, scale = shared_array((2, K, N, S)), shared_array((2, K, N))
-        st.fork_workers(out, scale)
+        st.fork_workers((out, scale))
+        st.post(1e-3, out, scale)  # tiles [1, 3) go to the worker
         with pytest.raises(RuntimeError, match="tile 2 in process") as raised:
             st.advance(1e-3, out=out, scale=scale)
         assert str(os.getpid()) not in str(raised.value)  # raised on the worker
@@ -710,36 +741,47 @@ class TestWorkerProcesses:
 
     def test_worker_leaves_when_its_pipe_closes(self, monkeypatch):
         st, _, _ = self._forked(2, monkeypatch)
-        (pid, conn, _, _), = st._workers
+        (pid, conn), = st._workers
         conn.close()
         _, status = os.waitpid(pid, 0)
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
         st._stop.detach()
 
     def test_collected_state_reaps_its_workers(self, monkeypatch):
-        st, _, _ = self._forked(3, monkeypatch)
+        st, out, scale = self._forked(3, monkeypatch)
         assert len(st._workers) == 2
+        st.post(1e-3, out, scale)  # a pass in flight
         del st
         gc.collect()
         assert _no_child_left()
 
-    def test_closed_state_cannot_be_used(self, monkeypatch):
+    def test_closed_state_goes_on_here(self, monkeypatch):
         st, out, scale = self._forked(2, monkeypatch)
-        st.close()
-        assert _no_child_left()
-        for use in (st.coefficients, st.power_gains, lambda: st.advance(1e-3),
-                    lambda: pickle.dumps(st)):
-            with pytest.raises(ValueError, match="closed"):
-                use()
+        ref, _, _ = self._forked(1, monkeypatch)
+        st.post(1e-3, out, scale)
+        st.close()  # finishes the posted pass, then ends the worker
+        assert _no_child_left() and not st._workers
+        expected = np.empty(out.shape)
+        ref.advance(1e-3, out=expected, scale=scale)
+        assert np.array_equal(out, expected)
+        for state in (st, ref):
+            state.advance(2.5e-3)
+        assert np.array_equal(st.coefficients(), ref.coefficients())
+        assert np.array_equal(st.power_gains(), ref.power_gains())
+        assert np.array_equal(pickle.loads(pickle.dumps(st)).coefficients(), ref.coefficients())
+        st.post(1e-3, out, scale)  # without workers a post does nothing
+        st.advance(1e-3, out=out, scale=scale)
+        ref.advance(1e-3, out=expected, scale=scale)
+        assert np.array_equal(out, expected)
         st.close()  # a second close does nothing
 
     def test_no_worker_for_one_cpu_or_tile(self, monkeypatch):
         st, out, scale = self._forked(1, monkeypatch)
-        assert not st._workers
+        assert not st._workers and not st.forks and st.osc.flags.owndata
         monkeypatch.setattr(channel, "_cpu_count", lambda: 8)
-        one = FadingState(np.random.default_rng(1), 3, 2, 4, np.full(3, 20.0), 2e9)
-        one.fork_workers(shared_array((1, 3, 2, 4)), shared_array((1, 3, 2)))
-        assert not one._workers
+        one = FadingState(np.random.default_rng(1), 3, 2, 4, np.full(3, 20.0), 2e9, forks=True)
+        one.fork_workers((shared_array((1, 3, 2, 4)), shared_array((1, 3, 2))))
+        assert not one._workers and not one.forks
 
     def test_no_worker_without_fork(self, monkeypatch):
         monkeypatch.delattr(channel.os, "fork")
@@ -754,11 +796,13 @@ class TestWorkerProcesses:
         monkeypatch.setattr(channel, "_cpu_count", lambda: workers)
         chan = Channel(sc, net)
         assert chan.fading.osc.shape[0] == 3
-        assert chan._block.flags.owndata == (workers == 1)  # shared only if it forks
-        for slot, (large, gains) in enumerate(expected):
+        # two shared blocks only if it forks
+        assert [b.flags.owndata for b in chan._blocks] == ([True] if workers == 1
+                                                           else [False, False])
+        for large, gains in expected:
             chan.advance()
-            # the workers start with the second block, BLOCK_SLOTS slots in
-            assert len(chan.fading._workers) == (workers - 1 if slot >= BLOCK_SLOTS else 0)
+            # the workers start once the first block is computed
+            assert len(chan.fading._workers) == workers - 1
             assert np.array_equal(chan.large_scale, large)
             assert np.array_equal(chan.gains(), gains)
         chan.close()
@@ -771,7 +815,65 @@ class TestWorkerProcesses:
         for _ in range(BLOCK_SLOTS + 2):
             chan.advance()
             assert not chan.fading._workers
-        assert chan._block.flags.owndata  # a private block, not a shared_array
+        # private blocks and oscillators, no shared_array
+        assert [b.flags.owndata for b in chan._blocks] == [True]
+        assert chan.fading.osc.flags.owndata and not chan.fading.forks
+
+    SPLITS = {"all-on-workers": lambda n, *_: 0, "one-on-workers": lambda n, *_: n - 1,
+              "moving": None}
+
+    def _forced_split(self, name, monkeypatch):
+        """Force `_split`; "moving" moves the boundary every post, both ways."""
+        split = self.SPLITS[name]
+        if split is None:
+            posts = []
+
+            def split(n_tiles, *_):
+                posts.append(1)
+                return [1, n_tiles - 1, 0][(len(posts) - 1) % 3]
+
+        monkeypatch.setattr(channel, "_split", split)
+
+    @pytest.mark.parametrize("split", list(SPLITS))
+    def test_channel_gains_at_any_split(self, split, monkeypatch):
+        # 11 slots: blocks of 3, 3, 3 and 2, then two slots past the run
+        sc, net = self._hetnet(11, mobile_users=True, user_speed_kmh=60.0)
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 1)
+        expected = list(_slot_by_slot(sc, net, 13))
+        self._forced_split(split, monkeypatch)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(channel, "_cpu_count", lambda: workers)
+            chan = Channel(sc, net)
+            ref = FadingState(np.random.default_rng(sc.seed_streams()["fading"]), net.n_users,
+                              net.n_bs, net.subchannel_count,
+                              np.full(net.n_users, sc.user_speed_kmh / 3.6), sc.carrier_freq_hz)
+            for _ in range(11):
+                ref.advance(sc.slot_duration_s)
+            for slot, (large, gains) in enumerate(expected):
+                chan.advance()
+                assert np.array_equal(chan.large_scale, large)
+                assert np.array_equal(chan.gains(), gains)
+                if slot >= 10:  # the run's last slot and past it: nothing posted,
+                    if slot >= 11:  # and one slot per advance
+                        ref.advance(sc.slot_duration_s)
+                    assert chan.fading._posted is None
+                    assert np.array_equal(chan.fading.coefficients(), ref.coefficients())
+            chan.close()
+            assert _no_child_left()
+
+    def test_run_results_equal_at_any_split(self, monkeypatch):
+        sc, _ = self._hetnet(11, algorithm="refim", mobile_users=True, user_speed_kmh=60.0)
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 1)
+        serial = engine.run(sc, record=True)
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+        for split in self.SPLITS:
+            self._forced_split(split, monkeypatch)
+            got = engine.run(sc, record=True)
+            assert got.summary() == serial.summary()
+            for name, value in vars(serial).items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(getattr(got, name), value), (split, name)
+            assert _no_child_left()
 
     def test_no_child_after_engine_run(self, monkeypatch):
         monkeypatch.setattr(channel, "_cpu_count", lambda: 3)
@@ -799,9 +901,18 @@ class TestWorkerProcesses:
                 raise RuntimeError("slot 7")
             return served_rates(*args)
 
+        in_flight = []
+        close = channel.FadingState.close
+
+        def closing(self):
+            in_flight.append(self._posted is not None)
+            close(self)
+
         monkeypatch.setattr(engine.scheduling, "served_rates", failing)
+        monkeypatch.setattr(channel.FadingState, "close", closing)
         with pytest.raises(RuntimeError, match="slot 7"):
             engine.run(sc)
+        assert in_flight == [True]  # the block of slots 9-11 was posted
         assert _no_child_left()
 
     def test_states_close_in_any_order(self, monkeypatch):

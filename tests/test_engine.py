@@ -260,6 +260,22 @@ class TestSweep:
         assert [v for v, _ in results] == [0, 1]
         assert all(r.constraint_violations == 0 for _, r in results)
 
+    def test_same_seed_reproduces_across_sweep_order(self, monkeypatch):
+        # long enough to fork a fading worker and post blocks to it
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+        base = Scenario(kind="hetnet", rings=0, femtos_per_macro=10, macro_users_per_cell=20,
+                        femto_users_per_cell=4, subchannels=16, seed=5, slots=12,
+                        warmup_slots=0, algorithm="refim")
+        forward = dict(sweep(base, "ref_count", [0, 2]))
+        backward = dict(sweep(base, "ref_count", [2, 0]))
+        for value in (0, 2):
+            a, b = forward[value], backward[value]
+            assert a.summary() == b.summary()
+            for name, array in vars(a).items():
+                if isinstance(array, np.ndarray):
+                    assert np.array_equal(getattr(b, name), array), (value, name)
+        assert forward[0].summary() != forward[2].summary()
+
     def test_ref_count_zero_equals_wf(self):
         # REFIM and the general step at caps (1, 1) with no references are
         # water-filling, bit for bit; the splitting hetnet puts femto rows and

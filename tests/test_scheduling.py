@@ -218,12 +218,8 @@ class TestLemma1Decomposition:
     """Per-(bs, subchannel) argmax attains the exhaustive scheduling optimum
     for any fixed power matrix."""
 
-    @pytest.mark.parametrize("seed", range(25))
-    def test_argmax_equals_enumeration(self, seed):
-        rng = np.random.default_rng(seed + 1000)
-        n_bs = int(rng.integers(1, 3))
-        n_sub = int(rng.integers(1, 3))
-        upc = int(rng.integers(1, 4))
+    @staticmethod
+    def _check(seed, n_bs, n_sub, upc):
         cells, gains, noise, weights, powers = random_instance(seed, n_bs, n_sub, upc)
         serving = serving_of(cells, gains.shape[0])
         sched = schedule_at(gains, powers, noise, serving, pad_index_lists(cells), weights)[0]
@@ -231,6 +227,19 @@ class TestLemma1Decomposition:
         h_best = max(evaluate_objective(gains, noise, weights, powers, sm)
                      for sm in enumerate_schedules(cells, n_sub))
         assert h_argmax == pytest.approx(h_best, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_argmax_equals_enumeration(self, seed):
+        # the fixed examples, each cell size drawn from the seed
+        rng = np.random.default_rng(seed + 1000)
+        self._check(seed, int(rng.integers(1, 3)), int(rng.integers(1, 3)),
+                    int(rng.integers(1, 4)))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n_bs=st.integers(1, 3), n_sub=st.integers(1, 2),
+           upc=st.integers(1, 3))
+    def test_argmax_equals_enumeration_property(self, seed, n_bs, n_sub, upc):
+        self._check(seed, n_bs, n_sub, upc)
 
 
 class TestThroughputTracking:

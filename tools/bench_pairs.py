@@ -14,7 +14,15 @@ pairs; run from sibling directories, it read 1.3% higher and lost 2 of 6.
 
 Each side first runs the Tier-1 suite once (ROADMAP's "Tier-1 verify"
 command, parent first), and its wall time, exit code and pytest summary
-line go under "tier1". Then, for each seed, every workload in
+line go under "tier1". Then each side makes one `engine.run` of each
+workload's scenario (seed --traced-seed0) with the simulator hooked from
+outside: the Pss, Private_Dirty and Rss of the run's process and of each
+fading worker process, read from /proc/<pid>/smaps_rollup just before the
+first `Channel.close`, and the tiles the run's process kept in each
+posted fading pass (what `channel._split` returned, where it exists), go
+under "probes" (peak RSS reads the run's process only, and the tracer's
+`channel.fading_state_mb` counts the fading arrays whichever
+process keeps them). Then, for each seed, every workload in
 BENCHMARK.json (or each --workload given) runs once per side through
 `perfbench/run.py`, the side that runs first alternating with the seed
 (odd seeds: parent first). Seeds `--seed0 ...` run at --trace 0, seeds
@@ -128,6 +136,67 @@ def run_tier1(tree):
     return {"wall_s": round(wall, 1), "returncode": proc.returncode, "summary": last[0]}
 
 
+# Run in a side's tree with its src/ and perfbench/ on PYTHONPATH, as
+# `python3 -c PROBE <workload> <seed>`; prints one JSON line.
+PROBE = """
+import dataclasses, json, os, sys
+from refimsim import channel, engine
+from refimsim.presets import get_preset
+from workloads import WORKLOADS
+
+def rollup(pid):
+    fields = {}
+    with open(f"/proc/{pid}/smaps_rollup") as f:
+        for line in f:
+            key, *rest = line.split()
+            if key in ("Rss:", "Pss:", "Private_Dirty:"):
+                fields[key[:-1] + "_mb"] = round(int(rest[0]) / 1024, 1)
+    return fields
+
+seen = {"splits": None}
+close = channel.Channel.close
+
+def probed(self):
+    if "run" not in seen:
+        seen["tiles"] = len(self.fading.osc)
+        seen["run"] = rollup(os.getpid())
+        seen["workers"] = [rollup(w[0]) for w in self.fading._workers]
+    close(self)
+
+channel.Channel.close = probed
+if hasattr(channel, "_split"):
+    split, seen["splits"] = channel._split, []
+
+    def recorded(*args):
+        m = split(*args)
+        seen["splits"].append(m)
+        return m
+
+    channel._split = recorded
+w = WORKLOADS[sys.argv[1]]
+engine.run(dataclasses.replace(get_preset(w.preset), **w.overrides, seed=int(sys.argv[2]),
+                               slots=w.slots, warmup_slots=w.warmup_slots))
+print(json.dumps(seen))
+"""
+
+
+def run_probe(tree, workload, seed):
+    """PROBE in tree: the smaps_rollup of the run's process and of each
+    fading worker just before the channel closes, and the splits, or the
+    error."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), str(tree / "perfbench"),
+                                                      env.get("PYTHONPATH")]))
+    nproc = str(len(os.sched_getaffinity(0)))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = nproc
+    proc = subprocess.run([sys.executable, "-c", PROBE, workload, str(seed)], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"error": proc.stderr.strip().splitlines()[-1:]}
+    return {"seed": seed, **json.loads(proc.stdout.strip().splitlines()[-1])}
+
+
 def quartiles(values):
     q = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
          else values * 3)
@@ -179,7 +248,7 @@ def main(argv=None):
                 + [(s, 1) for s in range(args.traced_seed0,
                                          args.traced_seed0 + args.traced_pairs)])
 
-    runs, tier1 = [], {}
+    runs, tier1, probes = [], {}, {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         parent_commit = export_commit(args.parent, trees["parent"])
@@ -187,6 +256,9 @@ def main(argv=None):
         for side in trees:
             tier1[side] = run_tier1(trees[side])
             print(f"tier1 {side:6s} {tier1[side]}", flush=True)
+        for side in trees:
+            probes[side] = {w: run_probe(trees[side], w, args.traced_seed0) for w in workloads}
+            print(f"probes {side:6s} {probes[side]}", flush=True)
         for seed, trace in schedule:
             first = "parent" if seed % 2 else "change"
             order = [first, "change" if first == "parent" else "parent"]
@@ -205,12 +277,13 @@ def main(argv=None):
            "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                       f"--seconds {args.seconds:g} --trace <trace>",
            "host": args.host, "rounds": {"1": args.round},
-           "tier1": tier1,
+           "tier1": tier1, "probes": probes,
            "final_round_trace0_quartiles": summarize(runs, workloads, bench["end_to_end"]),
            "runs": runs}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     failed = sum(r["returncode"] != 0 or bool(r["left_running"]) for r in runs) + sum(
-        t["returncode"] != 0 for t in tier1.values())
+        t["returncode"] != 0 for t in tier1.values()) + sum(
+        "error" in p for side in probes.values() for p in side.values())
     print(f"wrote {args.out}: {len(runs)} runs, {failed} failed")
     return 1 if failed else 0
 

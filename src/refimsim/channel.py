@@ -107,6 +107,13 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
+def _tiles(n_pairs, n_subchannels):
+    """(tiles, pairs per tile) of n_pairs (user, bs) pairs: as few tiles of at
+    most TILE_LINKS links (or one pair) as hold them, balanced."""
+    n_tiles = max(1, -(-n_pairs // max(1, TILE_LINKS // n_subchannels)))
+    return n_tiles, max(1, -(-n_pairs // n_tiles))
+
+
 def _worker_processes(n_tiles):
     """Worker processes a fading state of n_tiles tiles forks: one per CPU
     but this process's, at most one per tile but the first, and none
@@ -133,39 +140,27 @@ def _split(n_tiles, workers, own_s, worker_s, step_s):
     return min(n_tiles - 1, max(0, m))
 
 
-def _leads(a, buffer):
-    """Whether array a is buffer[:len(a)]."""
-    return (isinstance(a, np.ndarray) and a.shape[1:] == buffer.shape[1:]
-            and len(a) <= len(buffer) and a.strides == buffer.strides
-            and a.ctypes.data == buffer.ctypes.data)
-
-
-def _is_view(a, b):
-    """Whether array a views b's memory with b's shape and strides."""
-    return _leads(a, b) and len(a) == len(b)
-
-
 class FadingState:
     """Jakes sum-of-sinusoids Rayleigh fading, one process per
-    (user, bs, subchannel); E[|h|^2] = 1.
+    (user, bs, subchannel); E[|h|^2] = 1, sampled every `dt_s` seconds.
 
     Oscillator arrival angles and phases are randomized per link and
-    subchannel, which decorrelates subchannels. Advancing rotates each
-    oscillator by its Doppler-dependent step.
+    subchannel, which decorrelates subchannels. Each `advance` rotates each
+    oscillator by its Doppler-dependent step, exp(1j omega dt_s).
 
     The K*N*S links are stored flattened in tiles of whole (user, bs)
     pairs, so that a tile's large-scale gains are one slice: as few tiles of
     at most TILE_LINKS links (or one pair) as hold them, balanced. `osc` and
-    the cached step are (tiles, O, width) arrays, O = OSCILLATORS, the last
-    tile padded. The arrival angles are not stored: the generator state
-    before they were drawn is kept, and the stream is advanced past them,
-    then past the phases, which are drawn from a copy of it. A new `dt`
-    re-draws them tile by tile from that state (chunked draws equal one big
-    draw), so `rng`'s bit generator must support `advance`, as default_rng's
-    PCG64 does. `advance` rotates one tile, sums its O rows and squares the sum,
-    for every slot asked of it, before it moves to the next tile. The rows
-    are added in the order numpy's pairwise `sum(axis=-1)` uses, so the
-    gains are bit-identical to rotating and summing one (K, N, S, O) array.
+    the step are (tiles, O, width) arrays, O = OSCILLATORS, the last tile
+    padded. No angle or phase is stored: one set-up pass draws both tile by
+    tile, each run of tiles from a copy of the generator state saved before
+    them (chunked draws equal one big draw), so `rng`'s bit generator must
+    support `advance`, as default_rng's PCG64 does; `rng` ends past both, as
+    if it had drawn them. `advance` rotates one tile, sums its O rows and
+    squares the sum, for every slot asked of it, before it moves to the next
+    tile. The rows are added in the order numpy's pairwise `sum(axis=-1)`
+    uses, so the gains are bit-identical to rotating and summing one
+    (K, N, S, O) array.
 
     Every pass over the tiles in this process is shared among min(CPUs,
     tiles) threads, one contiguous run of tiles each, the calling thread
@@ -176,164 +171,114 @@ class FadingState:
     methods, and none outlives the call that started it.
 
     Short calls, such as a slot's rotations, keep taking the interpreter
-    lock back, so threads barely overlap on them. A state made with `forks`
-    keeps `osc` in MAP_SHARED memory, if this process would fork any worker
-    (`forks` then stays True), and `fork_workers` forks min(CPUs, tiles) - 1
-    worker processes. From then on `post` starts a blocked advance on them:
-    the workers rotate tiles [m, n) while this process does other work, and
-    the `advance` with the same arguments that follows passes this
-    process's tiles [0, m) and waits for theirs. m is chosen per post by
-    `_split` from the pass times measured on both sides and the time this
-    process spent between the last post and its own pass, so that both
-    sides finish together. Each tile is still rotated once per slot, in
-    order, by one process, and which one changes no arithmetic: the results
-    are bit-identical for any split as well as any CPU count. Each process
-    keeps only the oscillators of its own tiles mapped. The step stays
-    private: the workers read the pages they forked with, and a new `dt`
-    is built on both sides. Every other pass (and `close`, a copy or
-    pickle) first finishes a posted one, then runs here, while the workers
-    wait; `close` ends them.
+    lock back, so threads barely overlap on them. So a state given buffer
+    `pairs`, (out, scale) pairs in `shared_array` memory, keeps `osc` in
+    MAP_SHARED memory too, if this process would fork any worker, and an
+    `advance` with `post` hands the next pass to min(CPUs, tiles) - 1 worker
+    processes, forked by the first post: they rotate tiles [m, n) into a
+    buffer pair while this process does other work, and the next `advance`
+    passes this process's tiles [0, m) and waits for theirs. m is chosen
+    per post by `_split` from the pass times measured on both sides and the
+    time this process spent between the last post and its own pass, so that
+    both sides finish together. Each tile is still rotated once per slot,
+    in order, by one process, and which one changes no arithmetic: the
+    results are bit-identical for any split as well as any CPU count. Each
+    process keeps only the oscillators of its own tiles mapped; the step
+    stays private, and the workers read the pages they forked with.
+    `coefficients`, `power_gains` and `close` first finish a posted pass
+    (it stays the next `advance`'s), then run here, while the workers wait;
+    `close` ends them.
     """
 
-    def __init__(self, rng, n_users, n_bs, n_subchannels, speeds_mps, carrier_freq_hz,
-                 forks=False):
+    def __init__(self, rng, n_users, n_bs, n_subchannels, speeds_mps, carrier_freq_hz, dt_s,
+                 pairs=()):
+        if not 0.0 < dt_s < np.inf:
+            raise ValueError("dt_s must be finite and > 0")
         self._shape = (n_users, n_bs, n_subchannels)
         links = n_users * n_bs * n_subchannels
-        n_tiles = max(1, -(-n_users * n_bs // max(1, TILE_LINKS // n_subchannels)))
-        self._pairs_per_tile = max(1, -(-n_users * n_bs // n_tiles))
-        self._doppler = 2.0 * np.pi * np.asarray(speeds_mps, dtype=float) \
+        n_tiles, self._pairs_per_tile = _tiles(n_users * n_bs, n_subchannels)
+        doppler = 2.0 * np.pi * np.asarray(speeds_mps, dtype=float) \
             * carrier_freq_hz / SPEED_OF_LIGHT  # rad/s per user
-        bitgen = rng.bit_generator
-        self._angle_stream = (type(bitgen), bitgen.state)
-        bitgen.advance(links * OSCILLATORS)
-        phase_stream = (type(bitgen), bitgen.state)
-        self.forks = forks and _worker_processes(n_tiles) > 0
-        self.osc = (shared_array if self.forks else np.empty)(
+        self._buffers = tuple(pairs)  # the (out, scale) pairs a posted pass writes and reads
+        self._forks = _worker_processes(n_tiles) if self._buffers else 0  # 0 once closed
+        self.osc = (shared_array if self._forks else np.empty)(
             (n_tiles, OSCILLATORS, self._pairs_per_tile * n_subchannels), complex)
         self.osc[-1] = 1.0  # padding links
+        self._step = np.empty_like(self.osc)
         self.scale = 1.0 / np.sqrt(OSCILLATORS)
-        self._step_dt = None
-        self._step = None
         self._scratch = []  # one tile's draws and sums per worker, made on first use
-        self._no_workers()
-        self._share_tiles(self._draw_phases, phase_stream)
-        bitgen.advance(links * OSCILLATORS)  # past the phases, as if drawn here
-
-    _PROCESS_STATE = ("_scratch", "_workers", "_buffers", "_posted", "_costs", "_stop")
-
-    def __getstate__(self):
-        # Copied views would not alias the copied scratch, so it is not kept;
-        # a posted pass is finished first.
-        self._finish()
-        return {k: v for k, v in vars(self).items() if k not in self._PROCESS_STATE}
-
-    def __setstate__(self, state):
-        vars(self).update(state)
-        self.forks = False  # the copy's arrays are its own
-        self._scratch = []
-        self._no_workers()
-
-    def _no_workers(self):
         self._workers = []   # (pid, pipe) per worker process
-        self._buffers = ()   # (out, scale) pairs a posted pass may write and read
-        self._posted = None  # the pass the workers run, until `advance` finishes it
+        self._posted = None  # the pass the workers run, until `advance` takes it
         # seconds per tile-slot here and on a worker, and per post-to-pass wait
         self._costs = SimpleNamespace(own=None, worker=None, step=0.0)
         self._stop = None    # ends the workers, also when the state is collected
+        bitgen = rng.bit_generator
+        angles = (type(bitgen), bitgen.state)
+        bitgen.advance(links * OSCILLATORS)
+        phases = (type(bitgen), bitgen.state)
+        self._share_tiles(self._set_up, angles, phases, doppler, dt_s)
+        bitgen.advance(links * OSCILLATORS)  # past the phases, as if drawn here
 
-    def fork_workers(self, *buffers):
-        """Fork min(CPUs, tiles) - 1 worker processes for later `post`s;
-        none if the state was not made to fork or they run already.
+    def _worker_pass(self, message):
+        """In a worker: pass tiles [first, end) of a posted pass, on the
+        worker's copy of scratch 0; return the seconds it took."""
+        index, slots, first, end = message
+        start = time.perf_counter()
+        release(self.osc[:first])
+        release(self.osc[end:])
+        out, scale = self._buffers[index]
+        self._advance_tiles(first, end, self._scratch[0], *self._rows(out[:slots], scale[:slots]))
+        return time.perf_counter() - start
 
-        Each buffer is an (out, scale) pair of a (slots, K, N, S) and a
-        (slots, K, N) array in `shared_array` memory (or a view of one): a
-        posted pass writes and reads a leading slice of one pair. A worker
+    def _post(self, index, slots):
+        """Start the pass of `slots` steps into the leading slots of buffer
+        pair `index` on the workers, forked first if none run yet. A worker
         leaves with os._exit when its pipe closes (`close`, or this process
-        ending) and raises its errors here.
-        """
-        count = _worker_processes(len(self.osc)) if self.forks and not self._workers else 0
-        if count == 0:
-            return
-        forked = []
-        try:
-            for _ in range(count):
-                forked.append(fork(self._start_worker, buffers))
-        except BaseException:
-            stop(forked)
-            raise
-        self._workers, self._buffers = forked, buffers
-        self._stop = weakref.finalize(self, stop, forked)
-
-    def _start_worker(self, buffers):
-        """In a new worker: return the handler of the passes posted to it."""
-        scratch = self._new_scratch()
-
-        def handle(message):
-            dt_s, index, slots, first, end = message
-            start = time.perf_counter()
-            release(self.osc[:first])
-            release(self.osc[end:])
-            if dt_s != self._step_dt and dt_s != 0.0:
-                self._build_step(dt_s)
-            out, scale = buffers[index]
-            self._advance_tiles(first, end, scratch, dt_s,
-                                *self._rows(out[:slots], scale[:slots]))
-            return time.perf_counter() - start
-
-        return handle
-
-    def post(self, dt_s, out, scale):
-        """Start advance(dt_s, out, scale) on the worker processes.
-
-        `out` and `scale` lead one (out, scale) pair given to `fork_workers`.
-        The workers pass their tiles now; the call to `advance` with the same
-        arguments, which must come next, passes this process's tiles and
-        waits for theirs. Without workers, every tile waits for that call.
-        """
-        self._finish()
-        if dt_s < 0:
-            raise ValueError("dt_s must be >= 0")
-        if dt_s != self._step_dt and dt_s != 0.0:
-            self._build_step(dt_s)  # each worker rebuilds its own too
+        ending) and raises its errors here. Without workers, every tile
+        waits for the `advance` that takes the pass."""
+        if self._forks and not self._workers:
+            forked = []
+            try:
+                for _ in range(self._forks):
+                    forked.append(fork(self._worker_pass))
+            except BaseException:
+                stop(forked)
+                raise
+            self._workers, self._stop = forked, weakref.finalize(self, stop, forked)
         n_tiles = m = len(self.osc)
         if self._workers:
-            index = next((i for i, (o, g) in enumerate(self._buffers) if _leads(out, o)
-                          and _leads(scale, g) and len(scale) == len(out)), None)
-            if index is None:
-                raise ValueError("out and scale must lead a pair of the workers' buffers")
-            workers, slots, c = len(self._workers), len(out), self._costs
+            workers, c = len(self._workers), self._costs
             m = _split(n_tiles, workers, None if c.own is None else c.own * slots,
                        None if c.worker is None else c.worker * slots, c.step)
             release(self.osc[m:])
             try:
                 for w, (_, pipe) in enumerate(self._workers):
-                    pipe.send((dt_s, index, slots, m + (n_tiles - m) * w // workers,
+                    pipe.send((index, slots, m + (n_tiles - m) * w // workers,
                                m + (n_tiles - m) * (w + 1) // workers))
             except OSError:
                 self._worker_exited()
-        self._posted = SimpleNamespace(dt_s=dt_s, out=out, scale=scale, m=m,
+        self._posted = SimpleNamespace(index=index, slots=slots, m=m, done=False,
                                        at=time.perf_counter())
 
     def _finish(self):
-        """Pass this process's tiles of the posted pass, if any, then wait
-        for the workers' and update the measured costs."""
+        """Pass this process's tiles of the posted pass, if any is left to
+        finish, then wait for the workers' and update the measured costs."""
         posted, c = self._posted, self._costs
-        if posted is None:
+        if posted is None or posted.done:
             return
-        self._posted = None
+        posted.done = True
         start = time.perf_counter()
         c.step = start - posted.at
-        if not self._scratch:
-            self._scratch.append(self._new_scratch())
+        out, scale = self._buffers[posted.index]
         error = None
         try:
-            self._advance_tiles(0, posted.m, self._scratch[0], posted.dt_s,
-                                *self._rows(posted.out, posted.scale))
+            self._advance_tiles(0, posted.m, self._scratch[0],
+                                *self._rows(out[:posted.slots], scale[:posted.slots]))
         except BaseException as exc:  # raised once every worker has replied
             error = exc
-        tile_slots = len(posted.out) * (len(self.osc) - posted.m)
+        tile_slots = posted.slots * (len(self.osc) - posted.m)
         if posted.m:
-            c.own = (time.perf_counter() - start) / (len(posted.out) * posted.m)
+            c.own = (time.perf_counter() - start) / (posted.slots * posted.m)
         busy = 0.0
         for _, pipe in self._workers:
             try:
@@ -359,10 +304,10 @@ class FadingState:
         try:
             self._finish()
         finally:
-            self.forks = False
+            self._forks = 0
             if self._workers:
                 self._stop()
-                self._no_workers()
+                self._workers = []
 
     def _share_tiles(self, work, *args):
         """Run work(first, end, scratch, *args) over contiguous runs of tiles,
@@ -438,60 +383,48 @@ class FadingState:
         draws *= 2.0 * np.pi
         return draws
 
-    def _draw_phases(self, first, end, scratch, stream):
-        """osc = exp(1j * phase) of tiles [first, end), the phases drawn from
-        the stream saved after the angles."""
-        rng = self._stream_at(stream, first)
+    def _set_up(self, first, end, scratch, angles, phases, doppler, dt_s):
+        """osc = exp(1j * phase) and step = exp(1j * omega * dt_s) of tiles
+        [first, end), omega = Doppler x cos(angle), the angles and phases
+        drawn from the streams saved before each."""
+        angle_rng, phase_rng = self._stream_at(angles, first), self._stream_at(phases, first)
+        N, S = self._shape[1:]
         for t in range(first, end):
-            ph = self._tile_draw(rng, t, scratch)
+            ph = self._tile_draw(phase_rng, t, scratch)
             osc = self.osc[t][:, :len(ph)]
             np.multiply(1j, ph.T, out=osc)
             np.exp(osc, out=osc)
-
-    def _build_step(self, dt_s):
-        """step = exp(1j * omega * dt) per oscillator, omega = Doppler x cos(angle),
-        re-drawing the angles tile by tile from the saved generator state."""
-        if self._step is None:
-            self._step = np.empty_like(self.osc)
-        self._share_tiles(self._step_tiles, dt_s)
-        self._step_dt = dt_s
-
-    def _step_tiles(self, first, end, scratch, dt_s):
-        """_build_step for tiles [first, end)."""
-        rng = self._stream_at(self._angle_stream, first)
-        N, S = self._shape[1:]
-        for t in range(first, end):
-            om = self._tile_draw(rng, t, scratch)
+            om = self._tile_draw(angle_rng, t, scratch)
             np.cos(om, out=om)
             p0, p1 = self._tile_pairs(t)
             per_pair = om.reshape(p1 - p0, S, -1)  # a view: om is contiguous
-            per_pair *= self._doppler[np.arange(p0, p1) // N, None, None]
+            per_pair *= doppler[np.arange(p0, p1) // N, None, None]
             step = self._step[t]
             step[:, len(om):] = 0.0  # padding links keep omega 0, so step 1
             np.multiply(1j, om.T, out=step[:, :len(om)])  # exp(1j * om * dt), no temporaries
             np.multiply(step, dt_s, out=step)
             np.exp(step, out=step)
 
-    def advance(self, dt_s, out=None, scale=None):
-        """Rotate the oscillators by dt_s; with `out`, len(out) times.
+    def advance(self, out=None, scale=None, post=None):
+        """Rotate the oscillators one step; with `out`, len(out) steps.
 
         `out` is a C-contiguous (slots, K, N, S) array and `scale` holds one
         (K, N) large-scale gain per slot: after the i-th rotation of a tile,
         scale[i] x |h|^2 of its links is written into out[i] while the tile
-        is in cache. With the arguments of the pending `post`, this finishes
-        that pass: it passes this process's tiles and waits for the
-        workers'. Otherwise it finishes a posted pass first, then runs here.
+        is in cache. If a pass is posted, this call is that pass instead,
+        into its buffer pair, and takes no `out`: it passes this process's
+        tiles and waits for the workers'. `post` = (i, slots) then posts the
+        next pass, `slots` steps into the leading slots of buffer pair i.
         """
-        if dt_s < 0:
-            raise ValueError("dt_s must be >= 0")
-        posted = self._posted
-        self._finish()
-        if (posted is not None and dt_s == posted.dt_s and _is_view(out, posted.out)
-                and _is_view(scale, posted.scale)):
-            return
-        if dt_s != self._step_dt and dt_s != 0.0:
-            self._build_step(dt_s)
-        self._share_tiles(self._advance_tiles, dt_s, *self._rows(out, scale))
+        if self._posted is None:
+            self._share_tiles(self._advance_tiles, *self._rows(out, scale))
+        elif out is not None:
+            raise ValueError("the posted pass writes its buffer pair: advance without out")
+        else:
+            self._finish()
+            self._posted = None
+        if post is not None:
+            self._post(*post)
 
     def _rows(self, out, scale):
         """(rows, scale_rows) of a pass's out and scale, one (pairs, S) and one
@@ -500,28 +433,25 @@ class FadingState:
             return None, None
         return [self._pair_rows(o) for o in out], [np.reshape(g, (-1, 1)) for g in scale]
 
-    def _advance_tiles(self, first, end, scratch, dt_s, rows, scale_rows):
-        """advance for tiles [first, end): per slot, rotate unless dt_s is 0,
+    def _advance_tiles(self, first, end, scratch, rows, scale_rows, rotate=True):
+        """advance for tiles [first, end): per slot, rotate (if `rotate`),
         then write the gains into rows[i] if rows is not None."""
         for t in range(first, end):
             osc = self.osc[t]
             p0, p1 = self._tile_pairs(t)
             for i in range(1 if rows is None else len(rows)):
-                if dt_s != 0.0:
+                if rotate:
                     osc *= self._step[t]
                 if rows is not None:
-                    s = scale_rows[i]
-                    self._tile_gains(scratch, osc, rows[i][p0:p1],
-                                     None if s is None else s[p0:p1])
+                    self._tile_gains(scratch, osc, rows[i][p0:p1], scale_rows[i][p0:p1])
 
     def _tile_gains(self, v, osc, out, scale):
-        """out = |h|^2 (times scale, if not None) of one tile's links, as
-        (pairs, S) rows, summed in scratch v."""
+        """out = scale x |h|^2 of one tile's links, as (pairs, S) rows,
+        summed in scratch v."""
         self._tile_coefficients(v, osc)
         np.square(v.h_re_im, v.squares)
         np.add(v.re2[:len(out)], v.im2[:len(out)], out)
-        if scale is not None:
-            np.multiply(out, scale, out)
+        np.multiply(out, scale, out)
 
     def _tile_coefficients(self, v, osc):
         """Scale x the sum of a tile's 8 rows, added in numpy's sum order:
@@ -556,8 +486,8 @@ class FadingState:
         or into a fresh array."""
         self._finish()
         out = np.empty(self._shape) if out is None else out
-        scale_rows = None if scale is None else np.reshape(scale, (-1, 1))
-        self._share_tiles(self._advance_tiles, 0.0, [self._pair_rows(out)], [scale_rows])
+        scale = np.ones(self._shape[:2]) if scale is None else scale  # x 1.0 is exact
+        self._share_tiles(self._advance_tiles, *self._rows([out], [scale]), False)
         return out
 
 
@@ -582,12 +512,13 @@ class Channel:
 
     If the fading state would fork worker processes and the run is longer
     than a block, the channel keeps two blocks and their large-scale gains
-    in `shared_array`s and pipelines them. The first block is computed
-    here; then the workers are forked. When block k starts, this process
-    passes its own tiles of block k, collects the workers' tiles of block
-    k, which they computed during block k - 1, then moves the users
-    through block k + 1 and posts that block to the workers, who fade it
-    while the run steps block k. So `mobility` may stand up to
+    in `shared_array`s, gives them to the fading state as its buffer pairs
+    and pipelines them. The first block is computed here. When block k
+    starts, this process moves the users through block k + 1, then one
+    `FadingState.advance` passes its own tiles of block k, collects the
+    workers' tiles of block k, which they computed during block k - 1, and
+    posts block k + 1 to the workers (forking them on the first post), who
+    fade it while the run steps block k. So `mobility` may stand up to
     2 BLOCK_SLOTS - 1 slots ahead of the current slot (BLOCK_SLOTS - 1
     without workers). A one-block run forks nothing and allocates no shared
     memory. `close` ends the workers.
@@ -601,8 +532,6 @@ class Channel:
         K, N, S = network.n_users, network.n_bs, network.subchannel_count
         speeds = np.full(K, scenario.user_speed_kmh / 3.6)
         self.shadow_db = shadowing_matrix_db(network, scenario, rng["shadowing"])
-        self.fading = FadingState(rng["fading"], K, N, S, speeds, scenario.carrier_freq_hz,
-                                  forks=scenario.slots > BLOCK_SLOTS)
         self.mobility = None
         if scenario.mobile_users:
             self.mobility = WaypointMobility(network, speeds, rng["mobility"])
@@ -612,7 +541,8 @@ class Channel:
                                                    network.bandwidth_hz / S))
         self._dt = scenario.slot_duration_s
         self._slots_left = scenario.slots
-        buffer, count = (shared_array, 2) if self.fading.forks else (np.empty, 1)
+        forks = scenario.slots > BLOCK_SLOTS and _worker_processes(_tiles(K * N, S)[0]) > 0
+        buffer, count = (shared_array, 2) if forks else (np.empty, 1)
         self._blocks = [buffer((BLOCK_SLOTS, K, N, S)) for _ in range(count)]
         # each block's large-scale gains: while the users stand still, one
         # row, read as every slot's of both blocks
@@ -622,6 +552,8 @@ class Channel:
         self._pairs = [(block, np.broadcast_to(self._scales[i % len(self._scales)],
                                                (BLOCK_SLOTS, K, N)))
                        for i, block in enumerate(self._blocks)]
+        self.fading = FadingState(rng["fading"], K, N, S, speeds, scenario.carrier_freq_hz,
+                                  self._dt, self._pairs if forks else ())
         self._out = self._blocks[0]               # the current block's gains
         self._block_scales = [self._large_scale]  # each current block slot's large-scale gain
         self._next = None                         # the posted block's large-scale gains
@@ -661,17 +593,17 @@ class Channel:
         if self._slot < len(self._block_scales):
             return
         i = self._count % len(self._blocks)
-        scales = self._move(i) if self._next is None else self._next
+        posted = self._next is not None  # then the fading state holds this block's pass
+        scales = self._next if posted else self._move(i)
         out, scale = self._pairs[i]
-        self.fading.advance(self._dt, out=out[:len(scales)], scale=scale[:len(scales)])
         self._count += 1
-        self._next = None
-        if self.fading.forks and self._slots_left > 0:
-            self.fading.fork_workers(*self._pairs)
+        self._next, post = None, None
+        if len(self._blocks) > 1 and self._slots_left > 0:
             j = self._count % len(self._blocks)
             self._next = self._move(j)
-            post, post_scale = self._pairs[j]
-            self.fading.post(self._dt, post[:len(self._next)], post_scale[:len(self._next)])
+            post = (j, len(self._next))
+        n = len(scales)
+        self.fading.advance(*(() if posted else (out[:n], scale[:n])), post=post)
         self._out, self._block_scales, self._slot, self._filled = out, scales, 0, True
 
     def gains(self):

@@ -71,12 +71,11 @@ class Pipe:
 _OPEN_PIPES = weakref.WeakSet()
 
 
-def fork(start, *args):
+def fork(handle):
     """Fork a worker; return (pid, pipe), this process's end of its pipe.
 
-    The worker calls start(*args), which returns a handler, then sends back
-    handler(message), or the error it raised, for each message until the
-    pipe closes.
+    The worker sends back handle(message), or the error it raised, for each
+    message until the pipe closes.
     """
     down, up = os.pipe(), os.pipe()
     here, there = Pipe(up[0], down[1]), Pipe(down[0], up[1])
@@ -98,7 +97,7 @@ def fork(start, *args):
             for pipe in list(_OPEN_PIPES):
                 pipe.close()
             gc.disable()  # a collection would touch, and so copy, the parent's pages
-            _serve(there, start(*args))
+            _serve(there, handle)
         finally:
             os._exit(0)
     there.close()

@@ -289,24 +289,24 @@ def test_criterion_11_channel_model_properties():
 
     # Jakes unit mean over a long horizon
     st = channel.FadingState(np.random.default_rng(42), 1, 1, 1,
-                             np.array([3 / 3.6]), 2e9)
+                             np.array([3 / 3.6]), 2e9, 20e-3)
     total = 0.0
     n_steps = 100_000
     for _ in range(n_steps):
-        st.advance(20e-3)
+        st.advance()
         total += float(st.power_gains()[0, 0, 0])
     mean_power = total / n_steps
 
     # lag-1 autocorrelation vs the Bessel oracle
     rng = np.random.default_rng(43)
     n_links = 400
-    st2 = channel.FadingState(rng, n_links, 1, 1, np.full(n_links, 3 / 3.6), 2e9)
     dt = 1e-3
+    st2 = channel.FadingState(rng, n_links, 1, 1, np.full(n_links, 3 / 3.6), 2e9, dt)
     f_d = (3 / 3.6) * 2e9 / channel.SPEED_OF_LIGHT
     prev = st2.coefficients().ravel().copy()
     num = den = 0.0
     for _ in range(400):
-        st2.advance(dt)
+        st2.advance()
         cur = st2.coefficients().ravel()
         num += float(np.real(np.vdot(prev, cur)))
         den += float(np.vdot(prev, prev).real)

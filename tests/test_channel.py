@@ -1,9 +1,8 @@
-import copy
 import dataclasses
 import gc
+import inspect
 import mmap
 import os
-import pickle
 import signal
 import sys
 import threading
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from refimsim import channel, engine
+from refimsim import channel, engine, workers
 from refimsim.channel import (
     BLOCK_SLOTS, OSCILLATORS, TILE_LINKS, WALL_LOSS_DB, Channel, FadingState, distance_laws,
     large_scale_linear, noise_power_w, path_loss_db, path_loss_matrix_db,
@@ -154,30 +153,24 @@ class TestNoise:
 
 
 class TestJakesFading:
-    def _single_link(self, speed, seed=0, subchannels=1):
+    def _single_link(self, speed, seed=0, dt_s=1e-3):
         rng = np.random.default_rng(seed)
-        return FadingState(rng, 1, 1, subchannels, np.array([speed]), 2e9)
+        return FadingState(rng, 1, 1, 1, np.array([speed]), 2e9, dt_s)
 
     def test_zero_speed_constant(self):
         st = self._single_link(0.0)
         h0 = st.coefficients().copy()
         for _ in range(5):
-            st.advance(1e-3)
+            st.advance()
             h = st.coefficients()
         assert np.allclose(h, h0)
 
-    def test_zero_dt_leaves_state_unchanged(self):
-        st = self._single_link(3 / 3.6)
-        h0 = st.coefficients().copy()
-        st.advance(0.0)
-        assert np.allclose(st.coefficients(), h0)
-
     def test_unit_mean_power(self):
         # long-horizon Monte Carlo: mean |h|^2 within 3% of 1
-        st = self._single_link(3 / 3.6, seed=3)
+        st = self._single_link(3 / 3.6, seed=3, dt_s=20e-3)  # several samples per coherence time
         total, count = 0.0, 0
         for _ in range(100_000):
-            st.advance(20e-3)  # several samples per coherence time
+            st.advance()
             total += float(st.power_gains()[0, 0, 0])
             count += 1
         assert abs(total / count - 1.0) < 0.03
@@ -186,13 +179,13 @@ class TestJakesFading:
         # ensemble of independent links, lag-1 ms at 3 km/h, 2 GHz
         rng = np.random.default_rng(7)
         n_links = 400
-        st = FadingState(rng, n_links, 1, 1, np.full(n_links, 3 / 3.6), 2e9)
         dt = 1e-3
+        st = FadingState(rng, n_links, 1, 1, np.full(n_links, 3 / 3.6), 2e9, dt)
         f_d = (3 / 3.6) * 2e9 / 299792458.0
         prev = st.coefficients().ravel().copy()
         num, den = 0.0, 0.0
         for _ in range(400):
-            st.advance(dt)
+            st.advance()
             cur = st.coefficients().ravel()
             num += float(np.real(np.vdot(prev, cur)))
             den += float(np.vdot(prev, prev).real)
@@ -202,7 +195,7 @@ class TestJakesFading:
 
     def test_subchannels_decorrelated(self):
         rng = np.random.default_rng(11)
-        st = FadingState(rng, 200, 1, 2, np.full(200, 3 / 3.6), 2e9)
+        st = FadingState(rng, 200, 1, 2, np.full(200, 3 / 3.6), 2e9, 1e-3)
         h = st.coefficients()
         a, b = h[:, 0, 0], h[:, 0, 1]
         rho = np.abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
@@ -211,8 +204,8 @@ class TestJakesFading:
     def test_determinism(self):
         a = self._single_link(3 / 3.6, seed=9)
         b = self._single_link(3 / 3.6, seed=9)
-        a.advance(1e-3)
-        b.advance(1e-3)
+        a.advance()
+        b.advance()
         assert np.array_equal(a.coefficients(), b.coefficients())
 
 
@@ -255,21 +248,19 @@ def _owned_nbytes(values):
 
 
 def _fading_trajectory(K, N, S):
-    """Every output of one FadingState through step rebuilds, dt = 0 and
-    blocked advances, plus the caller's generator's next draws."""
+    """Every output of one FadingState through one-step and blocked
+    advances, plus the caller's generator's next draws."""
     rng = np.random.default_rng(4)
     speeds = np.random.default_rng(K).uniform(0.0, 30.0, K)
-    st = FadingState(rng, K, N, S, speeds, 2e9)
+    st = FadingState(rng, K, N, S, speeds, 2e9, 2.5e-3)
     seq = [rng.bit_generator.random_raw(4), st.coefficients(), st.power_gains()]
-    for slot in range(12):  # dt 1 -> 2.5 -> 1 ms rebuilds the step twice
-        st.advance(2.5e-3 if 4 <= slot < 8 else 1e-3)
+    for _ in range(12):
+        st.advance()
         seq += [st.coefficients(), st.power_gains()]
-    st.advance(0.0)
-    seq += [st.coefficients(), st.power_gains()]
     scales = np.random.default_rng(5).uniform(0.5, 2.0, (3, K, N))
-    for dt in (1e-3, 0.0, 2.5e-3):
-        out = np.full((3, K, N, S), np.nan)
-        st.advance(dt, out=out, scale=scales)
+    for slots in (3, 1, 2):
+        out = np.full((slots, K, N, S), np.nan)
+        st.advance(out, scales[:slots])
         seq += [out, st.coefficients(), st.power_gains(scales[1])]
     return seq
 
@@ -284,35 +275,35 @@ class TestTiledFading:
     def test_bit_identical_to_untiled(self, size, oscillators):
         K, N, S = size
         speeds = np.random.default_rng(K).uniform(0.0, 30.0, K)
-        ref = _UntiledFading(4, K, N, S, speeds, oscillators)
-        st = FadingState(np.random.default_rng(4), K, N, S, speeds, 2e9)
-        n_tiles, _, width = st.osc.shape
-        assert width % S == 0  # tiles hold whole (user, bs) pairs
-        if K * N * S < TILE_LINKS:
-            assert n_tiles == 1
-        else:
-            assert n_tiles > 1 and n_tiles * width > K * N * S
-        assert np.array_equal(st.coefficients(), ref.coefficients())
-        assert np.array_equal(st.power_gains(), ref.power_gains())
-        for slot in range(30):  # dt 1 -> 2.5 -> 1 ms rebuilds the step twice
-            dt = 2.5e-3 if 10 <= slot < 20 else 1e-3
-            ref.advance(dt)
-            st.advance(dt)
+        for dt in (1e-3, 2.5e-3):
+            ref = _UntiledFading(4, K, N, S, speeds, oscillators)
+            st = FadingState(np.random.default_rng(4), K, N, S, speeds, 2e9, dt)
+            n_tiles, _, width = st.osc.shape
+            assert width % S == 0  # tiles hold whole (user, bs) pairs
+            if K * N * S < TILE_LINKS:
+                assert n_tiles == 1
+            else:
+                assert n_tiles > 1 and n_tiles * width > K * N * S
             assert np.array_equal(st.coefficients(), ref.coefficients())
             assert np.array_equal(st.power_gains(), ref.power_gains())
+            for _ in range(15):
+                ref.advance(dt)
+                st.advance()
+                assert np.array_equal(st.coefficients(), ref.coefficients())
+                assert np.array_equal(st.power_gains(), ref.power_gains())
 
     @pytest.mark.parametrize("slots", [1, 2, 3, 5])
     def test_blocked_advance_equals_slot_by_slot(self, slots):
         K, N, S = 41, 11, 19
         speeds = np.random.default_rng(K).uniform(0.0, 30.0, K)
         ref = _UntiledFading(4, K, N, S, speeds, 8)
-        st = FadingState(np.random.default_rng(4), K, N, S, speeds, 2e9)
+        st = FadingState(np.random.default_rng(4), K, N, S, speeds, 2e9, 1e-3)
         scales = np.random.default_rng(5).uniform(0.5, 2.0, (slots, K, N))
         out = np.full((slots, K, N, S), np.nan)
-        for dt in (1e-3, 1e-3, 2.5e-3):
-            st.advance(dt, out=out, scale=scales)
+        for _ in range(3):
+            st.advance(out, scales)
             for i in range(slots):
-                ref.advance(dt)
+                ref.advance(1e-3)
                 assert np.array_equal(out[i], ref.power_gains() * scales[i][:, :, None])
             assert np.array_equal(st.coefficients(), ref.coefficients())
 
@@ -320,25 +311,24 @@ class TestTiledFading:
         K, N, S = 41, 11, 19
         for workers in (1, 2, 3):
             monkeypatch.setattr(channel, "_cpu_count", lambda: workers)
-            st = FadingState(np.random.default_rng(2), K, N, S, np.full(K, 20.0), 2e9,
-                             forks=True)
-            st.advance(1e-3)
+            # the buffers a posted pass writes are the caller's
+            out, scale = shared_array((1, K, N, S)), shared_array((1, K, N))
+            st = FadingState(np.random.default_rng(2), K, N, S, np.full(K, 20.0), 2e9, 1e-3,
+                             [(out, scale)])
+            st.advance()
             st.power_gains()
             _, O, width = st.osc.shape
             assert len(st._scratch) == workers  # every thread's scratch is counted below
-            # worker processes add no array of the state's own: the buffers
-            # they write are the caller's, and this process passes its tiles
-            # on scratch 0
-            out, scale = shared_array((1, K, N, S)), shared_array((1, K, N))
-            st.fork_workers((out, scale))
-            st.post(1e-3, out, scale)
-            st.advance(1e-3, out=out, scale=scale)
+            # worker processes add no array of the state's own: this process
+            # passes its tiles on scratch 0
+            st.advance(post=(0, 1))
+            st.advance()
             assert len(st._workers) == min(workers, len(st.osc)) - 1
             assert len(st._scratch) == workers
             held = _owned_nbytes(vars(st).values())
             osc_and_step = 2 * st.osc.nbytes
             scratch = width * O * 8 + 6 * width * 16  # one tile's draws and partial sums
-            assert held <= osc_and_step + workers * scratch + K * 8  # K: per-user Doppler
+            assert held <= osc_and_step + workers * scratch
             st.close()
 
     @pytest.mark.parametrize("workers", [2, 3, 64])
@@ -370,11 +360,11 @@ class TestTiledFading:
         monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
 
         def make():
-            return FadingState(np.random.default_rng(1), K, N, S, np.full(K, 20.0), 2e9)
+            return FadingState(np.random.default_rng(1), K, N, S, np.full(K, 20.0), 2e9, 1e-3)
 
         st = None if stage == "init" else make()
         if st is not None:
-            st.advance(1e-3)
+            st.advance()
             assert st.osc.shape[0] == 3
         tile_pairs = FadingState._tile_pairs
         raised_on = []
@@ -391,9 +381,9 @@ class TestTiledFading:
             if stage == "init":
                 make()
             elif stage == "step":
-                st.advance(2.5e-3)
+                st.advance()
             else:
-                st.advance(1e-3, out=np.empty((2, K, N, S)), scale=np.ones((2, K, N)))
+                st.advance(np.empty((2, K, N, S)), np.ones((2, K, N)))
         assert raised_on and raised_on[0] is not threading.main_thread()
         assert threading.active_count() == before
 
@@ -405,36 +395,14 @@ class TestTiledFading:
         assert result.constraint_violations == 0
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("duplicate", [copy.deepcopy,
-                                           lambda st: pickle.loads(pickle.dumps(st))],
-                             ids=["deepcopy", "pickle"])
-    def test_copy_advances_like_the_original(self, duplicate):
-        K, N, S = 41, 11, 19
-        st = FadingState(np.random.default_rng(2), K, N, S, np.full(K, 20.0), 2e9)
-        st.advance(1e-3)
-        twin = duplicate(st)
-        for _ in range(3):
-            st.advance(1e-3)
-            twin.advance(1e-3)
-            assert np.array_equal(twin.power_gains(), st.power_gains())
-            assert np.array_equal(twin.coefficients(), st.coefficients())
-
-    def test_zero_dt_is_a_no_op(self):
-        st = FadingState(np.random.default_rng(1), 5, 3, 4, np.full(5, 20.0), 2e9)
-        st.advance(1e-3)
-        h0, g0 = st.coefficients(), st.power_gains()
-        st.advance(0.0)
-        assert np.array_equal(st.coefficients(), h0)
-        assert np.array_equal(st.power_gains(), g0)
-
-    def test_negative_dt_rejected(self):
-        st = FadingState(np.random.default_rng(1), 2, 2, 2, np.full(2, 1.0), 2e9)
-        with pytest.raises(ValueError):
-            st.advance(-1e-3)
+    def test_dt_must_be_finite_and_positive(self):
+        for dt in (-1e-3, 0.0, -0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="dt_s"):
+                FadingState(np.random.default_rng(1), 2, 2, 2, np.full(2, 1.0), 2e9, dt)
 
     def test_returned_arrays_do_not_alias_state(self):
-        st = FadingState(np.random.default_rng(1), 5, 3, 4, np.full(5, 20.0), 2e9)
-        st.advance(1e-3)
+        st = FadingState(np.random.default_rng(1), 5, 3, 4, np.full(5, 20.0), 2e9, 1e-3)
+        st.advance()
         h, g = st.coefficients(), st.power_gains()
         h0, g0 = h.copy(), g.copy()
         h[...] = 0.0
@@ -460,7 +428,8 @@ class TestSnapshot:
         _, sh_seed, fad_seed, _, _, _ = np.random.SeedSequence(sc.seed).spawn(6)
         shadow = shadowing_matrix_db(net, sc, np.random.default_rng(sh_seed))
         fading = FadingState(np.random.default_rng(fad_seed), 3, 1, 4,
-                             np.full(3, sc.user_speed_kmh / 3.6), sc.carrier_freq_hz)
+                             np.full(3, sc.user_speed_kmh / 3.6), sc.carrier_freq_hz,
+                             sc.slot_duration_s)
         expected = large_scale_linear(path_loss_matrix_db(net), shadow)[:, :, None] \
             * fading.power_gains()
         gains = chan.gains()
@@ -529,7 +498,7 @@ def _slot_by_slot(sc, net, slots):
     speeds = np.full(net.n_users, sc.user_speed_kmh / 3.6)
     shadow = shadowing_matrix_db(net, sc, np.random.default_rng(streams["shadowing"]))
     fading = FadingState(np.random.default_rng(streams["fading"]), net.n_users, net.n_bs,
-                         net.subchannel_count, speeds, sc.carrier_freq_hz)
+                         net.subchannel_count, speeds, sc.carrier_freq_hz, sc.slot_duration_s)
     mobility = None
     if sc.mobile_users:
         mobility = WaypointMobility(net, speeds, np.random.default_rng(streams["mobility"]))
@@ -538,7 +507,7 @@ def _slot_by_slot(sc, net, slots):
             mobility.advance(sc.slot_duration_s)
         positions = None if mobility is None else mobility.positions
         large = large_scale_linear(path_loss_matrix_db(net, positions), shadow)
-        fading.advance(sc.slot_duration_s)
+        fading.advance()
         yield large, large[:, :, None] * fading.power_gains()
 
 
@@ -584,9 +553,9 @@ class TestChannelBlocks:
         def rotated(times):
             ref = FadingState(np.random.default_rng(streams["fading"]), net.n_users, net.n_bs,
                               net.subchannel_count, np.full(net.n_users, sc.user_speed_kmh / 3.6),
-                              sc.carrier_freq_hz)
+                              sc.carrier_freq_hz, sc.slot_duration_s)
             for _ in range(times):
-                ref.advance(sc.slot_duration_s)
+                ref.advance()
             return ref.coefficients()
 
         # in this process, the first advance rotates through one block
@@ -645,14 +614,17 @@ class TestWorkerProcesses:
             signal.signal(signal.SIGALRM, previous)
 
     def _forked(self, workers, monkeypatch, slots=3):
+        """A state given one buffer pair of `slots` slots, whose workers, if
+        any, were forked by a first posted pass."""
         monkeypatch.setattr(channel, "_cpu_count", lambda: workers)
         K, N, S = self.K, self.N, self.S
-        st = FadingState(np.random.default_rng(4), K, N, S,
-                         np.random.default_rng(K).uniform(0.0, 30.0, K), 2e9, forks=True)
-        st.advance(1e-3)
         out, scale = shared_array((slots, K, N, S)), shared_array((slots, K, N))
         scale[...] = np.random.default_rng(5).uniform(0.5, 2.0, scale.shape)
-        st.fork_workers((out, scale))
+        st = FadingState(np.random.default_rng(4), K, N, S,
+                         np.random.default_rng(K).uniform(0.0, 30.0, K), 2e9, 1e-3,
+                         [(out, scale)])
+        st.advance(post=(0, slots))
+        st.advance()
         assert len(st._workers) == channel._worker_processes(len(st.osc))
         return st, out, scale
 
@@ -664,78 +636,75 @@ class TestWorkerProcesses:
                       warmup_slots=0, **overrides)
         return sc, build_network(sc)
 
-    def _trajectory(self, workers, duplicate, monkeypatch):
-        """The shared outputs of posted advances, then the coefficients and
-        gains of the state and of a copy made while its workers ran."""
+    def _trajectory(self, workers, monkeypatch):
+        """The buffer pair after each posted pass, then the coefficients and
+        gains of the state, read while a pass is posted and after more
+        advances."""
         st, out, scale = self._forked(workers, monkeypatch)
-        seq = []
-        for dt, slots in ((1e-3, 3), (1e-3, 2), (2.5e-3, 3), (0.0, 1)):
+        seq = [out.copy()]
+        for slots in (3, 2, 3, 1):
             out[...] = np.nan
-            st.post(dt, out[:slots], scale[:slots])
-            st.advance(dt, out=out[:slots], scale=scale[:slots])
+            st.advance(post=(0, slots))
+            st.advance()
             seq.append(out[:slots].copy())
-        st.post(1e-3, out, scale)
-        twin = duplicate(st)  # finishes the posted pass first
+        st.advance(post=(0, 3))
+        seq += [st.coefficients(), st.power_gains(scale[1])]  # finish the posted pass
         assert len(st._workers) == min(workers, len(st.osc)) - 1
-        seq.append(out.copy())
-        for state in (twin, st):
-            state.advance(1e-3)
-            seq += [state.coefficients(), state.power_gains(scale[1])]
+        st.advance()  # takes the finished pass: no more rotations
+        seq += [out.copy(), st.coefficients()]
+        st.advance()
+        seq += [st.coefficients(), st.power_gains(scale[1])]
         st.close()
         assert _no_child_left()
         return seq
 
-    @pytest.mark.parametrize("duplicate", [copy.deepcopy,
-                                           lambda st: pickle.loads(pickle.dumps(st))],
-                             ids=["deepcopy", "pickle"])
-    def test_outputs_equal_at_any_cpu_count(self, duplicate, monkeypatch):
-        serial = self._trajectory(1, duplicate, monkeypatch)
+    def test_outputs_equal_at_any_cpu_count(self, monkeypatch):
+        serial = self._trajectory(1, monkeypatch)
         for workers in (2, 3):
-            forked = self._trajectory(workers, duplicate, monkeypatch)
+            forked = self._trajectory(workers, monkeypatch)
             assert len(forked) == len(serial)
             for a, b in zip(forked, serial):
                 assert np.array_equal(a, b)
 
     def test_other_pass_finishes_the_posted_one(self, monkeypatch):
         st, out, scale = self._forked(2, monkeypatch)
-        ref, _, _ = self._forked(1, monkeypatch)
-        st.post(1e-3, out, scale)
-        private = np.empty(out.shape)
-        st.advance(1e-3, out=private, scale=scale)  # the workers cannot write here
-        assert len(st._workers) == 1 and st._posted is None
-        expected = np.empty(out.shape)
-        ref.advance(1e-3, out=expected, scale=scale)
-        assert np.array_equal(out, expected)  # the posted pass, finished first
-        ref.advance(1e-3, out=expected, scale=scale)
-        assert np.array_equal(private, expected)
-        st.post(1e-3, out[:2], scale[:2])  # the workers take later posts
-        st.advance(1e-3, out=out[:2], scale=scale[:2])
-        ref.advance(1e-3, out=expected[:2], scale=scale[:2])
-        assert np.array_equal(out[:2], expected[:2])
-        with pytest.raises(ValueError, match="lead"):
-            st.post(1e-3, private, scale)
+        ref, ref_out, _ = self._forked(1, monkeypatch)
+        for state in (st, ref):
+            state.advance(post=(0, 3))
+        with pytest.raises(ValueError, match="without out"):  # the posted pass writes the pair
+            st.advance(np.empty(out.shape), scale)
+        h = st.coefficients()  # finishes the posted pass first
+        assert len(st._workers) == 1 and st._posted.done
+        ref.advance()
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(h, ref.coefficients())
+        st.advance()  # takes the finished pass
+        assert st._posted is None
+        assert np.array_equal(st.coefficients(), ref.coefficients())
+        for state in (st, ref):  # the workers take later posts
+            state.advance(post=(0, 2))
+            state.advance()
+        assert np.array_equal(out[:2], ref_out[:2])
         st.close()
         assert _no_child_left()
 
     def test_worker_error_is_raised_here(self, monkeypatch):
         monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
         K, N, S = self.K, self.N, self.S
-        st = FadingState(np.random.default_rng(1), K, N, S, np.full(K, 20.0), 2e9, forks=True)
-        st.advance(1e-3)
-        tile_pairs = FadingState._tile_pairs
+        out, scale = shared_array((2, K, N, S)), shared_array((2, K, N))
+        st = FadingState(np.random.default_rng(1), K, N, S, np.full(K, 20.0), 2e9, 1e-3,
+                         [(out, scale)])
+        tile_pairs, here = FadingState._tile_pairs, os.getpid()
 
         def failing(self, t):
-            if t == 2:
+            if t == 2 and os.getpid() != here:
                 raise RuntimeError(f"tile 2 in process {os.getpid()}")
             return tile_pairs(self, t)
 
         monkeypatch.setattr(FadingState, "_tile_pairs", failing)  # the worker forks with it
-        out, scale = shared_array((2, K, N, S)), shared_array((2, K, N))
-        st.fork_workers((out, scale))
-        st.post(1e-3, out, scale)  # tiles [1, 3) go to the worker
-        with pytest.raises(RuntimeError, match="tile 2 in process") as raised:
-            st.advance(1e-3, out=out, scale=scale)
-        assert str(os.getpid()) not in str(raised.value)  # raised on the worker
+        st.advance(post=(0, 2))  # tiles [1, 3) go to the worker
+        with pytest.raises(RuntimeError, match="tile 2 in process"):
+            st.advance()
         st.close()
         assert _no_child_left()
 
@@ -750,38 +719,40 @@ class TestWorkerProcesses:
     def test_collected_state_reaps_its_workers(self, monkeypatch):
         st, out, scale = self._forked(3, monkeypatch)
         assert len(st._workers) == 2
-        st.post(1e-3, out, scale)  # a pass in flight
+        st.advance(post=(0, 3))  # a pass in flight
         del st
         gc.collect()
         assert _no_child_left()
 
     def test_closed_state_goes_on_here(self, monkeypatch):
         st, out, scale = self._forked(2, monkeypatch)
-        ref, _, _ = self._forked(1, monkeypatch)
-        st.post(1e-3, out, scale)
+        ref, ref_out, _ = self._forked(1, monkeypatch)
+        for state in (st, ref):
+            state.advance(post=(0, 3))
         st.close()  # finishes the posted pass, then ends the worker
         assert _no_child_left() and not st._workers
-        expected = np.empty(out.shape)
-        ref.advance(1e-3, out=expected, scale=scale)
-        assert np.array_equal(out, expected)
         for state in (st, ref):
-            state.advance(2.5e-3)
+            state.advance()  # st takes the finished pass
+        assert np.array_equal(out, ref_out)
+        for state in (st, ref):
+            state.advance()
         assert np.array_equal(st.coefficients(), ref.coefficients())
         assert np.array_equal(st.power_gains(), ref.power_gains())
-        assert np.array_equal(pickle.loads(pickle.dumps(st)).coefficients(), ref.coefficients())
-        st.post(1e-3, out, scale)  # without workers a post does nothing
-        st.advance(1e-3, out=out, scale=scale)
-        ref.advance(1e-3, out=expected, scale=scale)
-        assert np.array_equal(out, expected)
+        for state in (st, ref):  # without workers a posted pass runs here, whole
+            state.advance(post=(0, 3))
+            state.advance()
+        assert np.array_equal(out, ref_out) and not st._workers
         st.close()  # a second close does nothing
 
     def test_no_worker_for_one_cpu_or_tile(self, monkeypatch):
         st, out, scale = self._forked(1, monkeypatch)
-        assert not st._workers and not st.forks and st.osc.flags.owndata
+        assert not st._workers and not st._forks and st.osc.flags.owndata
         monkeypatch.setattr(channel, "_cpu_count", lambda: 8)
-        one = FadingState(np.random.default_rng(1), 3, 2, 4, np.full(3, 20.0), 2e9, forks=True)
-        one.fork_workers((shared_array((1, 3, 2, 4)), shared_array((1, 3, 2))))
-        assert not one._workers and not one.forks
+        one = FadingState(np.random.default_rng(1), 3, 2, 4, np.full(3, 20.0), 2e9, 1e-3,
+                          [(shared_array((1, 3, 2, 4)), shared_array((1, 3, 2)))])
+        one.advance(post=(0, 1))
+        one.advance()
+        assert not one._workers and not one._forks and one.osc.flags.owndata
 
     def test_no_worker_without_fork(self, monkeypatch):
         monkeypatch.delattr(channel.os, "fork")
@@ -817,7 +788,7 @@ class TestWorkerProcesses:
             assert not chan.fading._workers
         # private blocks and oscillators, no shared_array
         assert [b.flags.owndata for b in chan._blocks] == [True]
-        assert chan.fading.osc.flags.owndata and not chan.fading.forks
+        assert chan.fading.osc.flags.owndata and not chan.fading._forks
 
     SPLITS = {"all-on-workers": lambda n, *_: 0, "one-on-workers": lambda n, *_: n - 1,
               "moving": None}
@@ -846,16 +817,17 @@ class TestWorkerProcesses:
             chan = Channel(sc, net)
             ref = FadingState(np.random.default_rng(sc.seed_streams()["fading"]), net.n_users,
                               net.n_bs, net.subchannel_count,
-                              np.full(net.n_users, sc.user_speed_kmh / 3.6), sc.carrier_freq_hz)
+                              np.full(net.n_users, sc.user_speed_kmh / 3.6), sc.carrier_freq_hz,
+                              sc.slot_duration_s)
             for _ in range(11):
-                ref.advance(sc.slot_duration_s)
+                ref.advance()
             for slot, (large, gains) in enumerate(expected):
                 chan.advance()
                 assert np.array_equal(chan.large_scale, large)
                 assert np.array_equal(chan.gains(), gains)
                 if slot >= 10:  # the run's last slot and past it: nothing posted,
                     if slot >= 11:  # and one slot per advance
-                        ref.advance(sc.slot_duration_s)
+                        ref.advance()
                     assert chan.fading._posted is None
                     assert np.array_equal(chan.fading.coefficients(), ref.coefficients())
             chan.close()
@@ -879,15 +851,15 @@ class TestWorkerProcesses:
         monkeypatch.setattr(channel, "_cpu_count", lambda: 3)
         sc, _ = self._hetnet(12)
         forks = []
-        fork = channel.FadingState.fork_workers
+        fork = channel.fork
 
-        def counted(self, *args):
-            fork(self, *args)
-            forks.append(len(self._workers))
+        def counted(*args):
+            forks.append(1)
+            return fork(*args)
 
-        monkeypatch.setattr(channel.FadingState, "fork_workers", counted)
+        monkeypatch.setattr(channel, "fork", counted)
         assert engine.run(sc).constraint_violations == 0
-        assert 2 in forks and _no_child_left()
+        assert len(forks) == 2 and _no_child_left()
 
     def test_no_child_after_engine_run_raises(self, monkeypatch):
         monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
@@ -923,4 +895,57 @@ class TestWorkerProcesses:
         first.close()  # would wait for the second's workers if they kept its pipe open
         assert len(second._workers) == 2
         second.close()
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_forks_and_posts_only_inside_fading_advance(self, cpus, monkeypatch):
+        # every fork and every message to a worker happens inside
+        # FadingState.advance, so a tracer that times it times them too
+        monkeypatch.setattr(channel, "_cpu_count", lambda: cpus)
+        sc, _ = self._hetnet(11, mobile_users=True, user_speed_kmh=60.0)
+        depth = {"channel": 0, "fading": 0}
+        calls, outside = [], []
+
+        def nested(owner, name, key):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                depth[key] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[key] -= 1
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def observed(owner, name, label, only_in_channel):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                if not only_in_channel or depth["channel"]:
+                    calls.append(label)
+                    if not depth["fading"]:
+                        outside.append(label)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name, fn in vars(FadingState).items():
+            if inspect.isfunction(fn) and name != "advance":
+                observed(FadingState, name, name, only_in_channel=True)
+        nested(channel.Channel, "advance", "channel")
+        nested(FadingState, "advance", "fading")
+        observed(channel, "fork", "fork", only_in_channel=False)
+        observed(workers.Pipe, "send", "send", only_in_channel=False)
+        parent, thread = os.getpid(), threading.Thread
+
+        def no_thread_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError("a fading worker started a thread")
+            return thread(*args, **kwargs)
+
+        monkeypatch.setattr(channel.threading, "Thread", no_thread_in_a_worker)
+        assert engine.run(sc).constraint_violations == 0
+        assert calls.count("fork") == cpus - 1 and "send" in calls
+        assert outside == []
         assert _no_child_left()

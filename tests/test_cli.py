@@ -373,11 +373,11 @@ class TestNoChildProcessLeft:
         from refimsim import channel
 
         monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
-        forked, fork = [], channel.FadingState.fork_workers
+        forked, fork = [], channel.fork
 
-        def counted(self, *args):
-            fork(self, *args)
-            forked.append(len(self._workers))
+        def counted(*args):
+            forked.append(1)
+            return fork(*args)
 
         served_rates, calls = cli.engine.scheduling.served_rates, []
 
@@ -387,14 +387,14 @@ class TestNoChildProcessLeft:
                 raise RuntimeError("slot 7")
             return served_rates(*args)
 
-        monkeypatch.setattr(channel.FadingState, "fork_workers", counted)
+        monkeypatch.setattr(channel, "fork", counted)
         monkeypatch.setattr(cli.engine.scheduling, "served_rates", failing)
         cfg = tmp_path / "hetnet.json"  # three fading tiles
         cfg.write_text(json.dumps({"kind": "hetnet", "rings": 0, "femtos_per_macro": 10,
                                    "subchannels": 16, "slots": 12, "warmup_slots": 0}))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "slot 7" in capsys.readouterr().err
-        assert 1 in forked and self._no_child_left()
+        assert len(forked) == 1 and self._no_child_left()
 
     def test_oracle(self, capsys, monkeypatch):
         from refimsim import channel

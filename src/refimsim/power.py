@@ -29,6 +29,13 @@ _MAX_BRACKET_DOUBLINGS = 60
 _SPINE_STRIDE = 4
 _SPINE_POINTS = np.arange(BISECTION_ITER_BOUND, 0, -_SPINE_STRIDE)[::-1]
 _SPINE_SKIPS = np.concatenate(([0], _SPINE_POINTS))
+# lam*ln2 per unit upper bracket at each sampled point: 2^-j*ln2 is exact,
+# so hi times it is (hi*2^-j)*ln2 bit for bit while hi*2^-j is a normal float
+_SPINE_LEVELS = np.ldexp(LN2, -_SPINE_POINTS)
+# 0-d array operands for the ufunc calls made once per halving: numpy 2 takes
+# a Python float operand on a slower path, about 0.3 us more a call on these
+# small arrays
+_ZERO, _HALF, _LN2 = (np.array(v) for v in (0.0, 0.5, LN2))
 # general_algorithm's inner loop stops once no power moves by this much (W)
 P_TOL = 1e-6
 
@@ -62,43 +69,37 @@ def taxation_from_feedback(weight, cross_gain, signal_w, intf_noise_w):
 def _kkt_into(out, weights, floor, masks):
     """In place: out <- clip(weights/out - floor, 0, masks).
 
-    On entry out holds the denominators lam*ln2 + t, all > 0; floor is
-    (I+sigma)/g. This is the one place the KKT formula is written.
+    On entry out holds the denominators lam*ln2 + t, all > 0 since lam > 0
+    and t >= 0; floor is (I+sigma)/g. Every bisection pass at lam > 0 runs
+    this kernel.
     """
-    np.divide(weights, out, out=out)
+    np.divide(weights, out, out)
     out -= floor
-    np.maximum(out, 0.0, out=out)
+    np.maximum(out, _ZERO, out=out)
     return np.minimum(out, masks, out=out)
 
 
-def _kkt(lam, weights, taxes, floor, masks):
-    """KKT powers for a denominator lam*ln2 + t of any sign.
-
-    lam*ln2 + taxes must already have the output shape. A denominator that
-    is not > 0 (lam = 0 with t = 0) means an unbounded water level: the
-    weight there is replaced by inf over a unit denominator, and the mask
-    clip is the only thing bounding the result. When every denominator is
-    > 0 they are used as they are.
-    """
-    denom = lam * LN2 + taxes
-    unbounded = ~(denom > 0)
-    if not unbounded.any():
-        return _kkt_into(denom, weights, floor, masks)
-    return _kkt_into(np.where(unbounded, 1.0, denom), np.where(unbounded, np.inf, weights),
-                     floor, masks)
+def _kkt_at_zero(weights, taxes, floor, masks):
+    """KKT powers at lam = 0, clip(weights/taxes - floor, 0, masks). A tax
+    that is not > 0 (0 or -0.0) leaves the water level unbounded: it is inf
+    there, and the mask clip alone bounds it."""
+    p = np.divide(weights, taxes, out=np.full(taxes.shape, np.inf), where=taxes > 0)
+    p -= floor
+    np.maximum(p, 0.0, out=p)
+    return np.minimum(p, masks, out=p)
 
 
 def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, masks, noise_w):
     """Lockstep bisection over N base stations at once.
 
     weights/taxes/intf_noise/own_gains/masks/noise_w: (N, S); budgets: (N,);
-    taxes must be >= 0; weights are >= 0, as every caller passes them. The
-    first upper bracket is max_s w g/(noise_w ln2), doubled until every row
-    undershoots its budget. Returns (p (N, S), lam (N,), iters (N,)): iters
-    is the halving at which a row first meets its budget within delta, and
-    lam that midpoint; a row that never does takes its undershooting end hi
-    and iters = BISECTION_ITER_BOUND. A row with slack at lam = 0 has
-    lam = iters = 0.
+    budgets must be > 0 and taxes >= 0 (NaN fails both); weights are >= 0,
+    as every caller passes them. The first upper bracket is
+    max_s w g/(noise_w ln2), doubled until every row undershoots its budget.
+    Returns (p (N, S), lam (N,), iters (N,)): iters is the halving at which a
+    row first meets its budget within delta, and lam that midpoint; a row
+    that never does takes its undershooting end hi and iters =
+    BISECTION_ITER_BOUND. A row with slack at lam = 0 has lam = iters = 0.
 
     The result is plain lockstep bisection's, bit for bit, in fewer numpy
     calls:
@@ -112,8 +113,8 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
       within delta of the budget is the row's hit; the halvings after it do
       not change the result.
     With taxes >= 0 and lam > 0 every denominator lam*ln2 + t is positive, so
-    the loop needs no unbounded-level case; p is evaluated once at the end
-    from each row's lam.
+    only the lam = 0 pass has unbounded levels; p is evaluated once at the
+    end from each row's lam.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     taxes = np.atleast_2d(np.asarray(taxes, dtype=float))
@@ -121,19 +122,19 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
     own_gains = np.atleast_2d(np.asarray(own_gains, dtype=float))
     masks = np.atleast_2d(np.asarray(masks, dtype=float))
     budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
-    if (budgets <= 0).any():
+    if not (budgets > 0).all():
         raise ValueError("budgets must be > 0")
-    if (taxes < 0).any():
+    if not (taxes >= 0).all():
         raise ValueError("taxes must be >= 0")
     N, S = weights.shape
     noise_w = np.atleast_2d(np.asarray(noise_w, dtype=float))
     floor = intf_noise / own_gains
 
     delta = BUDGET_RTOL * budgets
-    p = _kkt(0.0, weights, taxes, floor, masks)
+    p = _kkt_at_zero(weights, taxes, floor, masks)
     lam = np.zeros(N)
     iters = np.zeros(N, dtype=int)
-    searching = np.flatnonzero(p.sum(axis=1) > budgets + delta)
+    searching = np.flatnonzero(np.add.reduce(p, 1) > budgets + delta)
     R = searching.size
     if R == 0:
         return p, lam, iters
@@ -141,54 +142,64 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
         searching = slice(None)   # every row searches: views, not gathered copies
     w, t, fl, m = (a[searching] for a in (weights, taxes, floor, masks))
     b, d = budgets[searching], delta[searching]
-    with np.errstate(divide="ignore"):
-        hi = np.max(w * own_gains[searching] / (noise_w[searching] * LN2), axis=1)
-    # ensure the upper bracket undershoots the budget everywhere
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        p_hi = _kkt(hi[:, None], w, t, fl, m)
-        over = p_hi.sum(axis=1) > b
-        if not over.any():
-            break
-        hi = np.where(over, hi * 2.0, hi)
-    else:
-        raise RuntimeError("bisection bracket failure: sum p(hi) > budget")
+    # ensure the upper bracket undershoots the budget everywhere. A row whose
+    # every w g is 0 starts at hi = 0 and never does, as in plain bisection:
+    # where t = 0 its levels are w/0, and 0/0 gives a sum that is NaN, which
+    # never undershoots either
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.maximum.reduce(w * own_gains[searching] / (noise_w[searching] * LN2), 1)
+        for _ in range(_MAX_BRACKET_DOUBLINGS):
+            den = np.multiply(hi, LN2)[:, None] + t
+            under = np.add.reduce(_kkt_into(den, w, fl, m), 1) <= b
+            if under.all():
+                break
+            hi = np.where(under, hi, hi * 2.0)
+        else:
+            raise RuntimeError("bisection bracket failure: sum p(hi) > budget")
 
     # spine pass: while lo = 0 the j-th midpoint is hi*2^-j. Every rounded
     # step of the row sum is monotone, so the sum never falls as j grows, and
     # a sampled point where every row undershoots by delta or more implies the
-    # same downward step at every point before it
-    spine = np.full((R, BISECTION_ITER_BOUND + 1), 0.5)
-    spine[:, 0] = hi
-    np.multiply.accumulate(spine, axis=1, out=spine)
-    den = np.multiply(spine[:, _SPINE_POINTS], LN2)[:, :, None] + t[:, None]
-    spine_sums = np.add.reduce(_kkt_into(den, w[:, None], fl[:, None], m[:, None]), axis=2)
-    down = (spine_sums - b[:, None] <= -d[:, None]).all(axis=0)
+    # same downward step at every point before it. One (points, rows, S) pass
+    den = np.multiply.outer(_SPINE_LEVELS, hi)[:, :, None] + t
+    spine_sums = np.add.reduce(_kkt_into(den, w, fl, m), 2)
+    down = np.logical_and.reduce(b - spine_sums >= d, 1)
     skip = _SPINE_SKIPS[np.count_nonzero(down)]
 
     # every row runs every remaining halving; each row's first hit is found
-    # after the loop
+    # after the loop. lo and hi are the rows of `bounds`, and one masked copy
+    # moves the midpoint into lo where the row goes up and into hi elsewhere
     n = BISECTION_ITER_BOUND - skip
-    lo, hi = np.zeros(R), spine[:, skip].copy()
+    bounds = np.zeros((2, R))
+    np.multiply(hi, 2.0 ** -skip, bounds[1])
+    lo, hi = bounds
+    up = np.empty((2, R), dtype=bool)
+    go_up, go_down = up
     mids, sums = np.empty((n + 1, R)), np.empty((n, R))
     buf, level = np.empty((R, S)), np.empty(R)
+    column = level[:, None]
     for mid, sm in zip(mids, sums):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        np.add(np.multiply(mid, LN2, out=level)[:, None], t, out=buf)
-        np.add.reduce(_kkt_into(buf, w, fl, m), axis=1, out=sm)
-        go_up = sm > b
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
+        np.add(lo, hi, mid)
+        mid *= _HALF
+        np.multiply(mid, _LN2, level)
+        np.add(column, t, buf)
+        np.add.reduce(_kkt_into(buf, w, fl, m), 1, None, sm)
+        np.greater(sm, b, go_up)
+        np.logical_not(go_up, go_down)
+        np.copyto(bounds, mid, where=up)
     # the sentinel row n gives a row without a hit its end hi and the bound
     hit = np.empty((n + 1, R), dtype=bool)
-    np.less(np.abs(sums - b), d, out=hit[:n])
+    np.less(np.abs(sums - b), d, hit[:n])
     hit[n] = True
     mids[n] = hi
     first = hit.argmax(axis=0)
-    lam[searching] = mids[first, np.arange(R)]
+    found = mids[first, np.arange(R)]
+    lam[searching] = found
     iters[searching] = np.minimum(skip + 1 + first, BISECTION_ITER_BOUND)
 
-    p[searching] = _kkt_into(lam[searching, None] * LN2 + t, w, fl, m)
+    np.multiply(found, _LN2, level)
+    np.add(column, t, buf)
+    p[searching] = _kkt_into(buf, w, fl, m)
     return p, lam, iters
 
 

@@ -310,6 +310,8 @@ def run(scenario, record=False):
     noise = chan.noise
 
     budgets, masks, allowed = power_limits(net, sc)
+    if allowed.all():
+        allowed = None   # spectrum sharing: scheduling skips the mask
     enabled = np.array([b.refim_enabled for b in net.base_stations])
     if enabled.all():
         enabled = None   # full deployment: refresh and selection skip the mask
@@ -329,25 +331,26 @@ def run(scenario, record=False):
         rec_powers, rec_scheds = np.zeros((sc.slots, N, S)), np.zeros((sc.slots, N, S), dtype=int)
         rec_published = np.zeros((sc.slots, N), dtype=int)
 
-    # The tax source of the slot step; the REFIM and general ones read the
-    # current slot's t, gains and weights. Only REFIM keeps candidate tables.
+    # The tax source of the slot step, called once per schedule; the REFIM
+    # and general ones read the current slot's t, gains and weights. Only
+    # REFIM keeps candidate tables, and its taxes do not depend on the powers.
     if sc.algorithm == "refim":
         tables = reference.CandidateTables(net)
-        rep = reference.representative_users(net)
 
-        def taxes(sched, p, total, signal, intf_noise):
+        def taxes(sched, signal, intf_noise):
             tables.accumulate(gains, weights, signal, intf_noise)
             reference.refresh_candidate_tables(net, tables, t, sc,
                                                mean_gains=chan.large_scale, enabled=enabled)
             if record:
                 rec_published[t] = np.bincount(serving[tables.last_update == t], minlength=N)
-            views = reference.exchange_scheduled_indices(sched, rep, sc)
+            views = reference.exchange_scheduled_indices(sched, tables, sc)
             refs = reference.select_references(views, tables, sc.ref_count, enabled=enabled)
-            return refs.taxes()   # zero for BSs not running REFIM: they select no references
+            taxed = refs.taxes()   # zero for BSs not running REFIM: they select no references
+            return lambda p, total: taxed
     elif sc.algorithm == "general":
-        def taxes(sched, p, total, signal, intf_noise):
-            return power.ground_truth_taxes(sched, gains, weights, noise, net.neighbor_index, p,
-                                            total, sc.ref_count)
+        def taxes(sched, *_):
+            return power.ground_truth_taxes(sched, gains, weights, noise, net.neighbor_index,
+                                            sc.ref_count)
     else:
         taxes = power.no_taxes   # wf; eq never calls it
     caps = (sc.sched_loops, sc.power_loops) if sc.algorithm == "general" else (1, 1)

@@ -154,8 +154,8 @@ def settle_algorithm(algo, gains, noise_w, cells, weights, budgets, masks,
     elif algo in ("wf", "refim"):
         nbr = pad_index_lists(neighbor_sets)
 
-        def refim_taxes(sched, p, total, *_):
-            return power.ground_truth_taxes(sched, gains, weights, noise_w, nbr, p, total, 1)
+        def refim_taxes(sched, *_):
+            return power.ground_truth_taxes(sched, gains, weights, noise_w, nbr, 1)
 
         taxes = refim_taxes if algo == "refim" else power.no_taxes
         for _ in range(SETTLE_PASSES):

@@ -29,9 +29,10 @@ _MAX_BRACKET_DOUBLINGS = 60
 _SPINE_STRIDE = 4
 _SPINE_POINTS = np.arange(BISECTION_ITER_BOUND, 0, -_SPINE_STRIDE)[::-1]
 _SPINE_SKIPS = np.concatenate(([0], _SPINE_POINTS))
-# lam*ln2 per unit upper bracket at each sampled point: 2^-j*ln2 is exact,
-# so hi times it is (hi*2^-j)*ln2 bit for bit while hi*2^-j is a normal float
-_SPINE_LEVELS = np.ldexp(LN2, -_SPINE_POINTS)
+# lam*ln2 per unit upper bracket at the bracket hi itself (j = 0) and at
+# each sampled point: 2^-j*ln2 is exact, so hi times it is (hi*2^-j)*ln2 bit
+# for bit while hi*2^-j is a normal float
+_SPINE_LEVELS = np.ldexp(LN2, -_SPINE_SKIPS)
 # 0-d array operands for the ufunc calls made once per halving: numpy 2 takes
 # a Python float operand on a slower path, about 0.3 us more a call on these
 # small arrays
@@ -94,20 +95,26 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
 
     weights/taxes/intf_noise/own_gains/masks/noise_w: (N, S); budgets: (N,);
     budgets must be > 0 and taxes >= 0 (NaN fails both); weights are >= 0,
-    as every caller passes them. The first upper bracket is
-    max_s w g/(noise_w ln2), doubled until every row undershoots its budget.
-    Returns (p (N, S), lam (N,), iters (N,)): iters is the halving at which a
-    row first meets its budget within delta, and lam that midpoint; a row
-    that never does takes its undershooting end hi and iters =
-    BISECTION_ITER_BOUND. A row with slack at lam = 0 has lam = iters = 0.
+    as every caller passes them. A NaN in another input that reaches a
+    power or a searching row's first bracket raises ValueError naming that
+    input; so do NaN powers at lam = 0 from finite inputs (an unbounded
+    level less an infinite floor). The first upper bracket is max_s w g/(noise_w ln2), doubled until
+    every row undershoots its budget. Returns (p (N, S), lam (N,), iters
+    (N,)): iters is the halving at which a row first meets its budget within
+    delta, and lam that midpoint; a row that never does takes its
+    undershooting end hi and iters = BISECTION_ITER_BOUND. A row with slack
+    at lam = 0 has lam = iters = 0.
 
     The result is plain lockstep bisection's, bit for bit, in fewer numpy
     calls:
-    - spine pass: while lo = 0 the j-th midpoint is exactly hi*2^-j, and the
-      computed row sum never rises with lam, since with weights >= 0 every
-      rounded step in it is monotone. One (rows, points, S) evaluation at
-      every _SPINE_STRIDE-th spine point counts the leading halvings that
-      step down on every row, and the loop starts after them;
+    - bracket and spine pass: while lo = 0 the j-th midpoint is exactly
+      hi*2^-j, and the computed row sum never rises with lam, since with
+      weights >= 0 every rounded step in it is monotone. One
+      (1 + points, rows, S) evaluation at hi and at every _SPINE_STRIDE-th
+      spine point checks the bracket and counts the leading halvings that
+      step down on every row, and the loop starts after them; only when a
+      row overshoots at hi is its bracket doubled and the spine sampled
+      again;
     - first hit after the loop: every row runs every remaining halving, and
       its midpoints and sums are kept. The first iteration whose sum is
       within delta of the budget is the row's hit; the halvings after it do
@@ -116,25 +123,28 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
     only the lam = 0 pass has unbounded levels; p is evaluated once at the
     end from each row's lam.
     """
-    weights = np.atleast_2d(np.asarray(weights, dtype=float))
-    taxes = np.atleast_2d(np.asarray(taxes, dtype=float))
-    intf_noise = np.atleast_2d(np.asarray(intf_noise, dtype=float))
-    own_gains = np.atleast_2d(np.asarray(own_gains, dtype=float))
-    masks = np.atleast_2d(np.asarray(masks, dtype=float))
-    budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
+    weights, taxes, intf_noise, own_gains, masks, noise_w = (
+        np.array(a, dtype=float, copy=None, ndmin=2)
+        for a in (weights, taxes, intf_noise, own_gains, masks, noise_w))
+    budgets = np.array(budgets, dtype=float, copy=None, ndmin=1)
     if not (budgets > 0).all():
         raise ValueError("budgets must be > 0")
     if not (taxes >= 0).all():
         raise ValueError("taxes must be >= 0")
     N, S = weights.shape
-    noise_w = np.atleast_2d(np.asarray(noise_w, dtype=float))
+    inputs = {"weights": weights, "intf_noise": intf_noise, "own_gains": own_gains,
+              "masks": masks, "noise_w": noise_w}   # named by a NaN check
     floor = intf_noise / own_gains
 
     delta = BUDGET_RTOL * budgets
     p = _kkt_at_zero(weights, taxes, floor, masks)
     lam = np.zeros(N)
     iters = np.zeros(N, dtype=int)
-    searching = np.flatnonzero(np.add.reduce(p, 1) > budgets + delta)
+    sums = np.add.reduce(p, 1)
+    grand = np.add.reduce(sums)
+    if grand != grand:       # NaN: a NaN input reached a power
+        _reject_nan(inputs, "the powers at lambda = 0 are NaN")
+    searching = np.flatnonzero(sums > budgets + delta)
     R = searching.size
     if R == 0:
         return p, lam, iters
@@ -142,28 +152,36 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
         searching = slice(None)   # every row searches: views, not gathered copies
     w, t, fl, m = (a[searching] for a in (weights, taxes, floor, masks))
     b, d = budgets[searching], delta[searching]
-    # ensure the upper bracket undershoots the budget everywhere. A row whose
-    # every w g is 0 starts at hi = 0 and never does, as in plain bisection:
-    # where t = 0 its levels are w/0, and 0/0 gives a sum that is NaN, which
-    # never undershoots either
+    # The first upper bracket hi and the spine, in one (1 + points, rows, S)
+    # pass: level 0 is hi itself, and the rest are the sampled spine points.
+    # While lo = 0 the j-th midpoint is hi*2^-j. Every rounded step of the row
+    # sum is monotone, so the sum never falls as j grows, and a sampled point
+    # where every row undershoots by delta or more implies the same downward
+    # step at every point before it.
+    # A row whose every w g is 0 starts at hi = 0 and never undershoots, as in
+    # plain bisection: where t = 0 its levels are w/0, and 0/0 gives a sum
+    # that is NaN, which never undershoots either
     with np.errstate(divide="ignore", invalid="ignore"):
         hi = np.maximum.reduce(w * own_gains[searching] / (noise_w[searching] * LN2), 1)
-        for _ in range(_MAX_BRACKET_DOUBLINGS):
-            den = np.multiply(hi, LN2)[:, None] + t
-            under = np.add.reduce(_kkt_into(den, w, fl, m), 1) <= b
-            if under.all():
-                break
-            hi = np.where(under, hi, hi * 2.0)
-        else:
-            raise RuntimeError("bisection bracket failure: sum p(hi) > budget")
-
-    # spine pass: while lo = 0 the j-th midpoint is hi*2^-j. Every rounded
-    # step of the row sum is monotone, so the sum never falls as j grows, and
-    # a sampled point where every row undershoots by delta or more implies the
-    # same downward step at every point before it. One (points, rows, S) pass
-    den = np.multiply.outer(_SPINE_LEVELS, hi)[:, :, None] + t
-    spine_sums = np.add.reduce(_kkt_into(den, w, fl, m), 2)
-    down = np.logical_and.reduce(b - spine_sums >= d, 1)
+        den = np.multiply.outer(_SPINE_LEVELS, hi)[:, :, None] + t
+        level_sums = np.add.reduce(_kkt_into(den, w, fl, m), 2)
+        under = level_sums[0] <= b
+        if not under.all():
+            # some row overshoots at hi: double its bracket until it
+            # undershoots, then sample the spine again
+            if np.isnan(hi).any():
+                _reject_nan(inputs, None)
+            for _ in range(_MAX_BRACKET_DOUBLINGS - 1):
+                hi = np.where(under, hi, hi * 2.0)
+                den = np.multiply(hi, LN2)[:, None] + t
+                under = np.add.reduce(_kkt_into(den, w, fl, m), 1) <= b
+                if under.all():
+                    break
+            else:
+                raise RuntimeError("bisection bracket failure: sum p(hi) > budget")
+            den = np.multiply.outer(_SPINE_LEVELS, hi)[:, :, None] + t
+            level_sums = np.add.reduce(_kkt_into(den, w, fl, m), 2)
+    down = np.logical_and.reduce(b - level_sums[1:] >= d, 1)
     skip = _SPINE_SKIPS[np.count_nonzero(down)]
 
     # every row runs every remaining halving; each row's first hit is found
@@ -201,6 +219,16 @@ def allocate_bisection_batch(weights, taxes, intf_noise, own_gains, budgets, mas
     np.add(column, t, buf)
     p[searching] = _kkt_into(buf, w, fl, m)
     return p, lam, iters
+
+
+def _reject_nan(inputs, otherwise):
+    """Raise ValueError naming the first of `inputs` that holds a NaN; if
+    none does, raise one with the message `otherwise`, unless it is None."""
+    for name, a in inputs.items():
+        if np.isnan(a).any():
+            raise ValueError(f"{name} contains NaN")
+    if otherwise is not None:
+        raise ValueError(otherwise)
 
 
 def budget_misses(p, lam, budgets):
@@ -262,34 +290,22 @@ def scheduled_arrays(gains, index, weights, noise_w):
     return w, g, sig
 
 
-def allocate(gains, powers, index, weights, noise_w, taxes, budgets, masks, total=None):
-    """One power step for every BS: the KKT allocation for its scheduled
-    users, with their interference measured at `powers`.
-
-    index is the schedule's `scheduling.scheduled_index`; taxes: (N, S), zero
-    for selfish water-filling. Unscheduled pairs get a zero mask. `total` is
-    the (K, S) received power at `powers`, when the caller has it. Returns
-    (p, lam, iters) of allocate_bisection_batch.
-    """
-    w, g, sig = scheduled_arrays(gains, index, weights, noise_w)
-    intf = measured_interference(gains, powers, index, noise_w, total=total)
-    masks = np.where(index[0], masks, 0.0)
-    return allocate_bisection_batch(w, taxes, intf, g, budgets, masks, noise_w=sig)
-
-
 def no_taxes(sched, *_):
     """Tax source of selfish water-filling: zero on every (bs, subchannel)."""
-    return np.zeros(sched.shape)
+    zeros = np.zeros(sched.shape)
+    return lambda p, total: zeros
 
 
-def ground_truth_taxes(sched, gains, weights, noise_w, nbr, powers, total, ref_count):
-    """(N, S) taxation recomputed from current ground truth (general algorithm).
+def ground_truth_taxes(sched, gains, weights, noise_w, nbr, ref_count):
+    """Taxation from current ground truth (general algorithm), as a
+    function price(p, total) -> (N, S) of the powers p and the (K, S)
+    received power `total` there.
 
-    References are ranked by reference.rank_references, as on the table path,
-    but on exact current-slot values: F0 is the cross gain, F1 the weight, F2
-    the serving-link received power and F3 the rest of `total` (the (K, S)
-    received power at `powers`) plus noise. nbr is the (N, B) padded
-    neighbor index.
+    References are ranked once, by reference.rank_references as on the table
+    path but on exact current-slot values: F0 is the cross gain and F1 the
+    weight, neither of which depends on the powers. Each price call sets F2,
+    the serving-link received power, and F3, the rest of `total` plus noise.
+    nbr is the (N, B) padded neighbor index.
     """
     from .reference import rank_references  # local to avoid cycle
 
@@ -301,28 +317,36 @@ def ground_truth_taxes(sched, gains, weights, noise_w, nbr, powers, total, ref_c
     present = (cand != NO_USER) & (nbr >= 0)[:, :, None]
     sel, idx, users = rank_references(nbr, cand, cross, ref_count, present)
     sel.f1[idx] = np.asarray(weights)[users]
-    sel.f2[idx], sel.f3[idx] = link_state(gains, powers, noise_w, users, sel.ref_bs[idx],
-                                          idx[1], total)
-    return sel.taxes()
+    ref_bs, sub = sel.ref_bs[idx], idx[1]
+
+    def price(p, total):
+        sel.f2[idx], sel.f3[idx] = link_state(gains, p, noise_w, users, ref_bs, sub, total)
+        return sel.taxes()
+    return price
 
 
 def general_algorithm(members, serving, gains, weights, noise_w, taxes, budgets, masks,
                       init_powers, sched_iters=1, power_iters=1, subchannel_bw_hz=1.0,
                       sinr_gap=1.0, allowed=None):
     """One slot's schedule -> tax -> allocate step, shared by every algorithm
-    that allocates power; they differ only in the tax source `taxes(sched,
-    p, total, signal, intf_noise) -> (N, S)`, called once per power step at
-    powers p with `total` the (K, S) received power there. signal and
-    intf_noise are each user's serving-link state at the schedule's powers;
-    serving is the (K,) serving BS of each user and members the (N, C)
-    padded cell members (Network.member_index).
+    that allocates power; they differ only in the tax source
+    `taxes(sched, signal, intf_noise)`, called once per schedule, which
+    returns `price(p, total) -> (N, S)`, called once per power step at powers
+    p with `total` the (K, S) received power there. signal and intf_noise
+    are each user's serving-link state at the schedule's powers; serving is
+    the (K,) serving BS of each user and members the (N, C) padded cell
+    members (Network.member_index).
 
     The outer loop reschedules at the current powers, the inner one re-taxes
-    and re-allocates until no power moves by P_TOL or a cap is hit. Returns
-    (sched, index, powers, lam, iter_max): index is the schedule's
-    `scheduled_index`, lam the budget multiplier of the bisection that
-    produced `powers`, iter_max the largest bisection iteration count over
-    the slot.
+    and re-allocates until no power moves by P_TOL or a cap is hit. Each
+    power step is the KKT allocation for the scheduled users, with their
+    interference measured at the step's powers; unscheduled pairs get a zero
+    mask. What depends only on the schedule (the tax source's ranking, the
+    scheduled users' weights, gains and noise, the masks) is built once per
+    schedule. Returns (sched, index, powers, lam, iter_max): index is the
+    schedule's `scheduled_index`, lam the budget multiplier of the bisection
+    that produced `powers`, iter_max the largest bisection iteration count
+    over the slot.
     """
     if sched_iters < 1 or power_iters < 1:
         raise ValueError("iteration caps must be >= 1")
@@ -336,12 +360,15 @@ def general_algorithm(members, serving, gains, weights, noise_w, taxes, budgets,
             break
         sched = new_sched
         index = scheduled_index(sched)
+        price = taxes(sched, signal, intf_noise)
+        w, g, sig = scheduled_arrays(gains, index, weights, noise_w)
+        step_masks = np.where(index[0], masks, 0.0)
         for i in range(power_iters):
             if i > 0:
                 total = np.einsum("kms,ms->ks", gains, p)
-            p_new, lam, iters = allocate(gains, p, index, weights, noise_w,
-                                         taxes(sched, p, total, signal, intf_noise),
-                                         budgets, masks, total=total)
+            intf = measured_interference(gains, p, index, noise_w, total=total)
+            p_new, lam, iters = allocate_bisection_batch(w, price(p, total), intf, g, budgets,
+                                                         step_masks, noise_w=sig)
             iter_max = max(iter_max, int(iters.max()))
             # no convergence test after the last pass (wf and refim make just one)
             done = i + 1 == power_iters or not p.size or np.max(np.abs(p_new - p)) < P_TOL

@@ -53,45 +53,59 @@ class NeighborViews:
     femto_view: np.ndarray  # (N, S) what a femto viewer sees
 
 
-def exchange_scheduled_indices(sched, rep, scenario):
+def exchange_scheduled_indices(sched, tables, scenario):
     """Per-slot index exchange with the femto simplifications.
 
-    rep is the (N,) `representative_users` array, built once per run.
     Macro targets broadcast exact indices; femto targets are replaced by
-    their fixed representative (no per-slot femto feedback); femto viewers
-    learn macro indices only by overhearing. A femto cell without users has
-    no representative and nothing scheduled, so it shows NO_USER either way.
-    Overhearing is the scenario's `femto_overhear`.
+    their fixed representative (no per-slot femto feedback), the stand-in
+    view that `tables` builds once per run; femto viewers learn macro
+    indices only by overhearing. A femto cell without users has no
+    representative and nothing scheduled, so it shows NO_USER either way.
+    Overhearing is the scenario's `femto_overhear`. Without femto cells the
+    macro view is `sched` itself.
     """
-    stand_in = np.repeat(rep[:, None], sched.shape[1], axis=1)
-    macro_view = np.where(stand_in != NO_USER, stand_in, sched)
+    macro_view = (np.where(tables.shows_stand_in, tables.stand_in, sched)
+                  if tables.any_stand_in else sched)
     return NeighborViews(macro_view=macro_view,
-                         femto_view=macro_view if scenario.femto_overhear else stand_in)
+                         femto_view=macro_view if scenario.femto_overhear else tables.stand_in)
 
 
 class CandidateTables:
     """Published (possibly stale) candidate records plus running accumulators,
-    with the run's fixed layout: each user's serving BS, the femto BSs, the
-    (N, B) padded neighbor ids and the rows of F0.
+    with the run's fixed layout: each user's serving BS, the femto BSs and
+    users, the (N, B) padded neighbor ids with their real-entry mask, the
+    femto stand-in view of the index exchange and the rows of F0.
 
     F0 holds one (S,) row per (user, viewer) pair: user k's gains toward the
     viewers of its cell (`viewer_index`), the only BSs that ever rank it, in
     viewer order from row f0_start[k] on; f0_user is the owner of each row.
     Viewer n reads a candidate k of its neighbor nbr[n, j] at row
-    f0_start[k] + nbr_pos[n, j]. No row is padding: on hetnet10 a macro cell
-    has 13-16 viewers and a femto cell 1-2.
+    f0_start[k] + pos, pos being n's place among that neighbor's viewers, so
+    on subchannel s at flat element f0_flat[k] + nbr_flat[n, j, s] of the
+    table. No row is padding: on hetnet10 a macro cell has 13-16 viewers and
+    a femto cell 1-2.
     """
 
     def __init__(self, network):
         K, N, S = network.n_users, network.n_bs, network.subchannel_count
         self.serving = network.serving
         self.femto = np.array([b.tier == TIER_FEMTO for b in network.base_stations], dtype=bool)
+        self.femto_user = self.femto[self.serving]
+        self.occupied = np.count_nonzero(np.bincount(self.serving, minlength=N))
         self.nbr = network.neighbor_index
-        viewers, self.nbr_pos = viewer_index(self.nbr)
+        self.nbr_real = (self.nbr >= 0)[:, :, None]
+        self.femto_nbr = self.nbr[self.femto]
+        # (N, S) stand-in each femto cell shows its neighbors, NO_USER elsewhere
+        self.stand_in = np.repeat(representative_users(network)[:, None], S, axis=1)
+        self.shows_stand_in = self.stand_in != NO_USER
+        self.any_stand_in = bool(self.shows_stand_in.any())
+        viewers, nbr_pos = viewer_index(self.nbr)
+        self.nbr_flat = nbr_pos[:, :, None] * S + np.arange(S)
         user_viewers = viewers[self.serving]                # (K, V), padded at the end
         self.f0_user, j = np.nonzero(user_viewers >= 0)
         counts = np.bincount(self.f0_user, minlength=K)
         self.f0_start = np.cumsum(counts) - counts
+        self.f0_flat = self.f0_start * S
         # the rows of the gains, viewed as (K * N, S), that accumulate adds to F0
         self.f0_rows = self.f0_user * N + user_viewers[self.f0_user, j]
         P = self.f0_user.size
@@ -122,8 +136,10 @@ def refresh_candidate_tables(network, tables, slot, scenario, mean_gains=None, e
     """Publish the averaged records of every due cell at once.
 
     When every user is kept, each table is published by one unmasked divide
-    and its window cleared by a fill; otherwise one masked divide publishes
-    the kept users.
+    and its window cleared by a fill; if moreover every window holds at most
+    one sample, the divide is by 1.0, which changes no value, so each
+    accumulator is swapped with its published table instead. Otherwise one
+    masked divide publishes the kept users.
 
     A cell is due when `slot` is a multiple of its tier's period: the
     scenario's `feedback_period_slots`, or for femto cells its
@@ -134,48 +150,70 @@ def refresh_candidate_tables(network, tables, slot, scenario, mean_gains=None, e
     Unpublished users of due cells are withdrawn. Returns the number of
     publish events: due, enabled cells with at least one user.
     """
-    serving, femto = tables.serving, tables.femto
     macro_period = scenario.feedback_period_slots
-    period = np.where(femto, scenario.femto_feedback_period_slots or macro_period, macro_period)
-    due_bs = slot % period == 0
+    macro_due = slot % macro_period == 0
+    femto_due = slot % (scenario.femto_feedback_period_slots or macro_period) == 0
+    if macro_due and femto_due and enabled is None and not scenario.edge_only_feedback:
+        return _publish_all(tables, slot, tables.occupied)
+    if not (macro_due or femto_due):
+        return 0
+    serving, femto, femto_user = tables.serving, tables.femto, tables.femto_user
+    due_bs = np.where(femto, femto_due, macro_due)
     due = due_bs[serving]
     if not due.any():
         return 0
     keep = (due_bs if enabled is None else due_bs & enabled)[serving]
     events = np.count_nonzero(np.bincount(serving[keep]))
-    femto_user = femto[serving]
     if scenario.edge_only_feedback and (keep & ~femto_user).any():
         if mean_gains is None:
             raise ValueError("edge_only refresh needs mean_gains")
         keep &= femto_user | classify_edge_users(network, mean_gains, scenario.edge_threshold_db)
-    # When every user is kept, and so due, each table is published by one
-    # unmasked divide and its window cleared by a fill. Otherwise it is
-    # divided in place under the mask: `pub[keep] = acc[keep] / cnt` would
-    # copy the kept rows of the F0 table twice, while assigning a scalar
-    # through a boolean mask copies nothing. F0 rows follow their owner's
-    # count and mask; the other tables have one row per user.
-    cnt = np.maximum(tables.acc_count, 1).astype(float)
-    every = slice(None)
-    fields = ((tables.acc_f0, tables.pub_f0, tables.f0_user),
-              (tables.acc_f1, tables.pub_f1, every),
-              (tables.acc_f2, tables.pub_f2, every),
-              (tables.acc_f3, tables.pub_f3, every))
     if keep.all():
-        for acc, pub, owner in fields:
-            np.divide(acc, cnt[(owner,) + (None,) * (acc.ndim - 1)], out=pub)
-            acc.fill(0)
-        tables.pub_valid.fill(True)
-        tables.last_update.fill(slot)
-        tables.acc_count.fill(0)
-        return events
-    for acc, pub, owner in fields:
+        return _publish_all(tables, slot, events)
+    # Each table is divided in place under the mask: `pub[keep] = acc[keep] /
+    # cnt` would copy the kept rows of the F0 table twice, while assigning a
+    # scalar through a boolean mask copies nothing.
+    cnt = np.maximum(tables.acc_count, 1).astype(float)
+    for acc, pub, owner in _fields(tables):
         per_row = (owner,) + (None,) * (acc.ndim - 1)
         np.divide(acc, cnt[per_row], out=pub, where=keep[per_row])
     tables.pub_valid[due] = keep[due]
     tables.last_update[keep] = slot
-    for acc, _, owner in fields:
+    for acc, _, owner in _fields(tables):
         acc[due[owner]] = 0
     tables.acc_count[due] = 0
+    return events
+
+
+def _fields(tables):
+    """(accumulator, published table, row owner) of F0-F3: F0 rows follow
+    their owner's count, the other tables have one row per user."""
+    every = slice(None)
+    return ((tables.acc_f0, tables.pub_f0, tables.f0_user),
+            (tables.acc_f1, tables.pub_f1, every),
+            (tables.acc_f2, tables.pub_f2, every),
+            (tables.acc_f3, tables.pub_f3, every))
+
+
+def _publish_all(tables, slot, events):
+    """Publish every user's window and restart it; returns `events`."""
+    if tables.acc_count.max(initial=0) <= 1:
+        # x / 1.0 == x exactly: the accumulators become the published tables
+        # and the old tables, zeroed, the new accumulators
+        tables.acc_f0, tables.pub_f0 = tables.pub_f0, tables.acc_f0
+        tables.acc_f1, tables.pub_f1 = tables.pub_f1, tables.acc_f1
+        tables.acc_f2, tables.pub_f2 = tables.pub_f2, tables.acc_f2
+        tables.acc_f3, tables.pub_f3 = tables.pub_f3, tables.acc_f3
+        for acc, _, _ in _fields(tables):
+            acc.fill(0)
+    else:
+        cnt = np.maximum(tables.acc_count, 1).astype(float)
+        for acc, pub, owner in _fields(tables):
+            np.divide(acc, cnt[(owner,) + (None,) * (acc.ndim - 1)], out=pub)
+            acc.fill(0)
+    tables.pub_valid.fill(True)
+    tables.last_update.fill(slot)
+    tables.acc_count.fill(0)
     return events
 
 
@@ -200,7 +238,9 @@ def protocol_rows(network, published_users):
 
 @dataclass
 class ReferenceSelection:
-    """Selected references per (bs, subchannel, rank) with their table fields."""
+    """Selected references per (bs, subchannel, rank) with their table
+    fields. Where a reference is absent its fields keep the defaults f0 = f1
+    = 0 and f2 = f3 = 1, which tax 0."""
     ref_bs: np.ndarray     # (N, S, M) int, -1 where absent
     ref_user: np.ndarray   # (N, S, M) int
     f0: np.ndarray         # (N, S, M) cross gain toward the selecting BS
@@ -212,12 +252,9 @@ class ReferenceSelection:
         return self.ref_bs >= 0
 
     def taxes(self):
-        """(N, S) summed taxation per (bs, subchannel)."""
-        v = self.valid()
-        t = np.zeros_like(self.f0)
-        if v.any():
-            t[v] = taxation_from_feedback(self.f1[v], self.f0[v], self.f2[v], self.f3[v])
-        return t.sum(axis=2)
+        """(N, S) summed taxation per (bs, subchannel); an absent reference's
+        defaults give exactly +0.0."""
+        return taxation_from_feedback(self.f1, self.f0, self.f2, self.f3).sum(axis=2)
 
 
 def select_references(views, tables, count, enabled=None):
@@ -230,16 +267,16 @@ def select_references(views, tables, count, enabled=None):
     nbr = tables.nbr
     cand = views.macro_view[nbr]                       # (N, B, S)
     if views.femto_view is not views.macro_view:       # femto viewers do not overhear
-        cand[tables.femto] = views.femto_view[nbr[tables.femto]]
-    usable = tables.pub_valid[cand]
-    if enabled is not None:
-        usable &= np.asarray(enabled, dtype=bool)[:, None, None]
-    cand = np.where(usable, cand, NO_USER)
-    # each candidate's F0 row toward the viewer; where there is none, row 0,
-    # which the ranking masks
-    present = (cand != NO_USER) & (nbr >= 0)[:, :, None]
-    row = np.where(present, tables.f0_start[cand] + tables.nbr_pos[:, :, None], 0)
-    cross = tables.pub_f0[row, np.arange(cand.shape[2])]
+        cand[tables.femto] = views.femto_view[tables.femto_nbr]
+    if enabled is not None or not tables.pub_valid.all():
+        usable = tables.pub_valid[cand]
+        if enabled is not None:
+            usable &= np.asarray(enabled, dtype=bool)[:, None, None]
+        cand = np.where(usable, cand, NO_USER)
+    # each candidate's F0 entry toward the viewer; where there is none, the
+    # clipped index reads an entry that the ranking masks
+    present = (cand != NO_USER) & tables.nbr_real
+    cross = np.take(tables.pub_f0, tables.f0_flat[cand] + tables.nbr_flat, mode="clip")
     sel, idx, users = rank_references(nbr, cand, cross, count, present)
     s = idx[1]
     sel.f1[idx] = tables.pub_f1[users]
@@ -272,8 +309,9 @@ def rank_references(nbr, cand, cross, count, present):
     # which the rank test below drops
     M = min(count, B)
     order = np.empty((N, S, M), dtype=int)
-    rows, cols = np.arange(N)[:, None], np.arange(S)
     for m in range(M):
+        if m == 1:   # the grids that mask taken entries, needed from the second pass on
+            rows, cols = np.arange(N)[:, None], np.arange(S)
         if m:
             key[rows, b, cols] = -np.inf
         order[:, :, m] = b = key.argmax(axis=1)
@@ -288,9 +326,9 @@ def rank_references(nbr, cand, cross, count, present):
 
 
 def _empty_selection(N, S, M):
-    return ReferenceSelection(
-        ref_bs=np.full((N, S, M), -1, dtype=int),
-        ref_user=np.full((N, S, M), NO_USER, dtype=int),
-        f0=np.zeros((N, S, M)), f1=np.zeros((N, S, M)),
-        f2=np.ones((N, S, M)), f3=np.ones((N, S, M)),
-    )
+    """A selection with no reference: the fields are views of one int and
+    one float block, filled with the defaults (NO_USER is -1 as well)."""
+    ref_bs, ref_user = np.full((2, N, S, M), -1, dtype=int)
+    f = np.zeros((4, N, S, M))
+    f[2:] = 1.0
+    return ReferenceSelection(ref_bs, ref_user, *f)

@@ -168,10 +168,13 @@ def test_criterion_03_waterfilling_reduction():
             f2=np.ones((n_bs, n_sub, 1)), f3=np.ones((n_bs, n_sub, 1)))
         budgets, masks = np.full(n_bs, 1.5), np.full((n_bs, n_sub), 1.5)
         index = scheduled_index(sched)
-        p_ref, _, _ = power.allocate(gains, prev, index, weights, noise, empty.taxes(),
-                                     budgets, masks)
-        p_wf, _, _ = power.allocate(gains, prev, index, weights, noise,
-                                    np.zeros((n_bs, n_sub)), budgets, masks)
+        w, g, sig = power.scheduled_arrays(gains, index, weights, noise)
+        intf = power.measured_interference(gains, prev, index, noise)
+        step_masks = np.where(index[0], masks, 0.0)
+        p_ref, _, _ = power.allocate_bisection_batch(w, empty.taxes(), intf, g, budgets,
+                                                     step_masks, noise_w=sig)
+        p_wf, _, _ = power.allocate_bisection_batch(w, np.zeros((n_bs, n_sub)), intf, g,
+                                                    budgets, step_masks, noise_w=sig)
         worst = max(worst, float(np.abs(p_ref - p_wf).max()))
     _line(3, f"max |p_refim(no refs) - p_wf| over 100 instances = {worst:.2e} W")
     assert worst < 1e-9

@@ -8,7 +8,7 @@ from refimsim import power
 from refimsim.engine import run
 from refimsim.oracle import evaluate_objective, serving_of
 from refimsim.power import (
-    BISECTION_ITER_BOUND, PowerMatrix, allocate, allocate_bisection_batch,
+    BISECTION_ITER_BOUND, PowerMatrix, allocate_bisection_batch,
     general_algorithm, initial_power, measured_interference, scheduled_arrays,
     taxation_from_feedback,
 )
@@ -349,7 +349,7 @@ class TestLeanBisection:
     def test_spine_never_steps_up_empty_loop(self, monkeypatch):
         # every budget lies above the sum at the last spine point hi*2^-30:
         # the spine pass skips every halving, and the kernel runs only for
-        # the bracket check, the spine and the final p
+        # the bracket check with the spine, in one pass, and the final p
         weights, taxes, intf, gains, masks = spine_rows(3)
         hi = first_bracket(weights, gains, intf)
         budgets = row_sum(weights, taxes, intf, gains, masks,
@@ -357,7 +357,7 @@ class TestLeanBisection:
         passes = count_kernel_passes(monkeypatch)
         p, lam, iters = assert_matches_reference(weights, taxes, intf, gains, budgets, masks,
                                                  intf)
-        assert len(passes) == 3
+        assert passes == [(len(power._SPINE_LEVELS), 3, 8), (3, 8)]
         assert np.all(iters == BISECTION_ITER_BOUND)
         assert np.array_equal(lam, hi * 2.0 ** -BISECTION_ITER_BOUND)
 
@@ -369,7 +369,7 @@ class TestLeanBisection:
         budgets = row_sum(weights, taxes, intf, gains, masks, hi / 2.0) * np.array([4.0, 0.5])
         passes = count_kernel_passes(monkeypatch)
         assert_matches_reference(weights, taxes, intf, gains, budgets, masks, intf)
-        assert len(passes) == 3 + BISECTION_ITER_BOUND
+        assert len(passes) == 2 + BISECTION_ITER_BOUND
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 8, 9, 10])
     def test_single_row(self, seed):
@@ -468,6 +468,20 @@ class TestLeanBisection:
         assert np.array_equal(p[:2, :2], masks[:2, :2])
         assert not p[2:, 1].any()
 
+    @pytest.mark.parametrize("name", ["weights", "intf_noise", "own_gains", "masks",
+                                      "noise_w"])
+    def test_nan_input_is_named(self, name):
+        # row 1 searches (an untaxed subchannel without a mask has an
+        # unbounded level at lambda = 0); a NaN on that subchannel reaches
+        # either its powers or its first bracket
+        weights, taxes, intf, gains, masks = spine_rows(2)
+        args = {"weights": weights, "taxes": taxes, "intf_noise": intf, "own_gains": gains,
+                "budgets": np.ones(2), "masks": masks, "noise_w": intf.copy()}
+        args[name] = args[name].copy()
+        args[name][1, 0] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} contains NaN$"):
+            allocate_bisection_batch(**args)
+
     def test_zero_weight_row_has_no_bracket(self):
         # a row whose every weight is 0 but whose untaxed masks exceed its
         # budget searches from a first bracket of 0, which no doubling moves:
@@ -551,15 +565,63 @@ def make_step_instance(seed, n_bs=2, n_sub=4, upc=2):
     return cells, gains, noise, weights, prev, sched, budget, masks
 
 
+def power_step(gains, powers, index, weights, noise, taxes, budgets, masks):
+    """(p, lam, iters) of one power step, as general_algorithm takes it: the
+    KKT allocation for the scheduled users, their interference measured at
+    `powers`, unscheduled pairs masked to zero."""
+    w, g, sig = scheduled_arrays(gains, index, weights, noise)
+    intf = measured_interference(gains, powers, index, noise)
+    return allocate_bisection_batch(w, taxes, intf, g, budgets,
+                                    np.where(index[0], masks, 0.0), noise_w=sig)
+
+
 def step_powers(sched, taxes, prev, gains, weights, noise, budget, masks):
     """Every BS's power step at one shared budget and (S,) mask."""
     N, S = sched.shape
-    p, _, _ = allocate(gains, prev, scheduled_index(sched), weights, noise, taxes,
-                       np.full(N, budget), np.broadcast_to(masks, (N, S)))
+    p, _, _ = power_step(gains, prev, scheduled_index(sched), weights, noise, taxes,
+                         np.full(N, budget), np.broadcast_to(masks, (N, S)))
     return p
 
 
+@st.composite
+def step_cells(draw):
+    """A small network's power-step inputs: BSs, subchannels and users per
+    cell, then gains, weights, previous powers, a schedule with idle pairs,
+    one budget and (N, S) masks, some unbounded."""
+    n_bs, n_sub, upc = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    K = n_bs * upc
+    gains = rng.lognormal(-1.0, 1.5, size=(K, n_bs, n_sub))
+    noise = rng.uniform(0.01, 0.5, size=(K, n_sub))
+    weights = rng.uniform(0.05, 5.0, size=K)
+    prev = rng.uniform(0.0, 1.0, size=(n_bs, n_sub))
+    sched = np.arange(n_bs)[:, None] * upc + rng.integers(0, upc, size=(n_bs, n_sub))
+    sched[rng.random((n_bs, n_sub)) < draw(st.sampled_from([0.0, 0.3]))] = NO_USER
+    budget = draw(st.floats(0.05, 20.0))
+    masks = rng.uniform(0.01, 5.0, size=(n_bs, n_sub))
+    masks[rng.random((n_bs, n_sub)) < draw(st.sampled_from([0.0, 0.5]))] = np.inf
+    return gains, noise, weights, prev, sched, budget, masks, draw(st.integers(1, 3))
+
+
 class TestRefimStep:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(step_cells())
+    def test_zero_tax_gives_waterfilling(self, cell):
+        # a selection without any reference taxes nothing, so the step
+        # equals the zero-tax (water-filling) step bit for bit
+        gains, noise, weights, prev, sched, budget, masks, M = cell
+        N, S = sched.shape
+        shape = (N, S, M)
+        empty = ReferenceSelection(
+            ref_bs=np.full(shape, -1), ref_user=np.full(shape, NO_USER),
+            f0=np.zeros(shape), f1=np.zeros(shape), f2=np.ones(shape), f3=np.ones(shape))
+        index = scheduled_index(sched)
+        args = (np.full(N, budget), masks)
+        got = power_step(gains, prev, index, weights, noise, empty.taxes(), *args)
+        want = power_step(gains, prev, index, weights, noise, np.zeros((N, S)), *args)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_no_references_reduces_to_waterfilling(self, seed):
         cells, gains, noise, weights, prev, sched, budget, masks = make_step_instance(seed)
@@ -646,8 +708,8 @@ def general_step(cells, gains, weights, noise, nbrs, budgets, masks, p0, sched_i
     """general_algorithm with the general algorithm's ground-truth tax source."""
     nbr = pad_index_lists(nbrs)
 
-    def taxes(sched, p, total, *_):
-        return power.ground_truth_taxes(sched, gains, weights, noise, nbr, p, total, ref_count)
+    def taxes(sched, *_):
+        return power.ground_truth_taxes(sched, gains, weights, noise, nbr, ref_count)
 
     return general_algorithm(pad_index_lists(cells), serving_of(cells, gains.shape[0]), gains,
                              weights, noise, taxes, budgets, masks, p0, sched_iters, power_iters)
@@ -706,8 +768,8 @@ class TestGroundTruthReferences:
         nbr = pad_index_lists(nbrs)
         total = np.einsum("kms,ms->ks", gains, powers)
         for ref_count in range(4):
-            got = power.ground_truth_taxes(sched, gains, weights, noise, nbr, powers, total,
-                                           ref_count)
+            got = power.ground_truth_taxes(sched, gains, weights, noise, nbr,
+                                           ref_count)(powers, total)
             want = looped_ground_truth_taxes(sched, gains, weights, noise, nbrs, powers,
                                              ref_count)
             assert got.shape == want.shape
@@ -756,7 +818,7 @@ class TestGeneralAlgorithm:
         assert np.array_equal(sched_g, sched)
         total = np.einsum("kms,ms->ks", gains, p0)
         taxes = power.ground_truth_taxes(sched, gains, weights, noise, pad_index_lists(nbrs),
-                                         p0, total, 1)
+                                         1)(p0, total)
         w, g, sig = scheduled_arrays(gains, scheduled_index(sched), weights, noise)
         intf = measured_interference(gains, p0, scheduled_index(sched), noise)
         p_manual, _, _ = allocate_bisection_batch(w, taxes, intf, g, budgets, masks,

@@ -70,7 +70,7 @@ class TestExchange:
     def test_macros_see_exact_indices(self):
         net = protocol_network()
         sched = np.array([[0, 1], [4, 3], [7, 6]])
-        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
+        views = exchange_scheduled_indices(sched, CandidateTables(net), Scenario())
         assert np.array_equal(views.macro_view[0], sched[0])
         assert np.array_equal(views.macro_view[1], sched[1])
 
@@ -78,17 +78,17 @@ class TestExchange:
         net = protocol_network()
         assert representative_users(net)[2] == 6
         sched = np.array([[0, 1], [4, 3], [7, 7]])  # femto really schedules 7
-        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
+        views = exchange_scheduled_indices(sched, CandidateTables(net), Scenario())
         assert np.all(views.macro_view[2] == 6)
         assert np.all(views.femto_view[2] == 6)
 
     def test_overhearing_flag_hides_macros_from_femtos(self):
         net = protocol_network()
         sched = np.array([[0, 1], [4, 3], [6, 7]])
-        rep = representative_users(net)
-        views_on = exchange_scheduled_indices(sched, rep, Scenario(femto_overhear=True))
+        tables = CandidateTables(net)
+        views_on = exchange_scheduled_indices(sched, tables, Scenario(femto_overhear=True))
         assert np.array_equal(views_on.femto_view[0], sched[0])
-        views_off = exchange_scheduled_indices(sched, rep, Scenario(femto_overhear=False))
+        views_off = exchange_scheduled_indices(sched, tables, Scenario(femto_overhear=False))
         assert np.all(views_off.femto_view[0] == NO_USER)
         assert np.all(views_off.femto_view[1] == NO_USER)
 
@@ -104,7 +104,7 @@ class TestExchange:
                        subchannel_count=2, bandwidth_hz=10e6)
         sched = np.array([[0, 1], [4, 3], [6, 7]])
         cfg = Scenario(femto_overhear=False)
-        views = exchange_scheduled_indices(sched, representative_users(net2), cfg)
+        views = exchange_scheduled_indices(sched, CandidateTables(net2), cfg)
         sel = select_one(net2, 2, views, tables, count=1)
         assert not sel.valid().any()
         assert np.all(sel.taxes()[2] == 0.0)
@@ -125,7 +125,7 @@ class TestCandidateTables:
         accumulate(tables, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, tables, 0, Scenario(feedback_period_slots=1))
         sched = np.array([[0, 1], [4, 3], [6, 7]])
-        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
+        views = exchange_scheduled_indices(sched, tables, Scenario())
         sel = select_references(views, tables, count=1)
         taxes = sel.taxes()
         for n in range(3):
@@ -248,7 +248,7 @@ class TestSelection:
         net = protocol_network()
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         sched = np.array([[0, 0], [4, 4], [6, 6]])
-        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
+        views = exchange_scheduled_indices(sched, tables, Scenario())
         sel = select_one(net, 0, views, tables, count=1)
         assert np.all(sel.ref_bs[0, :, 0] == 2)
         assert np.all(sel.ref_user[0, :, 0] == 6)
@@ -257,7 +257,7 @@ class TestSelection:
         net = protocol_network()
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         sched = np.array([[0, 0], [4, 4], [6, 6]])
-        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
+        views = exchange_scheduled_indices(sched, tables, Scenario())
         sel = select_one(net, 0, views, tables, count=0)
         assert not sel.valid().any()
         assert np.all(sel.taxes()[0] == 0.0)
@@ -266,7 +266,7 @@ class TestSelection:
         net = protocol_network()
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         sched = np.array([[0, 0], [4, 4], [6, 6]])
-        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
+        views = exchange_scheduled_indices(sched, tables, Scenario())
         one = select_one(net, 0, views, tables, count=1)
         both = select_one(net, 0, views, tables, count=2)
         assert both.valid()[0].sum() == 4  # two refs on each of two subchannels
@@ -291,7 +291,7 @@ class TestSelection:
         accumulate(tables, gains, powers, noise, weights, serving)
         refresh_candidate_tables(net, tables, 0, Scenario())
         sched = np.tile(np.arange(7)[:, None], (1, 2))  # one user per cell
-        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
+        views = exchange_scheduled_indices(sched, tables, Scenario())
         sel = select_one(net, 0, views, tables, count=6)
         assert sel.valid()[0].sum() == 6 * 2  # all six neighbors, both subchannels
         for s in range(2):
@@ -306,7 +306,7 @@ class TestSelection:
         tables = self._tables_with_cross_gains(net, {4: 0.5, 6: 0.9})
         tables.pub_valid[[6, 7]] = False  # femto record vanishes
         sched = np.array([[0, 0], [4, 4], [6, 6]])
-        views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
+        views = exchange_scheduled_indices(sched, tables, Scenario())
         sel = select_one(net, 0, views, tables, count=1)
         assert np.all(sel.ref_bs[0, :, 0] == 1)  # falls back to the other macro
 
@@ -318,7 +318,7 @@ class TestSelection:
             accumulate(tables, gains, powers, noise, weights, serving)
             refresh_candidate_tables(net, tables, 0, Scenario())
             sched = np.array([[0, 1], [4, 5], [6, 7]])
-            views = exchange_scheduled_indices(sched, representative_users(net), Scenario())
+            views = exchange_scheduled_indices(sched, tables, Scenario())
             sel = select_references(views, tables, count=1)
             for n in range(net.n_bs):
                 for s in range(net.subchannel_count):
@@ -396,7 +396,7 @@ class TestBatchSelection:
         rng = np.random.default_rng(seed)
         tables, full_f0 = random_tables(net, rng, tie_levels)
         sched = random_schedule(net, rng)
-        views = exchange_scheduled_indices(sched, representative_users(net), fb)
+        views = exchange_scheduled_indices(sched, tables, fb)
         for enabled in (None, rng.random(net.n_bs) < 0.7):
             for count in range(4):
                 got = select_references(views, tables, count, enabled=enabled)
@@ -534,8 +534,7 @@ class TestViewerTables:
         for seed, tie_levels in ((0, None), (1, None), (2, 2)):
             rng = np.random.default_rng(seed)
             tables, full_f0 = random_tables(net, rng, tie_levels)
-            views = exchange_scheduled_indices(random_schedule(net, rng),
-                                               representative_users(net), fb)
+            views = exchange_scheduled_indices(random_schedule(net, rng), tables, fb)
             for enabled in (None, rng.random(net.n_bs) < 0.7):
                 for count in range(4):
                     got = select_references(views, tables, count, enabled=enabled)

@@ -1,7 +1,8 @@
 """Run perfbench on a parent commit and on the working tree in alternated pairs.
 
     python3 tools/bench_pairs.py --parent HEAD --out BENCH_15.json \
-        --what "..." --round "..." [--pairs 10] [--traced-pairs 2] [--seconds 20]
+        --what "..." --round "..." [--pairs 10] [--traced-pairs 2] [--seconds 20] \
+        [--claim two-cell-cli:slot_ms]
 
 Run it from the root of the repository. The parent is exported with
 `git archive`, and the working tree's files (uncommitted edits and
@@ -34,7 +35,13 @@ simulator forked and did not end, say) is killed, listed under
 The output has the schema of BENCH_12.json: every run's final JSON line
 under "runs", and per workload and end-to-end metric the trace-0 quartiles
 of each side with the pairs the change won ("better" from BENCHMARK.json)
-and tied. Uses only the standard library.
+and tied. With `--claim WORKLOAD:METRIC` it also writes, and prints, a
+"verdict": whether the claimed gain meets the rule of a claim (the change
+wins at least 9 in 10 pairs, ties counting for neither side, and the
+medians differ by more than the parent's quartile distance), and every
+(workload, end-to-end metric) whose change median is worse than the
+parent's by more than its BENCHMARK.json bound. Uses only the standard
+library.
 """
 
 import argparse
@@ -225,6 +232,40 @@ def summarize(runs, workloads, end_to_end):
     return out
 
 
+def verdict(summary, claim, end_to_end):
+    """The choosing-metrics rule for a claimed gain, and the bound check.
+
+    claim is (workload, metric). The claim is met when the change wins at
+    least nine tenths of the trace-0 pairs run (a tie counts for neither
+    side) and its median beats the parent's by more than the parent's
+    quartile distance. `over_bound` lists every (workload, end-to-end
+    metric) whose change median is worse than the parent's by more than
+    the metric's BENCHMARK.json bound, relative to the parent's median.
+    """
+    lower = {m["name"]: m["better"] == "lower" for m in end_to_end}
+    workload, metric = claim
+    row = summary[workload][metric]
+    par, chg = row["parent"]["median"], row["change"]["median"]
+    spread = row["parent"]["q3"] - row["parent"]["q1"]
+    gain = par - chg if lower[metric] else chg - par
+    won, pairs = row["pairs_won_by_change"], row["pairs"]
+    out = {"claim": f"{workload}:{metric}", "pairs": pairs, "pairs_won_by_change": won,
+           "pairs_tied": row["pairs_tied"], "parent_median": par, "change_median": chg,
+           "parent_quartile_distance": spread,
+           "change_over_parent": chg / par if par else None,
+           "met": pairs > 0 and 10 * won >= 9 * pairs and gain > spread}
+    over = []
+    for m in end_to_end:
+        for w, rows in summary.items():
+            par, chg = rows[m["name"]]["parent"]["median"], rows[m["name"]]["change"]["median"]
+            worse = chg - par if lower[m["name"]] else par - chg
+            if worse > m["bound"] * abs(par):
+                over.append({"workload": w, "metric": m["name"], "parent_median": par,
+                             "change_median": chg, "bound": m["bound"]})
+    out["over_bound"] = over
+    return out
+
+
 def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description="alternated parent/change perfbench pairs")
@@ -242,8 +283,17 @@ def main(argv=None):
     p.add_argument("--traced-pairs", type=int, default=2)
     p.add_argument("--traced-seed0", type=int, default=1521)
     p.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    p.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                   help="end-to-end metric the change claims to improve on one workload")
     args = p.parse_args(argv)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    claim = None
+    if args.claim:
+        claim = tuple(args.claim.split(":", 1))
+        if (len(claim) != 2 or claim[0] not in workloads
+                or claim[1] not in [m["name"] for m in bench["end_to_end"]]):
+            p.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC of a workload run here "
+                    "and an end-to-end metric of BENCHMARK.json")
     schedule = ([(s, 0) for s in range(args.seed0, args.seed0 + args.pairs)]
                 + [(s, 1) for s in range(args.traced_seed0,
                                          args.traced_seed0 + args.traced_pairs)])
@@ -273,13 +323,17 @@ def main(argv=None):
                     print(f"seed {seed} trace {trace} {w:22s} {side:6s} rc {rc} "
                           f"wall_s {wall}", flush=True)
 
+    summary = summarize(runs, workloads, bench["end_to_end"])
     doc = {"what": args.what, "parent_commit": parent_commit,
            "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                       f"--seconds {args.seconds:g} --trace <trace>",
            "host": args.host, "rounds": {"1": args.round},
            "tier1": tier1, "probes": probes,
-           "final_round_trace0_quartiles": summarize(runs, workloads, bench["end_to_end"]),
-           "runs": runs}
+           "final_round_trace0_quartiles": summary}
+    if claim:
+        doc["verdict"] = verdict(summary, claim, bench["end_to_end"])
+        print("verdict " + json.dumps(doc["verdict"]), flush=True)
+    doc["runs"] = runs
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     failed = sum(r["returncode"] != 0 or bool(r["left_running"]) for r in runs) + sum(
         t["returncode"] != 0 for t in tier1.values()) + sum(

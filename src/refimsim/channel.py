@@ -467,16 +467,13 @@ class FadingState:
         v.h_re_im *= self.scale
         return v.h
 
-    def _copy_coefficients(self, first, end, scratch, h):
-        """coefficients of tiles [first, end) into h, one (width,) row per tile."""
-        for t in range(first, end):
-            h[t] = self._tile_coefficients(scratch, self.osc[t])
-
     def coefficients(self):
-        """(K, N, S) complex channel coefficients at the current time."""
+        """(K, N, S) complex channel coefficients at the current time, read
+        tile by tile on the calling thread."""
         self._finish()
         h = np.empty(self.osc[:, 0].shape, dtype=complex)
-        self._share_tiles(self._copy_coefficients, h)
+        for t, osc in enumerate(self.osc):
+            h[t] = self._tile_coefficients(self._scratch[0], osc)
         # Only the last tile is padded, at its end: the links come first.
         return h.reshape(-1)[:np.prod(self._shape)].reshape(self._shape)
 
@@ -525,10 +522,10 @@ class Channel:
     """
 
     def __init__(self, scenario, network):
-        rng = {name: np.random.default_rng(seed)
-               for name, seed in scenario.seed_streams().items()}
+        streams = scenario.seed_streams()
+        rng = {name: np.random.default_rng(streams[name])
+               for name in ("shadowing", "fading", "mobility")}
         self.network = network
-        self.sinr_gap = 10.0 ** (scenario.sinr_gap_db / 10.0)  # linear Gamma >= 1
         K, N, S = network.n_users, network.n_bs, network.subchannel_count
         speeds = np.full(K, scenario.user_speed_kmh / 3.6)
         self.shadow_db = shadowing_matrix_db(network, scenario, rng["shadowing"])

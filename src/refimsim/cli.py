@@ -201,7 +201,7 @@ def cmd_oracle(args):
     bw_sub = net.bandwidth_hz / net.subchannel_count
     scores = compare_to_oracle(chan.gains(), chan.noise, net.cells(), weights,
                                budgets, masks, net.neighbor_sets, levels=args.levels,
-                               subchannel_bw_hz=bw_sub, sinr_gap=chan.sinr_gap)
+                               subchannel_bw_hz=bw_sub, sinr_gap=sc.sinr_gap)
     h_star = scores["oracle"]
     print(f"{'algorithm':<10}{'objective':>16}{'ratio':>10}")
     print(f"{'oracle':<10}{h_star:>16.6g}{100.0:>9.2f}%")

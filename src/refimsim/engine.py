@@ -151,6 +151,11 @@ class Scenario:
             raise ValueError("shadowing sigmas must be >= 0")
         return self
 
+    @property
+    def sinr_gap(self):
+        """The linear SINR gap Gamma >= 1 of `sinr_gap_db`."""
+        return 10.0 ** (self.sinr_gap_db / 10.0)
+
     def seed_streams(self):
         """The seed's SeedSequence children by use, in their frozen spawn
         order; each use draws from its own stream."""
@@ -214,11 +219,8 @@ def power_limits(network, scenario):
     allowed = np.ones((network.n_bs, network.subchannel_count), dtype=bool)
     if scenario.spectrum_policy == "splitting":
         c = scenario.macro_subchannels
-        for n, bs in enumerate(network.base_stations):
-            if bs.tier == topology.TIER_FEMTO:
-                allowed[n, :c] = False
-            else:
-                allowed[n, c:] = False
+        allowed[network.femto, :c] = False
+        allowed[~network.femto, c:] = False
     budgets = np.array([b.max_power_w for b in network.base_stations])
     masks = np.array([[b.mask_w] * network.subchannel_count
                       for b in network.base_stations]) * allowed
@@ -316,7 +318,7 @@ def run(scenario, record=False):
     if enabled.all():
         enabled = None   # full deployment: refresh and selection skip the mask
     bw_sub = sc.bandwidth_hz / S
-    gap = chan.sinr_gap
+    gap = sc.sinr_gap
 
     eq_powers = power.initial_power("uniform", budgets, masks)
     states = scheduling.UserStates(K, sc.initial_throughput_bps, sc.ewma_beta, sc.utility_alpha)

@@ -15,14 +15,13 @@ import numpy as np
 
 from .power import taxation_from_feedback
 from .scheduling import NO_USER
-from .topology import TIER_FEMTO, classify_edge_users
+from .topology import classify_edge_users
 
 
 def representative_users(network):
     """(N,) fixed stand-in user per femto cell (its first, lowest-index
     member), else NO_USER; an empty cell's first member is already NO_USER."""
-    femto = np.array([b.tier == TIER_FEMTO for b in network.base_stations], dtype=bool)
-    return np.where(femto, network.member_index[:, 0], NO_USER)
+    return np.where(network.femto, network.member_index[:, 0], NO_USER)
 
 
 def viewer_index(nbr):
@@ -89,7 +88,7 @@ class CandidateTables:
     def __init__(self, network):
         K, N, S = network.n_users, network.n_bs, network.subchannel_count
         self.serving = network.serving
-        self.femto = np.array([b.tier == TIER_FEMTO for b in network.base_stations], dtype=bool)
+        self.femto = network.femto
         self.femto_user = self.femto[self.serving]
         self.occupied = np.count_nonzero(np.bincount(self.serving, minlength=N))
         self.nbr = network.neighbor_index
@@ -135,11 +134,10 @@ class CandidateTables:
 def refresh_candidate_tables(network, tables, slot, scenario, mean_gains=None, enabled=None):
     """Publish the averaged records of every due cell at once.
 
-    When every user is kept, each table is published by one unmasked divide
-    and its window cleared by a fill; if moreover every window holds at most
-    one sample, the divide is by 1.0, which changes no value, so each
-    accumulator is swapped with its published table instead. Otherwise one
-    masked divide publishes the kept users.
+    When every cell is due and publishes every user, and every window holds
+    at most one sample, the divide would be by 1.0, which changes no value,
+    so each accumulator is swapped with its published table instead.
+    Otherwise one masked divide publishes the kept users.
 
     A cell is due when `slot` is a multiple of its tier's period: the
     scenario's `feedback_period_slots`, or for femto cells its
@@ -153,23 +151,31 @@ def refresh_candidate_tables(network, tables, slot, scenario, mean_gains=None, e
     macro_period = scenario.feedback_period_slots
     macro_due = slot % macro_period == 0
     femto_due = slot % (scenario.femto_feedback_period_slots or macro_period) == 0
-    if macro_due and femto_due and enabled is None and not scenario.edge_only_feedback:
-        return _publish_all(tables, slot, tables.occupied)
+    if (macro_due and femto_due and enabled is None and not scenario.edge_only_feedback
+            and tables.acc_count.max(initial=0) <= 1):
+        # x / 1.0 == x exactly: the accumulators become the published tables
+        # and the old tables, zeroed, the new accumulators
+        tables.acc_f0, tables.pub_f0 = tables.pub_f0, tables.acc_f0
+        tables.acc_f1, tables.pub_f1 = tables.pub_f1, tables.acc_f1
+        tables.acc_f2, tables.pub_f2 = tables.pub_f2, tables.acc_f2
+        tables.acc_f3, tables.pub_f3 = tables.pub_f3, tables.acc_f3
+        for acc, _, _ in _fields(tables):
+            acc.fill(0)
+        tables.pub_valid.fill(True)
+        tables.last_update.fill(slot)
+        tables.acc_count.fill(0)
+        return tables.occupied
     if not (macro_due or femto_due):
         return 0
     serving, femto, femto_user = tables.serving, tables.femto, tables.femto_user
     due_bs = np.where(femto, femto_due, macro_due)
     due = due_bs[serving]
-    if not due.any():
-        return 0
     keep = (due_bs if enabled is None else due_bs & enabled)[serving]
     events = np.count_nonzero(np.bincount(serving[keep]))
     if scenario.edge_only_feedback and (keep & ~femto_user).any():
         if mean_gains is None:
             raise ValueError("edge_only refresh needs mean_gains")
         keep &= femto_user | classify_edge_users(network, mean_gains, scenario.edge_threshold_db)
-    if keep.all():
-        return _publish_all(tables, slot, events)
     # Each table is divided in place under the mask: `pub[keep] = acc[keep] /
     # cnt` would copy the kept rows of the F0 table twice, while assigning a
     # scalar through a boolean mask copies nothing.
@@ -195,28 +201,6 @@ def _fields(tables):
             (tables.acc_f3, tables.pub_f3, every))
 
 
-def _publish_all(tables, slot, events):
-    """Publish every user's window and restart it; returns `events`."""
-    if tables.acc_count.max(initial=0) <= 1:
-        # x / 1.0 == x exactly: the accumulators become the published tables
-        # and the old tables, zeroed, the new accumulators
-        tables.acc_f0, tables.pub_f0 = tables.pub_f0, tables.acc_f0
-        tables.acc_f1, tables.pub_f1 = tables.pub_f1, tables.acc_f1
-        tables.acc_f2, tables.pub_f2 = tables.pub_f2, tables.acc_f2
-        tables.acc_f3, tables.pub_f3 = tables.pub_f3, tables.acc_f3
-        for acc, _, _ in _fields(tables):
-            acc.fill(0)
-    else:
-        cnt = np.maximum(tables.acc_count, 1).astype(float)
-        for acc, pub, owner in _fields(tables):
-            np.divide(acc, cnt[(owner,) + (None,) * (acc.ndim - 1)], out=pub)
-            acc.fill(0)
-    tables.pub_valid.fill(True)
-    tables.last_update.fill(slot)
-    tables.acc_count.fill(0)
-    return events
-
-
 def protocol_rows(network, published_users):
     """protocol.csv rows of a REFIM run, slot by slot, from the (slots, N)
     users each BS published: a publishing BS sends users x 4 items x S
@@ -225,7 +209,7 @@ def protocol_rows(network, published_users):
     neighbor. The index-exchange rows are the same every slot, so they are
     listed once."""
     S, neighbors = network.subchannel_count, network.neighbor_sets
-    macro = [b.tier != TIER_FEMTO for b in network.base_stations]
+    macro = (~network.femto).tolist()
     exchange = [(n, m, "index_exchange", 2 * S) for n in range(network.n_bs) if macro[n]
                 for m in neighbors[n] if macro[m]]
     for slot, published in enumerate(np.asarray(published_users).tolist()):

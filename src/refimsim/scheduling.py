@@ -96,9 +96,7 @@ class UserStates:
         r = self.avg_throughput_bps
         if (r <= 0).any():
             raise ValueError("average throughputs must be > 0")
-        if self.alpha == 1.0:
-            return 1.0 / r
-        return r ** (-self.alpha)
+        return r ** -self.alpha  # numpy's power by -1.0 is the reciprocal, 1.0 / r
 
     def update(self, served_bps):
         """R <- (1-beta)*R + beta*served."""

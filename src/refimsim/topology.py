@@ -139,6 +139,11 @@ class Network:
         return _frozen(np.array([u.serving_bs for u in self.users], dtype=int))
 
     @cached_property
+    def femto(self):
+        """(N,) True at each femto BS; read-only, derived once."""
+        return _frozen(np.array([b.tier == TIER_FEMTO for b in self.base_stations], dtype=bool))
+
+    @cached_property
     def neighbor_index(self):
         """(N, B) padded neighbor ids (pad_index_lists); read-only, derived once."""
         return _frozen(pad_index_lists(self.neighbor_sets))

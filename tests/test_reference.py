@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from refimsim.engine import Scenario, build_network
 from refimsim.presets import get_preset
@@ -703,6 +703,15 @@ class TestMaskedRefresh:
     """refresh_candidate_tables against the per-cell loop it replaced."""
 
     @settings(max_examples=150, deadline=None)
+    # three-sample windows, every user kept
+    @example(net_index=2, period=3, femto_period=0, edge_only=False, threshold_db=6.0,
+             enabled_bits=None, start=0, seed=1)
+    # edge-only tables at a threshold that makes every macro user an edge user
+    @example(net_index=2, period=1, femto_period=0, edge_only=True, threshold_db=1000.0,
+             enabled_bits=None, start=0, seed=2)
+    # only the empty femto cell is due: no due user
+    @example(net_index=1, period=2, femto_period=1, edge_only=False, threshold_db=6.0,
+             enabled_bits=None, start=1, seed=3)
     @given(net_index=st.integers(0, len(REFRESH_NETWORKS) - 1),
            period=st.integers(1, 4), femto_period=st.integers(0, 4),
            edge_only=st.booleans(), threshold_db=st.floats(-3.0, 12.0),

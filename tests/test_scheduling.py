@@ -129,13 +129,15 @@ class TestWeights:
         assert UserStates(1, initial_throughput_bps=2.0).weights()[0] == pytest.approx(0.5)
 
     def test_alpha_one_is_log_case(self):
-        r = np.array([0.5, 2.0, 7.0])
-        assert np.allclose(states_at(r, alpha=1.0).weights(), 1.0 / r)
+        # bit for bit the reciprocal, the log-utility weight
+        r = np.random.default_rng(0).lognormal(10.0, 3.0, size=10**5)
+        assert np.array_equal(states_at(r, alpha=1.0).weights(), 1.0 / r)
 
     def test_other_alpha_is_power_law(self):
-        r = np.array([0.5, 2.0, 7.0])
-        assert np.allclose(states_at(r, alpha=2.0).weights(), r ** -2.0)
-        assert np.array_equal(states_at(r, alpha=0.0).weights(), np.ones(3))
+        r = np.random.default_rng(1).lognormal(10.0, 3.0, size=10**5)
+        for alpha in (0.5, 2.0):
+            assert np.array_equal(states_at(r, alpha=alpha).weights(), r ** -alpha)
+        assert np.array_equal(states_at(r[:3], alpha=0.0).weights(), np.ones(3))
 
     def test_equal_throughputs_equal_weights(self):
         w = UserStates(5, initial_throughput_bps=3.3).weights()

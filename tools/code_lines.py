@@ -5,7 +5,8 @@
 A code line is a line that holds a token of code: blank lines, lines that
 hold only a comment, and the lines of a module, class or function docstring
 are not counted. A statement or string that spans several lines counts each
-of them. Prints one line per module, then the total. Uses only the standard
+of them. Prints one line per module, then the total. Exits 2 with a message
+when the path is not a directory holding .py modules. Uses only the standard
 library.
 """
 
@@ -45,8 +46,14 @@ def code_lines(source):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     package = Path(argv[0]) if argv else ROOT / "src" / "refimsim"
+    modules = sorted(package.glob("*.py")) if len(argv) <= 1 and package.is_dir() else []
+    if not modules:
+        given = " ".join(argv) or str(package)
+        print(f"usage: python3 tools/code_lines.py [PACKAGE_DIR]\n"
+              f"{given!r} is not a directory holding .py modules", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in modules:
         count = code_lines(path.read_text())
         total += count
         print(f"{path.stem:12s} {count:5d}")

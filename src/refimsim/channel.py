@@ -116,9 +116,8 @@ def _tiles(n_pairs, n_subchannels):
 
 def _worker_processes(n_tiles):
     """Worker processes a fading state of n_tiles tiles forks: one per CPU
-    but this process's, at most one per tile but the first, and none
-    without os.fork."""
-    return max(0, min(_cpu_count(), n_tiles) - 1) if hasattr(os, "fork") else 0
+    but this process's, at most one per tile, and none without os.fork."""
+    return min(_cpu_count() - 1, n_tiles) if hasattr(os, "fork") else 0
 
 
 def _split(n_tiles, workers, own_s, worker_s, step_s):
@@ -174,17 +173,19 @@ class FadingState:
     lock back, so threads barely overlap on them. So a state given buffer
     `pairs`, (out, scale) pairs in `shared_array` memory, keeps `osc` in
     MAP_SHARED memory too, if this process would fork any worker, and an
-    `advance` with `post` hands the next pass to min(CPUs, tiles) - 1 worker
-    processes, forked by the first post: they rotate tiles [m, n) into a
-    buffer pair while this process does other work, and the next `advance`
-    passes this process's tiles [0, m) and waits for theirs. m is chosen
-    per post by `_split` from the pass times measured on both sides and the
-    time this process spent between the last post and its own pass, so that
-    both sides finish together. Each tile is still rotated once per slot,
-    in order, by one process, and which one changes no arithmetic: the
-    results are bit-identical for any split as well as any CPU count. Each
-    process keeps only the oscillators of its own tiles mapped; the step
-    stays private, and the workers read the pages they forked with.
+    `advance` with `post` hands the next pass to min(CPUs - 1, tiles) worker
+    processes (one for a one-tile state), forked by the first post: they
+    rotate tiles [m, n) into a buffer pair while this process does other
+    work, and the next `advance` passes this process's tiles [0, m) and
+    waits for theirs. m is chosen per post by `_split` from the pass times
+    measured on both sides and the time this process spent between the
+    last post and its own pass, so that both sides finish together. Each
+    tile is still rotated once per slot, in order, by one process, and
+    which one changes no arithmetic: the results are bit-identical for any
+    split as well as any CPU count. Each process keeps only the oscillators
+    of its own tiles mapped: a post releases here only the tiles that this
+    process held and now hands on. The step stays private, and the workers
+    read the pages they forked with.
     `coefficients`, `power_gains` and `close` first finish a posted pass
     (it stays the next `advance`'s), then run here, while the workers wait;
     `close` ends them.
@@ -209,6 +210,7 @@ class FadingState:
         self._scratch = []  # one tile's draws and sums per worker, made on first use
         self._workers = []   # (pid, pipe) per worker process
         self._posted = None  # the pass the workers run, until `advance` takes it
+        self._mapped = 0     # tiles [0, _mapped) of osc are mapped in this process
         # seconds per tile-slot here and on a worker, and per post-to-pass wait
         self._costs = SimpleNamespace(own=None, worker=None, step=0.0)
         self._stop = None    # ends the workers, also when the state is collected
@@ -250,7 +252,9 @@ class FadingState:
             workers, c = len(self._workers), self._costs
             m = _split(n_tiles, workers, None if c.own is None else c.own * slots,
                        None if c.worker is None else c.worker * slots, c.step)
-            release(self.osc[m:])
+            if m < self._mapped:  # tiles [m, _mapped) leave this process
+                release(self.osc[m:self._mapped])
+            self._mapped = m
             try:
                 for w, (_, pipe) in enumerate(self._workers):
                     pipe.send((index, slots, m + (n_tiles - m) * w // workers,
@@ -269,16 +273,16 @@ class FadingState:
         posted.done = True
         start = time.perf_counter()
         c.step = start - posted.at
-        out, scale = self._buffers[posted.index]
         error = None
-        try:
-            self._advance_tiles(0, posted.m, self._scratch[0],
-                                *self._rows(out[:posted.slots], scale[:posted.slots]))
-        except BaseException as exc:  # raised once every worker has replied
-            error = exc
-        tile_slots = posted.slots * (len(self.osc) - posted.m)
         if posted.m:
+            out, scale = self._buffers[posted.index]
+            try:
+                self._advance_tiles(0, posted.m, self._scratch[0],
+                                    *self._rows(out[:posted.slots], scale[:posted.slots]))
+            except BaseException as exc:  # raised once every worker has replied
+                error = exc
             c.own = (time.perf_counter() - start) / (posted.slots * posted.m)
+        tile_slots = posted.slots * (len(self.osc) - posted.m)
         busy = 0.0
         for _, pipe in self._workers:
             try:
@@ -313,8 +317,9 @@ class FadingState:
         """Run work(first, end, scratch, *args) over contiguous runs of tiles,
         one per worker: the first on the calling thread, each other on a
         thread of its own, all joined before this returns. Then re-raises
-        the error of the first run, in tile order, that failed."""
-        n_tiles = len(self.osc)
+        the error of the first run, in tile order, that failed. Every tile
+        is mapped in this process afterwards."""
+        n_tiles = self._mapped = len(self.osc)
         workers = min(_cpu_count(), n_tiles)
         while len(self._scratch) < workers:
             self._scratch.append(self._new_scratch())
@@ -386,24 +391,31 @@ class FadingState:
     def _set_up(self, first, end, scratch, angles, phases, doppler, dt_s):
         """osc = exp(1j * phase) and step = exp(1j * omega * dt_s) of tiles
         [first, end), omega = Doppler x cos(angle), the angles and phases
-        drawn from the streams saved before each."""
+        drawn from the streams saved before each.
+
+        Each rotor's real and imaginary parts are the cos and sin of its
+        angle, written into them in place. With the step angle omega * dt_s
+        formed in float and a zero angle made +0, as the complex product
+        1j * omega * dt_s makes it, both rotors equal numpy's complex exp
+        bit for bit (`TestTiledFading` checks against it)."""
         angle_rng, phase_rng = self._stream_at(angles, first), self._stream_at(phases, first)
         N, S = self._shape[1:]
         for t in range(first, end):
-            ph = self._tile_draw(phase_rng, t, scratch)
-            osc = self.osc[t][:, :len(ph)]
-            np.multiply(1j, ph.T, out=osc)
-            np.exp(osc, out=osc)
+            ph = self._tile_draw(phase_rng, t, scratch).T
+            osc = self.osc[t][:, :ph.shape[1]]
+            np.cos(ph, out=osc.real)
+            np.sin(ph, out=osc.imag)
             om = self._tile_draw(angle_rng, t, scratch)
             np.cos(om, out=om)
             p0, p1 = self._tile_pairs(t)
             per_pair = om.reshape(p1 - p0, S, -1)  # a view: om is contiguous
             per_pair *= doppler[np.arange(p0, p1) // N, None, None]
+            om *= dt_s
+            om += 0.0  # -0 -> +0
             step = self._step[t]
-            step[:, len(om):] = 0.0  # padding links keep omega 0, so step 1
-            np.multiply(1j, om.T, out=step[:, :len(om)])  # exp(1j * om * dt), no temporaries
-            np.multiply(step, dt_s, out=step)
-            np.exp(step, out=step)
+            step[:, len(om):] = 1.0  # padding links keep omega 0
+            np.cos(om.T, out=step.real[:, :len(om)])
+            np.sin(om.T, out=step.imag[:, :len(om)])
 
     def advance(self, out=None, scale=None, post=None):
         """Rotate the oscillators one step; with `out`, len(out) steps.
@@ -471,6 +483,7 @@ class FadingState:
         """(K, N, S) complex channel coefficients at the current time, read
         tile by tile on the calling thread."""
         self._finish()
+        self._mapped = len(self.osc)
         h = np.empty(self.osc[:, 0].shape, dtype=complex)
         for t, osc in enumerate(self.osc):
             h[t] = self._tile_coefficients(self._scratch[0], osc)

@@ -135,8 +135,8 @@ class Scenario:
             raise ValueError("sched_loops and power_loops must be >= 1")
         if self.ref_count < 0:
             raise ValueError("ref_count must be >= 0")
-        if not 0.0 < self.ewma_beta <= 1.0:
-            raise ValueError("ewma_beta must be in (0, 1]")
+        if not 0.0 < self.ewma_beta < 1.0:
+            raise ValueError("ewma_beta must be in (0, 1)")
         if self.feedback_period_slots < 1:
             raise ValueError("feedback_period_slots must be >= 1")
         if self.femto_feedback_period_slots < 0:

@@ -583,6 +583,7 @@ class TestChannelBlocks:
         assert chan.fading.osc.shape == (1, 8, 1280)
         chan.gains()
         chan.advance()
+        chan.close()  # it forked a worker
 
 
 def _no_child_left():
@@ -744,15 +745,73 @@ class TestWorkerProcesses:
         assert np.array_equal(out, ref_out) and not st._workers
         st.close()  # a second close does nothing
 
-    def test_no_worker_for_one_cpu_or_tile(self, monkeypatch):
+    def test_no_worker_for_one_cpu(self, monkeypatch):
         st, out, scale = self._forked(1, monkeypatch)
         assert not st._workers and not st._forks and st.osc.flags.owndata
-        monkeypatch.setattr(channel, "_cpu_count", lambda: 8)
-        one = FadingState(np.random.default_rng(1), 3, 2, 4, np.full(3, 20.0), 2e9, 1e-3,
-                          [(shared_array((1, 3, 2, 4)), shared_array((1, 3, 2)))])
-        one.advance(post=(0, 1))
-        one.advance()
-        assert not one._workers and not one._forks and one.osc.flags.owndata
+
+    def test_one_tile_channel_hands_its_tile_to_a_worker(self, monkeypatch):
+        # 8 slots: blocks of 3, 3 and 2, then two slots past the run
+        sc = dataclasses.replace(get_preset("two-cell"), slots=8, warmup_slots=0)
+        net = build_network(sc)
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 1)
+        serial = Channel(sc, net)
+        expected = [(serial.large_scale.copy(), serial.gains().copy())]
+        for _ in range(10):
+            serial.advance()
+            expected.append((serial.large_scale.copy(), serial.gains().copy()))
+        assert not serial.fading._workers
+        splits, split = [], channel._split
+
+        def recorded(*args):
+            splits.append(split(*args))
+            return splits[-1]
+
+        monkeypatch.setattr(channel, "_split", recorded)
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+        chan = Channel(sc, net)
+        assert chan.fading.osc.shape[0] == 1
+        for slot, (large, gains) in enumerate(expected):
+            if slot:
+                chan.advance()
+                assert len(chan.fading._workers) == 1
+            assert np.array_equal(chan.large_scale, large)
+            assert np.array_equal(chan.gains(), gains)
+        assert splits == [0, 0]  # the blocks of slots 4-6 and 7-8 ran on the worker
+        chan.close()
+        assert _no_child_left()
+
+    def test_post_releases_only_the_tiles_that_leave(self, monkeypatch):
+        released = []
+
+        def recorded(a):
+            released.append(a)
+            workers.release(a)
+
+        monkeypatch.setattr(channel, "release", recorded)
+        self._forced_split("moving", monkeypatch)  # splits 1, 2, 0, 1, 2, 0, 1 of 3 tiles
+        monkeypatch.setattr(channel, "_cpu_count", lambda: 2)
+        K, N, S = self.K, self.N, self.S
+        st = FadingState(np.random.default_rng(4), K, N, S, np.full(K, 20.0), 2e9, 1e-3,
+                         [(shared_array((3, K, N, S)), shared_array((3, K, N)))])
+        st.advance(post=(0, 3))  # rotates every tile here, then forks and posts
+        tile = st.osc[0].nbytes
+
+        def tiles(a):
+            first = (a.ctypes.data - st.osc.ctypes.data) // tile
+            return first, first + len(a)
+
+        posts = [[tiles(a) for a in released]]  # the first post, which kept 1 tile
+        for read in (None, None, "coefficients", None, "power_gains", None):
+            if read is not None:  # maps every tile again
+                getattr(st, read)()
+            released.clear()
+            st.advance(post=(0, 3))  # finishes the posted pass, as a channel does
+            posts.append([tiles(a) for a in released])
+        # (tiles held, tiles kept) per post: (3, 1), (1, 2), (2, 0), (3, 1)
+        # after coefficients, (1, 2), (3, 0) after power_gains, (0, 1)
+        assert posts == [[(1, 3)], [], [(0, 2)], [(1, 3)], [], [(0, 3)], []]
+        st.close()
+        assert _no_child_left()
 
     def test_no_worker_without_fork(self, monkeypatch):
         monkeypatch.delattr(channel.os, "fork")

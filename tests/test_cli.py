@@ -150,6 +150,9 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("doc", [{"preset": "two-cell", "ewma_beta": 0},
+                                     # at 1, an unserved user's weight has no value
+                                     {"preset": "two-cell", "slots": 20, "warmup_slots": 5,
+                                      "ewma_beta": 1.0},
                                      {"feedback_period_slots": 0},
                                      {"preset": "hex19", "inter_site_distance_m": 0},
                                      {"preset": "hetnet5", "home_size_m": -5}] + [
@@ -201,7 +204,7 @@ OUT_OF_RANGE = {
     "zones": [[{"cols": 0, "rows": 1, "spacing_m": 900.0}],
               [{"cols": 1, "rows": 1, "spacing_m": -900.0}]],
     "user_speed_kmh": [-3.0], "carrier_freq_hz": [0.0], "shadowing_sigma_macro_db": [-1.0],
-    "shadowing_sigma_femto_db": [-1.0], "sinr_gap_db": [-1.0], "ewma_beta": [0.0, 1.5],
+    "shadowing_sigma_femto_db": [-1.0], "sinr_gap_db": [-1.0], "ewma_beta": [0.0, 1.0, 1.5],
     "initial_throughput_bps": [0.0],
 }
 

@@ -23,7 +23,9 @@ first `Channel.close`, and the tiles the run's process kept in each
 posted fading pass (what `channel._split` returned, where it exists), go
 under "probes" (peak RSS reads the run's process only, and the tracer's
 `channel.fading_state_mb` counts the fading arrays whichever
-process keeps them). Then, for each seed, every workload in
+process keeps them). Each probe entry's "Pss_total_mb" adds up the Pss of
+the run's process and of its workers, the whole run's memory, which the
+tool prints per side and workload. Then, for each seed, every workload in
 BENCHMARK.json (or each --workload given) runs once per side through
 `perfbench/run.py`, the side that runs first alternating with the seed
 (odd seeds: parent first). Seeds `--seed0 ...` run at --trace 0, seeds
@@ -189,8 +191,8 @@ print(json.dumps(seen))
 
 def run_probe(tree, workload, seed):
     """PROBE in tree: the smaps_rollup of the run's process and of each
-    fading worker just before the channel closes, and the splits, or the
-    error."""
+    fading worker just before the channel closes, their summed Pss, and the
+    splits, or the error."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), str(tree / "perfbench"),
                                                       env.get("PYTHONPATH")]))
@@ -201,7 +203,11 @@ def run_probe(tree, workload, seed):
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         return {"error": proc.stderr.strip().splitlines()[-1:]}
-    return {"seed": seed, **json.loads(proc.stdout.strip().splitlines()[-1])}
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    if "run" in seen:
+        pss = [seen["run"]["Pss_mb"]] + [w["Pss_mb"] for w in seen["workers"]]
+        seen["Pss_total_mb"] = round(sum(pss), 1)
+    return {"seed": seed, **seen}
 
 
 def quartiles(values):
@@ -309,6 +315,9 @@ def main(argv=None):
         for side in trees:
             probes[side] = {w: run_probe(trees[side], w, args.traced_seed0) for w in workloads}
             print(f"probes {side:6s} {probes[side]}", flush=True)
+            for w, probe in probes[side].items():
+                print(f"pss    {side:6s} {w:22s} run + workers "
+                      f"{probe.get('Pss_total_mb')} MB", flush=True)
         for seed, trace in schedule:
             first = "parent" if seed % 2 else "change"
             order = [first, "change" if first == "parent" else "parent"]
